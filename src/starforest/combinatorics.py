@@ -1,23 +1,20 @@
-"""Integer partitions, integer-vector sumsets, and the dominating-set matching.
+"""Integer partitions, packed integer-vector sumsets, and the dominating-set matching.
 
-The sumset is the workhorse of the treewidth DP's join step.  Vectors are
-encoded base (2n+1) into exponents of a 0/1 polynomial and multiplied with a
-number-theoretic transform, which keeps all arithmetic exact; a naive double
-loop is kept both as the overflow fallback and as a cross-check target.
+The sumset is the workhorse of the treewidth DP's join step.  A vector with
+coordinates in [0, base) is packed into one Python int, coordinate j times
+base**j (Kronecker substitution).  Packing is linear, so vector addition is
+int addition while no coordinate of a sum reaches the base, and a sumset is
+a double loop of int additions.  The tuple double loop `_sumset_naive` stays
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError
 from .graph import Graph, StarForest
-
-log = logging.getLogger(__name__)
 
 Partition = tuple[int, ...]  # parts sorted non-increasing
 
@@ -66,159 +63,71 @@ def enum_star_partitions(h: int) -> list[StarForest]:
 
 
 # ---------------------------------------------------------------------------
-# sumsets of bounded integer vectors
+# sumsets of packed integer vectors
 
-_NTT_MOD = 998244353  # 119 * 2^23 + 1
-_NTT_ROOT = 3
-_NTT_MAX_LEN = 1 << 22  # padded transform length budget
+
+def pack(vec: Iterable[int], base: int) -> int:
+    """Kronecker substitution: coordinate j of the vector weighs base**j."""
+    code = 0
+    for c in reversed(tuple(vec)):
+        code = code * base + c
+    return code
+
+
+def unpack(code: int, dimension: int, base: int) -> tuple[int, ...]:
+    """Inverse of pack for a vector with coordinates in [0, base)."""
+    vec = []
+    for _ in range(dimension):
+        code, c = divmod(code, base)
+        vec.append(c)
+    return tuple(vec)
 
 
 @dataclass(frozen=True)
 class IntVectorSet:
-    """A set of d-dimensional integer vectors with coordinates in [0, bound]."""
+    """A set of d-dimensional vectors with coordinates in [0, base), each packed into one int."""
 
     dimension: int
-    bound: int
-    members: frozenset[tuple[int, ...]]
-
-    def __post_init__(self):
-        if self.dimension < 1 or self.bound < 1:
-            raise PreconditionError("dimension and bound must be positive")
-        for vec in self.members:
-            if len(vec) != self.dimension:
-                raise PreconditionError(f"vector {vec} has dimension != {self.dimension}")
-            if any(c < 0 or c > self.bound for c in vec):
-                raise PreconditionError(f"vector {vec} outside [0, {self.bound}]")
+    base: int
+    members: frozenset[int]
 
     @staticmethod
-    def of(members: Iterable[tuple[int, ...]], dimension: int, bound: int) -> "IntVectorSet":
-        return IntVectorSet(dimension, bound, frozenset(tuple(v) for v in members))
+    def of(vectors: Iterable[tuple[int, ...]], dimension: int, base: int) -> "IntVectorSet":
+        """Pack tuples, rejecting a wrong length or a coordinate outside [0, base)."""
+        if dimension < 1 or base < 2:
+            raise PreconditionError("dimension must be positive and base at least 2")
+        packed = set()
+        for vec in vectors:
+            if len(vec) != dimension:
+                raise PreconditionError(f"vector {vec} has dimension != {dimension}")
+            if any(c < 0 or c >= base for c in vec):
+                raise PreconditionError(f"vector {vec} outside [0, {base})")
+            packed.add(pack(vec, base))
+        return IntVectorSet(dimension, base, frozenset(packed))
+
+    def vectors(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(unpack(m, self.dimension, self.base) for m in self.members)
 
 
-def sumset(a: IntVectorSet, b: IntVectorSet, method: str = "auto") -> IntVectorSet:
-    """Componentwise sumset {x + y | x in A, y in B}; output bound doubles.
+def sumset(a: IntVectorSet, b: IntVectorSet) -> IntVectorSet:
+    """Componentwise sumset {x + y | x in A, y in B}, in the same packing.
 
-    method: "auto" picks the NTT route for large inputs and the double loop
-    for small ones (or when the encoded exponent range exceeds the transform
-    budget); "fft" / "naive" force one route.
+    Packing is linear, so this is exact while no coordinate of a sum reaches
+    the base; choosing a base that keeps it so is the caller's invariant.
     """
-    if a.dimension != b.dimension:
+    if a.dimension != b.dimension or a.base != b.base:
         raise PreconditionError(
-            f"dimension mismatch: {a.dimension} vs {b.dimension}"
+            f"shape mismatch: dimension {a.dimension} base {a.base}"
+            f" vs dimension {b.dimension} base {b.base}"
         )
-    n = max(a.bound, b.bound)
-    d = a.dimension
-    if method not in ("auto", "fft", "naive"):
-        raise PreconditionError(f"unknown sumset method {method!r}")
-    span = (2 * n + 1) ** d
-    if method == "auto":
-        if 2 * span > _NTT_MAX_LEN:
-            log.info(
-                "sumset: exponent range %d exceeds transform budget; using naive route",
-                span,
-            )
-            method = "naive"
-        elif len(a.members) * len(b.members) <= 4096:
-            method = "naive"
-        else:
-            method = "fft"
-    elif method == "fft" and 2 * span > _NTT_MAX_LEN:
-        raise ResourceLimitError(f"encoded exponent range {span} exceeds transform budget")
-
-    if method == "naive":
-        sums = _sumset_naive(a.members, b.members)
-    else:
-        sums = _sumset_ntt(a.members, b.members, n, d)
-    return IntVectorSet(d, 2 * n, frozenset(sums))
+    return IntVectorSet(
+        a.dimension, a.base, frozenset({x + y for x in a.members for y in b.members})
+    )
 
 
 def _sumset_naive(amems: Iterable[tuple[int, ...]], bmems: Iterable[tuple[int, ...]]):
+    """Quadratic sumset over tuples: the reference the packed sumset is tested against."""
     return {tuple(x + y for x, y in zip(va, vb)) for va in amems for vb in bmems}
-
-
-def _encode(vecs: Iterable[tuple[int, ...]], base: int, d: int) -> np.ndarray:
-    weights = base ** np.arange(d, dtype=np.int64)
-    arr = np.asarray(sorted(vecs), dtype=np.int64).reshape(-1, d)
-    return arr @ weights
-
-
-def _sumset_ntt(amems, bmems, n: int, d: int):
-    if not amems or not bmems:
-        return set()
-    base = 2 * n + 1
-    span = base**d
-    pa = np.zeros(span, dtype=np.int64)
-    pb = np.zeros(span, dtype=np.int64)
-    pa[_encode(amems, base, d)] = 1
-    pb[_encode(bmems, base, d)] = 1
-    prod = _convolve_mod(pa, pb)
-    exps = np.nonzero(prod)[0]
-    out = set()
-    for e in exps.tolist():
-        vec = []
-        for _ in range(d):
-            vec.append(e % base)
-            e //= base
-        out.add(tuple(vec))
-    return out
-
-
-def _convolve_mod(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """0/1-polynomial product over Z via NTT mod a Fourier-friendly prime.
-
-    Coefficients of the product are bounded by min(|A|, |B|) < modulus, so the
-    modular result equals the integer result.
-    """
-    need = len(pa) + len(pb) - 1
-    size = 1
-    while size < need:
-        size *= 2
-    fa = np.zeros(size, dtype=np.int64)
-    fb = np.zeros(size, dtype=np.int64)
-    fa[: len(pa)] = pa
-    fb[: len(pb)] = pb
-    fa = _ntt(fa, invert=False)
-    fb = _ntt(fb, invert=False)
-    fc = (fa * fb) % _NTT_MOD
-    return _ntt(fc, invert=True)[:need]
-
-
-def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
-    size = len(a)
-    if size == 1:
-        return a.copy()
-    # bit-reversal permutation, built by doubling
-    rev = np.zeros(1, dtype=np.int64)
-    while len(rev) < size:
-        rev = np.concatenate([2 * rev, 2 * rev + 1])
-    a = a[rev].copy()
-    length = 2
-    while length <= size:
-        root = pow(_NTT_ROOT, (_NTT_MOD - 1) // length, _NTT_MOD)
-        if invert:
-            root = pow(root, _NTT_MOD - 2, _NTT_MOD)
-        half = length // 2
-        ws = _power_array(root, half)
-        blocks = a.reshape(size // length, length)
-        lo = blocks[:, :half].copy()
-        hi = (blocks[:, half:] * ws) % _NTT_MOD
-        blocks[:, :half] = (lo + hi) % _NTT_MOD
-        blocks[:, half:] = (lo - hi) % _NTT_MOD
-        length *= 2
-    if invert:
-        inv_size = pow(size, _NTT_MOD - 2, _NTT_MOD)
-        a = (a * inv_size) % _NTT_MOD
-    return a
-
-
-def _power_array(w: int, length: int) -> np.ndarray:
-    """[w^0, w^1, ..., w^(length-1)] mod the NTT prime, built by doubling."""
-    ws = np.ones(1, dtype=np.int64)
-    cur = w
-    while len(ws) < length:
-        ws = np.concatenate([ws, (ws * cur) % _NTT_MOD])
-        cur = cur * cur % _NTT_MOD
-    return ws[:length]
 
 
 # ---------------------------------------------------------------------------

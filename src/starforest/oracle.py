@@ -11,6 +11,7 @@ from itertools import combinations
 
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, StarForest, verify_embedding
+from .solve_h import embeds_star_forest
 from .vectors import (
     CountVector,
     VectorFamily,
@@ -69,38 +70,6 @@ def enum_star_vectors_brute(
     return VectorFamily(delta, packings(0, 0))
 
 
-def embed_vector(g: Graph, vec: CountVector) -> Embedding | None:
-    """Backtracking search for one embedding of the star multiset `vec` in g."""
-    sizes = list(counts_to_sizes(vec))
-    stars: list[tuple[int, ...]] = []
-
-    def place(idx: int, used: int, min_centre: int) -> bool:
-        if idx == len(sizes):
-            return True
-        d = sizes[idx]
-        # equal-size stars are interchangeable: force increasing centres
-        start = min_centre if idx > 0 and sizes[idx - 1] == d else 0
-        for centre in range(start, g.n):
-            if used >> centre & 1:
-                continue
-            free = [w for w in g.adjacency[centre] if not used >> w & 1]
-            if len(free) < d - 1:
-                continue
-            for leaves in combinations(free, d - 1):
-                mask = used | 1 << centre
-                for w in leaves:
-                    mask |= 1 << w
-                stars.append((centre,) + leaves)
-                if place(idx + 1, mask, centre + 1):
-                    return True
-                stars.pop()
-        return False
-
-    if place(0, 0, 0):
-        return Embedding(tuple(stars))
-    return None
-
-
 def opt_common_brute(
     g1: Graph, g2: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT
 ) -> tuple[int, StarForest, Embedding, Embedding]:
@@ -111,10 +80,10 @@ def opt_common_brute(
     fam1 = enum_star_vectors_brute(g1, delta, vertex_limit)
     fam2 = enum_star_vectors_brute(g2, delta, vertex_limit)
     _, best = max((vector_total(v), v) for v in fam1.vectors & fam2.vectors)
-    emb1 = embed_vector(g1, best)
-    emb2 = embed_vector(g2, best)
-    assert emb1 is not None and emb2 is not None, "family vector must embed"
     forest = StarForest(counts_to_sizes(best))
+    emb1 = embeds_star_forest(g1, forest)
+    emb2 = embeds_star_forest(g2, forest)
+    assert emb1 is not None and emb2 is not None, "family vector must embed"
     assert verify_embedding(g1, forest, emb1) and verify_embedding(g2, forest, emb2)
     return vector_total(best), forest, emb1, emb2
 

@@ -7,6 +7,13 @@ an already-forgotten centre), and the vector counts stars of each size formed
 so far (bag-resident partial stars included).  At the empty root bag the
 surviving vectors are exactly the star forests of the graph, up to
 isomorphism.
+
+Each table maps a mask to a set of vectors packed into ints base n+1 (see
+`combinatorics.pack`).  No count exceeds n, not even the sum of two
+children's counts at a join before its correction, so packing is injective
+on every intermediate set.  Adding a star, growing one and the join's
+correction are then int additions of powers of the base, and the root
+decodes its vectors once.
 """
 
 from __future__ import annotations
@@ -14,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .combinatorics import IntVectorSet, sumset
+from .combinatorics import IntVectorSet, sumset, unpack
 from .errors import PreconditionError
 from .graph import Graph, StarForest
-from .vectors import CountVector, VectorFamily, common_forest, zero_vector
+from .vectors import VectorFamily, common_forest
 
 # mask role codes: 0 = uncovered, 1 = leaf of forgotten centre,
 # d >= 2 = centre of a size-d partial star, -2-u = leaf of in-bag centre u
@@ -227,7 +234,7 @@ def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
 # ---------------------------------------------------------------------------
 # the enumeration DP
 
-Table = dict[tuple[int, ...], set[CountVector]]
+Table = dict[tuple[int, ...], set[int]]  # mask -> packed count vectors
 
 
 def enum_star_vectors_dp(
@@ -242,39 +249,40 @@ def enum_star_vectors_dp(
     if decomposition is not None and not verify_decomposition(g, td):
         raise PreconditionError("supplied decomposition is invalid for this graph")
     nice = to_nice(td)
-    zero = zero_vector(delta)
+    base = g.n + 1
+    powers = [base**j for j in range(delta)]  # powers[j] packs one star of size j+2
     tables: dict[int, Table] = {}
 
     for node in nice.topological_order():
         kind = nice.kinds[node]
         bag = nice.bags[node]
         if kind[0] == "leaf":
-            tables[node] = {(): {zero}}
+            tables[node] = {(): {0}}
         elif kind[0] == "introduce":
             child = nice.children[node][0]
             tables[node] = _introduce(
-                g, delta, bag, nice.bags[child], kind[1], tables.pop(child)
+                g, powers, bag, nice.bags[child], kind[1], tables.pop(child)
             )
         elif kind[0] == "forget":
             child = nice.children[node][0]
             tables[node] = _forget(bag, nice.bags[child], kind[1], tables.pop(child))
         else:
             c1, c2 = nice.children[node]
-            tables[node] = _join(g.n, delta, bag, tables.pop(c1), tables.pop(c2))
+            tables[node] = _join(base, powers, bag, tables.pop(c1), tables.pop(c2))
 
-    root_table = tables[nice.root]
-    vectors = root_table.get((), set())
-    return VectorFamily(delta, frozenset(vectors))
+    codes = tables[nice.root].get((), set())
+    return VectorFamily(delta, frozenset(unpack(c, delta, base) for c in codes))
 
 
 def _introduce(
     g: Graph,
-    delta: int,
+    powers: list[int],
     bag: tuple[int, ...],
     child_bag: tuple[int, ...],
     v: int,
     child: Table,
 ) -> Table:
+    delta = len(powers)
     pos_v = bag.index(v)
     nbr = set(g.adjacency[v])
     out: Table = {}
@@ -297,47 +305,27 @@ def _introduce(
             if code == UNCOVERED:
                 new = list(mask)
                 new[i] = 2  # u becomes centre of a fresh 2-star
-                put(
-                    _insert(new, pos_v, _leaf_of(u)),
-                    {_bump(vec, 2) for vec in vecs},
-                )
+                put(_insert(new, pos_v, _leaf_of(u)), {vec + powers[0] for vec in vecs})
             elif 2 <= code <= delta:  # centre of size code, room to grow
                 new = list(mask)
                 new[i] = code + 1
-                put(
-                    _insert(new, pos_v, _leaf_of(u)),
-                    {_grow(vec, code) for vec in vecs},
-                )
+                # move one count from size code to size code+1
+                step = powers[code - 1] - powers[code - 2]
+                put(_insert(new, pos_v, _leaf_of(u)), {vec + step for vec in vecs})
         # v becomes a centre over uncovered bag neighbours
         spots = [i for i, u in enumerate(child_bag) if u in nbr and mask[i] == UNCOVERED]
         for take in range(1, min(delta, len(spots)) + 1):
+            step = powers[take - 1]
             for chosen in combinations(spots, take):
                 new = list(mask)
                 for i in chosen:
                     new[i] = _leaf_of(v)
-                put(
-                    _insert(new, pos_v, take + 1),
-                    {_bump(vec, take + 1) for vec in vecs},
-                )
+                put(_insert(new, pos_v, take + 1), {vec + step for vec in vecs})
     return out
 
 
 def _insert(codes: list[int], pos: int, code: int) -> tuple[int, ...]:
     return tuple(codes[:pos]) + (code,) + tuple(codes[pos:])
-
-
-def _bump(vec: CountVector, d: int) -> CountVector:
-    new = list(vec)
-    new[d - 2] += 1
-    return tuple(new)
-
-
-def _grow(vec: CountVector, d: int) -> CountVector:
-    """A size-d partial star gained a leaf: move one count from d to d+1."""
-    new = list(vec)
-    new[d - 2] -= 1
-    new[d - 1] += 1
-    return tuple(new)
 
 
 def _forget(
@@ -374,12 +362,12 @@ def _centre_leaves(bag: tuple[int, ...], mask: tuple[int, ...]) -> dict[int, fro
 
 
 def _join(
-    n: int, delta: int, bag: tuple[int, ...], t1: Table, t2: Table
+    base: int, powers: list[int], bag: tuple[int, ...], t1: Table, t2: Table
 ) -> Table:
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     out: Table = {}
-    bound = max(n, 1)
+    delta = len(powers)
     leaves1 = {mask: _centre_leaves(bag, mask) for mask in t1}
     leaves2 = {mask: _centre_leaves(bag, mask) for mask in t2}
     frozen1 = {mask: frozenset(v) for mask, v in t1.items()}
@@ -421,7 +409,7 @@ def _join(
             candidates = [m2 for m2 in t2 if _quick_compatible(mask1, m2)]
         for mask2 in candidates:
             merged = _merge_masks(
-                bag, mask1, mask2, leaves1[mask1], leaves2[mask2], delta
+                bag, mask1, mask2, leaves1[mask1], leaves2[mask2], powers
             )
             if merged is None:
                 continue
@@ -430,14 +418,11 @@ def _join(
             summed = sum_cache.get(key)
             if summed is None:
                 summed = sumset(
-                    IntVectorSet(delta, bound, key[0]),
-                    IntVectorSet(delta, bound, key[1]),
+                    IntVectorSet(delta, base, key[0]),
+                    IntVectorSet(delta, base, key[1]),
                 ).members
                 sum_cache[key] = summed
-            shifted = {
-                tuple(c + s for c, s in zip(vec, shift))
-                for vec in summed
-            }
+            shifted = {v + shift for v in summed}
             if mask_out in out:
                 out[mask_out].update(shifted)
             else:
@@ -470,11 +455,12 @@ def _merge_masks(
     mask2: tuple[int, ...],
     lv1: dict[int, frozenset[int]],
     lv2: dict[int, frozenset[int]],
-    delta: int,
-) -> tuple[tuple[int, ...], CountVector] | None:
-    """Merged mask and the additive correction m - a - b, or None if incompatible."""
+    powers: list[int],
+) -> tuple[tuple[int, ...], int] | None:
+    """Merged mask and the packed additive correction m - a - b, or None if incompatible."""
+    delta = len(powers)
     merged: list[int] = []
-    shift = [0] * delta
+    shift = 0
     for u, c1, c2 in zip(bag, mask1, mask2):
         if c1 == UNCOVERED and c2 == UNCOVERED:
             merged.append(UNCOVERED)
@@ -496,11 +482,9 @@ def _merge_masks(
             d = c1 + c2 - len(s1) - 1
             if d > delta + 1:
                 return None
-            shift[c1 - 2] -= 1
-            shift[c2 - 2] -= 1
-            shift[d - 2] += 1
+            shift += powers[d - 2] - powers[c1 - 2] - powers[c2 - 2]
             merged.append(d)
-    return tuple(merged), tuple(shift)
+    return tuple(merged), shift
 
 
 def solve_tw(

@@ -239,9 +239,10 @@ def check_6_support_identities():
         bound = rng.randint(1, 15)
         mems_a = {tuple(rng.randint(0, bound) for _ in range(d)) for _ in range(rng.randint(1, 25))}
         mems_b = {tuple(rng.randint(0, bound) for _ in range(d)) for _ in range(rng.randint(1, 25))}
+        base = 2 * bound + 1  # room for the sum of two coordinates in [0, bound]
         got = sumset(
-            IntVectorSet.of(mems_a, d, bound), IntVectorSet.of(mems_b, d, bound), method="fft"
-        ).members
+            IntVectorSet.of(mems_a, d, base), IntVectorSet.of(mems_b, d, base)
+        ).vectors()
         want = {tuple(x + y for x, y in zip(a, b)) for a in mems_a for b in mems_b}
         if got != want:
             return False, "sumset disagrees with the quadratic oracle"

@@ -156,3 +156,13 @@ class TestBench:
             text=True,
         )
         assert proc.returncode == 0 and "solve" in proc.stdout
+
+
+class TestImport:
+    def test_import_leaves_numpy_out(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, starforest.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -96,12 +96,12 @@ class TestSumset:
     def test_identity_element(self):
         a = IntVectorSet.of([(0, 0)], 2, 10)
         b = IntVectorSet.of([(3, 1)], 2, 10)
-        assert sumset(a, b).members == {(3, 1)}
+        assert sumset(a, b).vectors() == {(3, 1)}
 
     def test_hand_sum(self):
         a = IntVectorSet.of([(0, 0), (1, 2)], 2, 10)
         b = IntVectorSet.of([(2, 1)], 2, 10)
-        assert sumset(a, b).members == {(2, 1), (3, 3)}
+        assert sumset(a, b).vectors() == {(2, 1), (3, 3)}
 
     def test_dimension_mismatch(self):
         a = IntVectorSet.of([(0,)], 1, 3)
@@ -109,7 +109,16 @@ class TestSumset:
         with pytest.raises(PreconditionError):
             sumset(a, b)
 
-    def test_fft_route_equals_naive_on_random(self):
+    def test_of_validates(self):
+        with pytest.raises(PreconditionError):
+            IntVectorSet.of([(0, 3)], 2, 3)
+        with pytest.raises(PreconditionError):
+            IntVectorSet.of([(0, -1)], 2, 3)
+        with pytest.raises(PreconditionError):
+            IntVectorSet.of([(0, 0, 0)], 2, 3)
+        assert IntVectorSet.of([(2, 1), (0, 2)], 2, 3).vectors() == {(2, 1), (0, 2)}
+
+    def test_equals_naive_on_random(self):
         rng = random.Random(17)
         for _ in range(100):
             d = rng.randint(1, 3)
@@ -118,13 +127,13 @@ class TestSumset:
             size_b = rng.randint(1, 20)
             amems = {tuple(rng.randint(0, n) for _ in range(d)) for _ in range(size_a)}
             bmems = {tuple(rng.randint(0, n) for _ in range(d)) for _ in range(size_b)}
-            a = IntVectorSet.of(amems, d, n)
-            b = IntVectorSet.of(bmems, d, n)
-            via_fft = sumset(a, b, method="fft")
-            assert via_fft.members == _sumset_naive(amems, bmems)
-            assert via_fft.members == sumset(a, b, method="naive").members
-            assert via_fft.bound == 2 * n
-            assert all(0 <= c <= 2 * n for vec in via_fft.members for c in vec)
+            # sums of two coordinates in [0, n] stay below 2n+1
+            a = IntVectorSet.of(amems, d, 2 * n + 1)
+            b = IntVectorSet.of(bmems, d, 2 * n + 1)
+            out = sumset(a, b)
+            assert out.vectors() == _sumset_naive(amems, bmems)
+            assert out.base == 2 * n + 1
+            assert all(0 <= c <= 2 * n for vec in out.vectors() for c in vec)
 
     @given(
         st.integers(1, 3),
@@ -137,19 +146,17 @@ class TestSumset:
         bound = 8
         amems = {v[:d] if d < 2 else v + (0,) * (d - 2) for v in raw_a}
         bmems = {v[:d] if d < 2 else v + (0,) * (d - 2) for v in raw_b}
-        a = IntVectorSet.of(amems, d, bound)
-        b = IntVectorSet.of(bmems, d, bound)
-        assert sumset(a, b).members == sumset(b, a).members == _sumset_naive(amems, bmems)
+        a = IntVectorSet.of(amems, d, 2 * bound + 1)
+        b = IntVectorSet.of(bmems, d, 2 * bound + 1)
+        assert sumset(a, b).members == sumset(b, a).members
+        assert sumset(a, b).vectors() == _sumset_naive(amems, bmems)
 
-    def test_auto_falls_back_when_exponents_overflow(self, caplog):
-        # (2n+1)^d is astronomically past the transform budget here
+    def test_exact_with_large_packed_codes(self):
+        # (2n+1)^d is about 2.8e11 here; packed codes are Python ints of any size
         d, n = 6, 40
         amems = {tuple(0 for _ in range(d)), tuple(1 for _ in range(d))}
-        a = IntVectorSet.of(amems, d, n)
-        with caplog.at_level("INFO", logger="starforest.combinatorics"):
-            out = sumset(a, a)
-        assert out.members == _sumset_naive(amems, amems)
-        assert any("naive route" in rec.message for rec in caplog.records)
+        a = IntVectorSet.of(amems, d, 2 * n + 1)
+        assert sumset(a, a).vectors() == _sumset_naive(amems, amems)
 
 
 def brute_min_dominating_set(g: Graph) -> list[int]:

@@ -133,8 +133,15 @@ class TestEnumDP:
 
     def test_matches_brute_force(self):
         rng = random.Random(84)
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
+        graphs = [
+            random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
+            for _ in range(60)
+        ]
+        # a perfect matching on 12 vertices reaches count n/2; K_{1,11} fills
+        # the top coordinate
+        graphs.append(Graph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)]))
+        graphs.append(star_graph(11))
+        for g in graphs:
             for delta in (2, 3, max(1, g.max_degree())):
                 dp = enum_star_vectors_dp(g, delta)
                 brute = enum_star_vectors_brute(g, delta)
