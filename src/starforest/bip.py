@@ -54,16 +54,6 @@ class BipModel:
                 raise PreconditionError(f"objective references unknown variable {name!r}")
         self.objective = dict(coeffs)
 
-    def dump(self) -> str:
-        """Debug listing; not a stability contract."""
-        lines = [f"var {v} in [{lo},{hi}]" for v, lo, hi in self.variables]
-        for c in self.constraints:
-            terms = " + ".join(f"{a}*{v}" for v, a in sorted(c.coeffs.items()))
-            lines.append(f"{terms or 0} {c.relation} {c.rhs}")
-        terms = " + ".join(f"{a}*{v}" for v, a in sorted(self.objective.items()))
-        lines.append(f"max {terms or 0}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class BipSolution:

@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _common_solver_flags(cmd: argparse.ArgumentParser):
     cmd.add_argument("--k", type=int, default=None, help="cover / component bound")
     cmd.add_argument("--epsilon", type=float, default=0.5)
-    cmd.add_argument("--mode", choices=("auto", "exact", "randomized"), default="auto")
+    cmd.add_argument("--mode", choices=("exact", "randomized"), default="exact")
     cmd.add_argument("--trials", type=int, default=None)
     cmd.add_argument("--fail-prob", type=float, default=0.01)
     cmd.add_argument("--seed", type=int, default=None)

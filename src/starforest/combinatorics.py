@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import PreconditionError
-from .graph import Graph, StarForest
+from .graph import Graph, StarForest, max_matching
 
 Partition = tuple[int, ...]  # parts sorted non-increasing
 
@@ -146,52 +146,9 @@ def dominating_matching(g: Graph, dom: Iterable[int]) -> set[tuple[int, int]]:
         raise PreconditionError("graph has isolated vertices")
     if not all(0 <= v < g.n for v in dset):
         raise PreconditionError("dominating set contains out-of-range vertices")
-    left = sorted(dset)
-    right = [v for v in range(g.n) if v not in dset]
-    rpos = {v: i for i, v in enumerate(right)}
-    adj = [[rpos[w] for w in g.adjacency[v] if w in rpos] for v in left]
-    match_l, match_r = _hopcroft_karp(len(left), len(right), adj)
-    size = sum(1 for m in match_l if m != -1)
-    if size < len(left):
+    cut = Graph.from_edges(g.n, [(u, w) for u in dset for w in g.adjacency[u] if w not in dset])
+    # every cut edge has exactly one end in D, so a matching of size |D| covers D
+    matching = max_matching(cut)
+    if len(matching) < len(dset):
         raise PreconditionError("D not a minimum dominating set")
-    return {(left[i], right[match_l[i]]) for i in range(len(left))}
-
-
-def _hopcroft_karp(nl: int, nr: int, adj: list[list[int]]) -> tuple[list[int], list[int]]:
-    INF = float("inf")
-    match_l = [-1] * nl
-    match_r = [-1] * nr
-    while True:
-        dist = [INF] * nl
-        queue = [u for u in range(nl) if match_l[u] == -1]
-        for u in queue:
-            dist[u] = 0
-        found = False
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] is INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not found:
-            break
-
-        def try_augment(u: int) -> bool:
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1 or (dist[w] == dist[u] + 1 and try_augment(w)):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
-        for u in range(nl):
-            if match_l[u] == -1:
-                try_augment(u)
-    return match_l, match_r
+    return {(u, w) if u in dset else (w, u) for u, w in matching}

@@ -16,7 +16,6 @@ from .vectors import (
     CountVector,
     VectorFamily,
     counts_to_sizes,
-    sizes_to_counts,
     vector_total,
     zero_vector,
 )
@@ -98,12 +97,3 @@ def opt_common_vector(
     fam1 = enum_star_vectors_brute(g1, delta, vertex_limit)
     fam2 = enum_star_vectors_brute(g2, delta, vertex_limit)
     return max((vector_total(v), v) for v in fam1.vectors & fam2.vectors)
-
-
-def vector_achievable(g: Graph, sizes: tuple[int, ...], vertex_limit: int = DEFAULT_VERTEX_LIMIT) -> bool:
-    """Whether the star-size multiset packs into g (brute force)."""
-    if not sizes:
-        return True
-    delta = max(sizes) - 1
-    fam = enum_star_vectors_brute(g, delta, vertex_limit)
-    return sizes_to_counts(sizes, delta) in fam.vectors

@@ -18,8 +18,6 @@ from .combinatorics import enum_star_partitions
 from .errors import PreconditionError
 from .graph import Embedding, Graph, Instance, StarForest, max_matching, verify_embedding
 
-EXACT_MODE_MAX_H = 12  # exact backtracking is fast at desk scale up to here
-
 
 @dataclass(frozen=True)
 class ColorCodingConfig:
@@ -43,7 +41,7 @@ class ColorCodingConfig:
 def solve_h(
     inst: Instance,
     cfg: ColorCodingConfig = ColorCodingConfig(),
-    mode: str = "auto",
+    mode: str = "exact",
 ) -> tuple[bool, tuple[StarForest, Embedding, Embedding] | None]:
     """Decide whether a common star forest of >= h vertices exists.
 
@@ -58,8 +56,6 @@ def solve_h(
         return True, (StarForest(()), Embedding(()), Embedding(()))
     if inst.trivially_no():
         return False, None
-    if mode == "auto":
-        mode = "exact" if h <= EXACT_MODE_MAX_H else "randomized"
 
     need = (h + 1) // 2
     m1 = sorted(max_matching(inst.g1))

@@ -1,12 +1,14 @@
 """Tree-decomposition toolkit and the star-forest enumeration DP.
 
-The DP walks a nice tree decomposition bottom-up.  A state is (node, mask,
+The DP walks a tree decomposition bottom-up.  A state is (bag, mask,
 star-count vector): the mask assigns each bag vertex a role (uncovered,
 centre of a partial star of known size, leaf of an in-bag centre, or leaf of
 an already-forgotten centre), and the vector counts stars of each size formed
-so far (bag-resident partial stars included).  At the empty root bag the
-surviving vectors are exactly the star forests of the graph, up to
-isomorphism.
+so far (bag-resident partial stars included).  A child's table reaches its
+parent's bag by forgetting, then introducing, one vertex at a time in sorted
+order, and the children's tables are then joined.  Leaves start at the empty
+bag and the root ends at it, where the surviving vectors are exactly the star
+forests of the graph, up to isomorphism.
 
 Each table maps a mask to a set of vectors packed into ints base n+1 (see
 `combinatorics.pack`).  No count exceeds n, not even the sum of two
@@ -18,7 +20,7 @@ decodes its vectors once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .combinatorics import IntVectorSet, sumset, unpack
@@ -58,63 +60,20 @@ class TreeDecomposition:
         return adj
 
 
-@dataclass
-class NiceTreeDecomposition:
-    """Rooted at index `root`; kinds are ("leaf",), ("introduce", v), ("forget", v), ("join",)."""
-
-    bags: list[tuple[int, ...]] = field(default_factory=list)
-    kinds: list[tuple] = field(default_factory=list)
-    children: list[list[int]] = field(default_factory=list)
-    root: int = -1
-
-    def add(self, kind: tuple, bag: tuple[int, ...], childs: list[int]) -> int:
-        self.bags.append(tuple(sorted(bag)))
-        self.kinds.append(kind)
-        self.children.append(childs)
-        return len(self.bags) - 1
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
-    def topological_order(self) -> list[int]:
-        """Children before parents."""
-        order: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-            else:
-                stack.append((node, True))
-                for c in self.children[node]:
-                    stack.append((c, False))
-        return order
-
-
-def heuristic_decomposition(g: Graph, strategy: str = "min_fill") -> TreeDecomposition:
-    """Elimination-ordering decomposition; width is an upper bound only."""
-    if strategy not in ("min_fill", "min_degree"):
-        raise PreconditionError(f"unknown strategy {strategy!r}")
+def heuristic_decomposition(g: Graph) -> TreeDecomposition:
+    """Min-fill elimination-ordering decomposition; width is an upper bound only."""
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
     adj: list[set[int]] = [set(a) for a in g.adjacency]
     alive = set(range(g.n))
     order: list[int] = []
     elim_bags: list[frozenset[int]] = []
+
+    def fill(x: int) -> int:
+        return sum(1 for a, b in combinations(adj[x], 2) if b not in adj[a])
+
     while alive:
-        if strategy == "min_degree":
-            v = min(alive, key=lambda x: (len(adj[x]), x))
-        else:
-            def fill(x: int) -> int:
-                nb = list(adj[x])
-                return sum(
-                    1
-                    for i in range(len(nb))
-                    for j in range(i + 1, len(nb))
-                    if nb[j] not in adj[nb[i]]
-                )
-            v = min(alive, key=lambda x: (fill(x), x))
+        v = min(alive, key=lambda x: (fill(x), x))
         bag = frozenset(adj[v] | {v})
         order.append(v)
         elim_bags.append(bag)
@@ -191,46 +150,6 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
     return True
 
 
-def to_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Same width, leaf/introduce/forget/join structure, empty root bag."""
-    nice = NiceTreeDecomposition()
-    adj = td.neighbours()
-
-    def chain_from_empty(target: tuple[int, ...]) -> int:
-        node = nice.add(("leaf",), (), [])
-        bag: list[int] = []
-        for v in sorted(target):
-            bag.append(v)
-            node = nice.add(("introduce", v), tuple(bag), [node])
-        return node
-
-    def morph(node: int, src: frozenset[int], dst: frozenset[int]) -> int:
-        bag = set(src)
-        for v in sorted(src - dst):
-            bag.discard(v)
-            node = nice.add(("forget", v), tuple(bag), [node])
-        for v in sorted(dst - src):
-            bag.add(v)
-            node = nice.add(("introduce", v), tuple(bag), [node])
-        return node
-
-    def build(t: int, parent: int) -> int:
-        """Nice subtree whose top node has bag td.bags[t]."""
-        kids = [s for s in adj[t] if s != parent]
-        if not kids:
-            return chain_from_empty(tuple(td.bags[t]))
-        tops = [morph(build(s, t), td.bags[s], td.bags[t]) for s in kids]
-        node = tops[0]
-        for other in tops[1:]:
-            node = nice.add(("join",), tuple(td.bags[t]), [node, other])
-        return node
-
-    top = build(td.root, -1)
-    root = morph(top, td.bags[td.root], frozenset())
-    nice.root = root
-    return nice
-
-
 # ---------------------------------------------------------------------------
 # the enumeration DP
 
@@ -248,30 +167,34 @@ def enum_star_vectors_dp(
     td = decomposition if decomposition is not None else heuristic_decomposition(g)
     if decomposition is not None and not verify_decomposition(g, td):
         raise PreconditionError("supplied decomposition is invalid for this graph")
-    nice = to_nice(td)
     base = g.n + 1
     powers = [base**j for j in range(delta)]  # powers[j] packs one star of size j+2
-    tables: dict[int, Table] = {}
+    adj = td.neighbours()
 
-    for node in nice.topological_order():
-        kind = nice.kinds[node]
-        bag = nice.bags[node]
-        if kind[0] == "leaf":
-            tables[node] = {(): {0}}
-        elif kind[0] == "introduce":
-            child = nice.children[node][0]
-            tables[node] = _introduce(
-                g, powers, bag, nice.bags[child], kind[1], tables.pop(child)
-            )
-        elif kind[0] == "forget":
-            child = nice.children[node][0]
-            tables[node] = _forget(bag, nice.bags[child], kind[1], tables.pop(child))
-        else:
-            c1, c2 = nice.children[node]
-            tables[node] = _join(base, powers, bag, tables.pop(c1), tables.pop(c2))
+    def move(table: Table, src: frozenset[int], dst: frozenset[int]) -> Table:
+        """Carry a table from bag src to bag dst: forget, then introduce, each in sorted order."""
+        bag = tuple(sorted(src))
+        for v in sorted(src - dst):
+            child, bag = bag, tuple(u for u in bag if u != v)
+            table = _forget(bag, child, v, table)
+        for v in sorted(dst - src):
+            child, bag = bag, tuple(sorted(bag + (v,)))
+            table = _introduce(g, powers, bag, child, v, table)
+        return table
 
-    codes = tables[nice.root].get((), set())
-    return VectorFamily(delta, frozenset(unpack(c, delta, base) for c in codes))
+    def walk(t: int, parent: int) -> Table:
+        """Table of the subtree below node t, at bag t."""
+        kids = [s for s in adj[t] if s != parent]
+        if not kids:
+            return move({(): {0}}, frozenset(), td.bags[t])
+        bag = tuple(sorted(td.bags[t]))
+        table = move(walk(kids[0], t), td.bags[kids[0]], td.bags[t])
+        for s in kids[1:]:
+            table = _join(base, powers, bag, table, move(walk(s, t), td.bags[s], td.bags[t]))
+        return table
+
+    root = move(walk(td.root, -1), td.bags[td.root], frozenset())
+    return VectorFamily(delta, frozenset(unpack(c, delta, base) for c in root.get((), set())))
 
 
 def _introduce(
@@ -487,16 +410,12 @@ def _merge_masks(
     return tuple(merged), shift
 
 
-def solve_tw(
-    g1: Graph, g2: Graph, strategy: str = "min_fill"
-) -> tuple[int, StarForest]:
+def solve_tw(g1: Graph, g2: Graph) -> tuple[int, StarForest]:
     """Exact optimum via star-forest family intersection."""
     if g1.edge_count == 0 or g2.edge_count == 0:
         return 0, StarForest(())
     delta = min(g1.max_degree(), g2.max_degree())
-    fam1 = enum_star_vectors_dp(g1, delta, heuristic_decomposition(g1, strategy))
-    fam2 = enum_star_vectors_dp(g2, delta, heuristic_decomposition(g2, strategy))
-    return common_forest(fam1, fam2)
+    return common_forest(enum_star_vectors_dp(g1, delta), enum_star_vectors_dp(g2, delta))
 
 
 def dump_decomposition(td: TreeDecomposition) -> str:

@@ -62,9 +62,6 @@ class VectorFamily:
     def rescaled(self, delta: int) -> "VectorFamily":
         return VectorFamily(delta, frozenset(pad_vector(v, delta) for v in self.vectors))
 
-    def best(self) -> tuple[int, CountVector]:
-        return max(((vector_total(v), v) for v in self.vectors), default=(0, ()))
-
 
 def best_common(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, CountVector]:
     """Largest total over the intersection; ties broken by the vector itself."""

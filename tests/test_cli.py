@@ -7,7 +7,7 @@ import pytest
 from starforest.cli import RunReport, main
 from starforest.graph import Instance, parse_instance, serialize_instance
 
-from conftest import path_graph
+from conftest import path_graph, star_graph
 
 P4_VS_STAR = "3\n4 3\n0 1\n1 2\n2 3\n---\n4 3\n0 1\n0 2\n0 3\n"
 
@@ -40,6 +40,18 @@ class TestSolve:
     def test_fpt_h(self, instance_file, capsys):
         code, out = run_main(["solve", instance_file, "--algo", "fpt-h"], capsys)
         assert code == 0 and RunReport.from_json(out).answer == "yes"
+
+    def test_fpt_h_default_mode_finishes_at_h13(self, tmp_path):
+        # a 14-vertex star and a 14-vertex path share at most a 3-vertex star forest
+        path = tmp_path / "h13.txt"
+        path.write_text(serialize_instance(Instance(star_graph(13), path_graph(14), 13)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starforest.cli", "solve", str(path), "--algo", "fpt-h"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0 and RunReport.from_json(proc.stdout).answer == "no"
 
     def test_report_round_trip(self, instance_file, capsys):
         _, out = run_main(["solve", instance_file, "--algo", "oracle"], capsys)
