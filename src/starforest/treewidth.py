@@ -1,14 +1,22 @@
 """Tree-decomposition toolkit and the star-forest enumeration DP.
 
 The DP walks a tree decomposition bottom-up.  A state is (bag, mask,
-star-count vector): the mask assigns each bag vertex a role (uncovered,
-centre of a partial star of known size, leaf of an in-bag centre, or leaf of
-an already-forgotten centre), and the vector counts stars of each size formed
-so far (bag-resident partial stars included).  A child's table reaches its
-parent's bag by forgetting, then introducing, one vertex at a time in sorted
-order, and the children's tables are then joined.  Leaves start at the empty
-bag and the root ends at it, where the surviving vectors are exactly the star
-forests of the graph, up to isomorphism.
+star-count vector): the mask gives each bag vertex one of three roles
+(uncovered, leaf of an already-forgotten centre, or centre of a partial star
+of known size whose leaves are all forgotten), and the vector counts stars of
+each size formed so far (bag-resident partial stars included).  A child's
+table reaches its parent's bag by forgetting one vertex at a time in sorted
+order, then introducing the new vertices as uncovered, and the children's
+tables are then joined.  Leaves start at the empty bag and the root ends at
+it, where the surviving vectors are exactly the star forests of the graph,
+up to isomorphism.
+
+Each edge is decided once, when its first endpoint is forgotten: the other
+endpoint is still in the bag then, and no vertex is forgotten twice.  A
+forgotten vertex may stay out of any star, become the leaf of one bag
+neighbour, or take uncovered bag neighbours as its own leaves.  A join
+therefore never sees an edge on both sides; it merges a centre held on both
+sides into one star whose two leaf sets are disjoint.
 
 Each table maps a mask to a set of vectors packed into ints base n+1 (see
 `combinatorics.pack`).  No count exceeds n, not even the sum of two
@@ -28,18 +36,10 @@ from .errors import PreconditionError
 from .graph import Graph, StarForest
 from .vectors import VectorFamily, common_forest
 
-# mask role codes: 0 = uncovered, 1 = leaf of forgotten centre,
-# d >= 2 = centre of a size-d partial star, -2-u = leaf of in-bag centre u
+# mask role codes: 0 = uncovered, 1 = leaf of a forgotten centre,
+# d >= 2 = centre of a size-d partial star whose leaves are all forgotten
 UNCOVERED = 0
 LEAF_OUTSIDE = 1
-
-
-def _leaf_of(u: int) -> int:
-    return -2 - u
-
-
-def _leaf_centre(code: int) -> int:
-    return -code - 2
 
 
 @dataclass(frozen=True)
@@ -168,46 +168,61 @@ def enum_star_vectors_dp(
     if decomposition is not None and not verify_decomposition(g, td):
         raise PreconditionError("supplied decomposition is invalid for this graph")
     base = g.n + 1
-    powers = [base**j for j in range(delta)]  # powers[j] packs one star of size j+2
-    adj = td.neighbours()
+    # star[d] packs one star of size d; a lone vertex (d < 2) is not counted
+    star = [0, 0] + [base**j for j in range(delta)]
 
     def move(table: Table, src: frozenset[int], dst: frozenset[int]) -> Table:
-        """Carry a table from bag src to bag dst: forget, then introduce, each in sorted order."""
+        """Carry a table from bag src to bag dst: forget in sorted order, then introduce as uncovered."""
         bag = tuple(sorted(src))
         for v in sorted(src - dst):
             child, bag = bag, tuple(u for u in bag if u != v)
-            table = _forget(bag, child, v, table)
-        for v in sorted(dst - src):
-            child, bag = bag, tuple(sorted(bag + (v,)))
-            table = _introduce(g, powers, bag, child, v, table)
-        return table
+            table = _forget(g, star, bag, child, v, table)
+        if dst <= src:
+            return table
+        where = [bag.index(u) if u in src else -1 for u in sorted(dst)]
+        return {
+            tuple(mask[i] if i >= 0 else UNCOVERED for i in where): vecs
+            for mask, vecs in table.items()
+        }
 
-    def walk(t: int, parent: int) -> Table:
-        """Table of the subtree below node t, at bag t."""
-        kids = [s for s in adj[t] if s != parent]
-        if not kids:
-            return move({(): {0}}, frozenset(), td.bags[t])
-        bag = tuple(sorted(td.bags[t]))
-        table = move(walk(kids[0], t), td.bags[kids[0]], td.bags[t])
-        for s in kids[1:]:
-            table = _join(base, powers, bag, table, move(walk(s, t), td.bags[s], td.bags[t]))
-        return table
-
-    root = move(walk(td.root, -1), td.bags[td.root], frozenset())
+    # explicit-stack DFS preorder; reversed, every node comes after its subtree
+    parent = {td.root: -1}
+    order: list[int] = []
+    stack = [td.root]
+    adj = td.neighbours()
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        for s in adj[t]:
+            if s not in parent:
+                parent[s] = t
+                stack.append(s)
+    bags = dict(enumerate(td.bags))
+    bags[-1] = frozenset()  # the root is carried to the empty bag above it
+    # node -> its finished children, carried to its bag and joined; only the
+    # ancestors of the node in hand hold one
+    tables: dict[int, Table] = {}
+    for t in reversed(order):
+        table = tables.pop(t) if t in tables else move({(): {0}}, frozenset(), bags[t])
+        p = parent[t]
+        table = move(table, bags[t], bags[p])
+        tables[p] = _join(base, star, tables[p], table) if p in tables else table
+    root = tables[-1]
     return VectorFamily(delta, frozenset(unpack(c, delta, base) for c in root.get((), set())))
 
 
-def _introduce(
+def _forget(
     g: Graph,
-    powers: list[int],
+    star: list[int],
     bag: tuple[int, ...],
     child_bag: tuple[int, ...],
     v: int,
     child: Table,
 ) -> Table:
-    delta = len(powers)
-    pos_v = bag.index(v)
-    nbr = set(g.adjacency[v])
+    """Drop v from the bag, deciding every edge from v to the vertices left in it."""
+    top = len(star) - 1  # largest star size
+    pos_v = child_bag.index(v)
+    nbr = [i for i, u in enumerate(bag) if g.has_edge(u, v)]
     out: Table = {}
 
     def put(mask: tuple[int, ...], vecs):
@@ -217,82 +232,38 @@ def _introduce(
             out[mask] = set(vecs)
 
     for mask, vecs in child.items():
-        as_list = list(mask)
-        # uncovered
-        put(_insert(as_list, pos_v, UNCOVERED), vecs)
-        # v joins an existing bag vertex's star, or starts one as its leaf
-        for i, u in enumerate(child_bag):
-            if u not in nbr:
-                continue
-            code = mask[i]
-            if code == UNCOVERED:
-                new = list(mask)
-                new[i] = 2  # u becomes centre of a fresh 2-star
-                put(_insert(new, pos_v, _leaf_of(u)), {vec + powers[0] for vec in vecs})
-            elif 2 <= code <= delta:  # centre of size code, room to grow
-                new = list(mask)
-                new[i] = code + 1
-                # move one count from size code to size code+1
-                step = powers[code - 1] - powers[code - 2]
-                put(_insert(new, pos_v, _leaf_of(u)), {vec + step for vec in vecs})
-        # v becomes a centre over uncovered bag neighbours
-        spots = [i for i, u in enumerate(child_bag) if u in nbr and mask[i] == UNCOVERED]
-        for take in range(1, min(delta, len(spots)) + 1):
-            step = powers[take - 1]
+        code = mask[pos_v]
+        rest = mask[:pos_v] + mask[pos_v + 1 :]
+        put(rest, vecs)
+        if code == LEAF_OUTSIDE:
+            continue
+        if code == UNCOVERED:
+            # v becomes a leaf of one bag neighbour, which starts or grows a star
+            for i in nbr:
+                c = rest[i]
+                if c == LEAF_OUTSIDE or c == top:
+                    continue
+                d = max(c, 1) + 1
+                step = star[d] - star[c]
+                put(rest[:i] + (d,) + rest[i + 1 :], {vec + step for vec in vecs})
+        # v becomes, or stays, a centre and takes uncovered bag neighbours as leaves
+        size = max(code, 1)
+        spots = [i for i in nbr if rest[i] == UNCOVERED]
+        for take in range(1, min(top - size, len(spots)) + 1):
+            step = star[size + take] - star[code]
             for chosen in combinations(spots, take):
-                new = list(mask)
+                new = list(rest)
                 for i in chosen:
-                    new[i] = _leaf_of(v)
-                put(_insert(new, pos_v, take + 1), {vec + step for vec in vecs})
+                    new[i] = LEAF_OUTSIDE
+                put(tuple(new), {vec + step for vec in vecs})
     return out
 
 
-def _insert(codes: list[int], pos: int, code: int) -> tuple[int, ...]:
-    return tuple(codes[:pos]) + (code,) + tuple(codes[pos:])
-
-
-def _forget(
-    bag: tuple[int, ...], child_bag: tuple[int, ...], v: int, child: Table
-) -> Table:
-    pos_v = child_bag.index(v)
-    leaf_code = _leaf_of(v)
-    out: Table = {}
-    for mask, vecs in child.items():
-        code_v = mask[pos_v]
-        rest = list(mask[:pos_v] + mask[pos_v + 1 :])
-        if code_v >= 2:
-            # forgetting a centre: its surviving bag leaves point outside now
-            rest = [LEAF_OUTSIDE if c == leaf_code else c for c in rest]
-        mask_out = tuple(rest)
-        if mask_out in out:
-            out[mask_out].update(vecs)
-        else:
-            out[mask_out] = set(vecs)
-    return out
-
-
-def _centre_leaves(bag: tuple[int, ...], mask: tuple[int, ...]) -> dict[int, frozenset[int]]:
-    """centre vertex -> set of its in-bag leaf vertices, per the mask."""
-    pointed: dict[int, set[int]] = {}
-    for u, code in zip(bag, mask):
-        if code <= -2:
-            pointed.setdefault(_leaf_centre(code), set()).add(u)
-    return {
-        u: frozenset(pointed.get(u, set()))
-        for u, code in zip(bag, mask)
-        if code >= 2
-    }
-
-
-def _join(
-    base: int, powers: list[int], bag: tuple[int, ...], t1: Table, t2: Table
-) -> Table:
+def _join(base: int, star: list[int], t1: Table, t2: Table) -> Table:
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     out: Table = {}
-    delta = len(powers)
-    leaves1 = {mask: _centre_leaves(bag, mask) for mask in t1}
-    leaves2 = {mask: _centre_leaves(bag, mask) for mask in t2}
+    delta = len(star) - 2
     frozen1 = {mask: frozenset(v) for mask, v in t1.items()}
     frozen2 = {mask: frozenset(v) for mask, v in t2.items()}
     centre_codes = tuple(range(2, delta + 2))
@@ -306,12 +277,9 @@ def _join(
         options: list[tuple[int, ...]] = []
         count = 1
         for i in support:
-            code = mask1[i]
-            if code == LEAF_OUTSIDE:
+            if mask1[i] == LEAF_OUTSIDE:
                 # the forgotten centre lives in exactly one child's subtree
                 opts = (UNCOVERED,)
-            elif code <= -2:
-                opts = (UNCOVERED, code)
             else:
                 opts = (UNCOVERED,) + centre_codes
             options.append(opts)
@@ -329,11 +297,9 @@ def _join(
                 for m2 in index.get(proj, ())
             ]
         else:
-            candidates = [m2 for m2 in t2 if _quick_compatible(mask1, m2)]
+            candidates = t2
         for mask2 in candidates:
-            merged = _merge_masks(
-                bag, mask1, mask2, leaves1[mask1], leaves2[mask2], powers
-            )
+            merged = _merge_masks(star, mask1, mask2)
             if merged is None:
                 continue
             mask_out, shift = merged
@@ -360,52 +326,23 @@ def _cartesian(options: list[tuple[int, ...]]):
     return stack
 
 
-def _quick_compatible(mask1: tuple[int, ...], mask2: tuple[int, ...]) -> bool:
-    for c1, c2 in zip(mask1, mask2):
-        if c1 == UNCOVERED or c2 == UNCOVERED:
-            continue
-        if c1 == LEAF_OUTSIDE or c2 == LEAF_OUTSIDE:
-            return False
-        if (c1 <= -2 or c2 <= -2) and c1 != c2:
-            return False
-        # both centres: fine at this level
-    return True
-
-
 def _merge_masks(
-    bag: tuple[int, ...],
-    mask1: tuple[int, ...],
-    mask2: tuple[int, ...],
-    lv1: dict[int, frozenset[int]],
-    lv2: dict[int, frozenset[int]],
-    powers: list[int],
+    star: list[int], mask1: tuple[int, ...], mask2: tuple[int, ...]
 ) -> tuple[tuple[int, ...], int] | None:
     """Merged mask and the packed additive correction m - a - b, or None if incompatible."""
-    delta = len(powers)
     merged: list[int] = []
     shift = 0
-    for u, c1, c2 in zip(bag, mask1, mask2):
-        if c1 == UNCOVERED and c2 == UNCOVERED:
-            merged.append(UNCOVERED)
-        elif c1 == UNCOVERED or c2 == UNCOVERED:
-            # the covered side wins; a one-sided centre merges with a trivial
-            # star of size 1 (q = 0), so the count correction -1 + 1 cancels
-            merged.append(c2 if c1 == UNCOVERED else c1)
+    for c1, c2 in zip(mask1, mask2):
+        if c1 == UNCOVERED or c2 == UNCOVERED:
+            merged.append(c1 or c2)  # the covered side wins
         elif c1 == LEAF_OUTSIDE or c2 == LEAF_OUTSIDE:
             return None
-        elif c1 <= -2 or c2 <= -2:
-            if c1 != c2:
-                return None
-            merged.append(c1)
         else:
-            # centres on both sides: leaves in the bag must agree
-            s1, s2 = lv1[u], lv2[u]
-            if s1 != s2:
+            # a centre on both sides: its two sets of forgotten leaves are disjoint
+            d = c1 + c2 - 1
+            if d >= len(star):
                 return None
-            d = c1 + c2 - len(s1) - 1
-            if d > delta + 1:
-                return None
-            shift += powers[d - 2] - powers[c1 - 2] - powers[c2 - 2]
+            shift += star[d] - star[c1] - star[c2]
             merged.append(d)
     return tuple(merged), shift
 

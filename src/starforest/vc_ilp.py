@@ -202,47 +202,25 @@ def _size_ranges(side: SideGuess, tc: TwinClasses) -> list[tuple[int, int]]:
 
 def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.BipModel:
     s1, s2 = pair.side1, pair.side2
-    caps1 = _capacities(s1, tc1)
-    caps2 = _capacities(s2, tc2)
     model = bip.BipModel()
-    key_names1 = {key: f"_c{idx}" for idx, key in enumerate(caps1)}
-    key_names2 = {key: f"_c{idx}" for idx, key in enumerate(caps2)}
-
-    for i in range(s1.p):
-        model.add_var(f"alpha_{i}", 2, tc1.n)  # stars are non-trivial: floor of 2
-    for j in range(s2.p):
-        model.add_var(f"gamma_{j}", 2, tc2.n)
-    for i in range(s1.p):
-        for key, cap in caps1.items():
-            model.add_var(f"x_{i}{key_names1[key]}", 0, max(cap, 0))
-    for j in range(s2.p):
-        for key, cap in caps2.items():
-            model.add_var(f"y_{j}{key_names2[key]}", 0, max(cap, 0))
-
-    for key, cap in caps1.items():
-        model.add_constraint(
-            {f"x_{i}{key_names1[key]}": 1 for i in range(s1.p)}, bip.LE, cap
-        )
-    for key, cap in caps2.items():
-        model.add_constraint(
-            {f"y_{j}{key_names2[key]}": 1 for j in range(s2.p)}, bip.LE, cap
-        )
-    for i, c in enumerate(s1.type1_centres):
-        for key in caps1:
-            if c not in key:  # class members are not adjacent to this centre
-                model.add_constraint({f"x_{i}{key_names1[key]}": 1}, bip.EQ, 0)
-    for j, d in enumerate(s2.type1_centres):
-        for key in caps2:
-            if d not in key:
-                model.add_constraint({f"y_{j}{key_names2[key]}": 1}, bip.EQ, 0)
-    for i in range(s1.p):
-        coeffs = {f"alpha_{i}": 1}
-        coeffs.update({f"x_{i}{key_names1[key]}": -1 for key in caps1})
-        model.add_constraint(coeffs, bip.EQ, s1.beta[i])
-    for j in range(s2.p):
-        coeffs = {f"gamma_{j}": 1}
-        coeffs.update({f"y_{j}{key_names2[key]}": -1 for key in caps2})
-        model.add_constraint(coeffs, bip.EQ, s2.beta[j])
+    for size, leaf, side, tc in (("alpha", "x", s1, tc1), ("gamma", "y", s2, tc2)):
+        caps = list(_capacities(side, tc).items())
+        # a class can give leaves only to the centres in its neighbourhood key
+        takes = [
+            [idx for idx, (key, _) in enumerate(caps) if c in key]
+            for c in side.type1_centres
+        ]
+        for i, idxs in enumerate(takes):
+            model.add_var(f"{size}_{i}", 2, tc.n)  # stars are non-trivial: floor of 2
+            for idx in idxs:
+                model.add_var(f"{leaf}_{i}_c{idx}", 0, max(caps[idx][1], 0))
+            coeffs = {f"{size}_{i}": 1}
+            coeffs.update({f"{leaf}_{i}_c{idx}": -1 for idx in idxs})
+            model.add_constraint(coeffs, bip.EQ, side.beta[i])
+        for idx, (_, cap) in enumerate(caps):
+            row = {f"{leaf}_{i}_c{idx}": 1 for i, idxs in enumerate(takes) if idx in idxs}
+            if row:
+                model.add_constraint(row, bip.LE, cap)
 
     # matched stars have equal sizes
     for i in range(s1.stars):

@@ -13,7 +13,7 @@ from starforest.treewidth import (
     solve_tw,
     verify_decomposition,
 )
-from starforest.vectors import counts_to_sizes
+from starforest.vectors import common_forest, counts_to_sizes
 
 from conftest import (
     complete_graph,
@@ -116,9 +116,22 @@ class TestEnumDP:
             delta = max(1, g.max_degree())
             # one bag holding every vertex is valid for any graph and has no join
             one_bag = TreeDecomposition((frozenset(range(g.n)),), ())
-            a = enum_star_vectors_dp(g, delta, heuristic_decomposition(g))
+            td = heuristic_decomposition(g)
+            # every node gets a leaf child with the same bag, so both sides of
+            # each join hold the whole bag and every edge inside it
+            bags, edges, m = td.bags, td.tree_edges, len(td.bags)
+            doubled = TreeDecomposition(
+                bags + bags, edges + tuple((t, t + m) for t in range(m)), td.root
+            )
+            a = enum_star_vectors_dp(g, delta, td)
             b = enum_star_vectors_dp(g, delta, one_bag)
-            assert a.vectors == b.vectors
+            c = enum_star_vectors_dp(g, delta, doubled)
+            assert a.vectors == b.vectors == c.vectors
+
+    def test_long_path_decomposition(self):
+        # 1199 bags in a path: the walk must not recurse once per node
+        fam = enum_star_vectors_dp(path_graph(1200), 1)
+        assert fam.vectors == {(c,) for c in range(601)}
 
 
 class TestSolveTw:
@@ -129,6 +142,12 @@ class TestSolveTw:
         assert (size, forest.star_sizes) == (3, (3,))
         size, forest = solve_tw(Graph.from_edges(2, [(0, 1)]), Graph.from_edges(2, []))
         assert (size, forest.star_sizes) == (0, ())
+
+    def test_families_of_different_delta_rejected(self):
+        fam2 = enum_star_vectors_dp(path_graph(4), 2)
+        fam3 = enum_star_vectors_dp(path_graph(4), 3)
+        with pytest.raises(PreconditionError, match="different deltas"):
+            common_forest(fam2, fam3)
 
     def test_oracle_equivalence(self):
         rng = random.Random(86)
