@@ -281,7 +281,8 @@ def _join(base: int, star: list[int], t1: Table, t2: Table) -> Table:
                 # the forgotten centre lives in exactly one child's subtree
                 opts = (UNCOVERED,)
             else:
-                opts = (UNCOVERED,) + centre_codes
+                # centres c and c2 merge to c + c2 - 1, at most delta + 1
+                opts = (UNCOVERED,) + centre_codes[: delta + 1 - mask1[i]]
             options.append(opts)
             count *= len(opts)
         if count <= len(t2):

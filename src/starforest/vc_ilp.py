@@ -7,6 +7,13 @@ vertices centre them, which cover vertices serve as leaves, and the full
 (class, leaf-set) description of stars centred outside the cover.  A guess
 pair plus a star-matching bijection yields one small integer program; the
 answer is the best optimum over all guesses.
+
+Each side guess carries a size range [lo, hi] per star.  Matched stars have
+equal sizes, so a pair can give at most the sum over matched stars of
+min(hi1, hi2); a pair whose bound does not beat the best answer so far, or
+that matches two disjoint ranges, is skipped without building its program.
+Each side's guesses come best-first (descending sum of hi), so a large
+answer is found early and most pairs are skipped.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ class SideGuess:
     cover_roles: dict[int, Role]
     beta: tuple[int, ...]  # per type-I star: cover vertices it contains, centre included
     alpha_const: tuple[int, ...]  # per type-II star: its (fixed) size
+    ranges: tuple[tuple[int, int], ...]  # per star: attainable [lo, hi] size
 
     @property
     def p(self) -> int:
@@ -133,6 +141,10 @@ def _assign_cover_roles(
         for w in leaves:
             roles[w] = ("leaf2", j)
     rest = [w for w in tc.cover if w not in roles]
+    caps = _capacities(type2, tc)
+    # a type-I star may take every usable vertex of the classes around its
+    # centre (ignoring that other stars share them)
+    rooms = [sum(cap for key, cap in caps.items() if c in key) for c in centres]
     # a leftover cover vertex may hang off an adjacent type-I centre, or sit out
     choice_lists = [
         [("unused",)]
@@ -140,6 +152,7 @@ def _assign_cover_roles(
         for w in rest
     ]
     alpha_const = tuple(1 + len(leaves) for _, leaves in type2)
+    fixed = tuple((size, size) for size in alpha_const)
     for picks in product(*choice_lists):
         full = dict(roles)
         beta = [1] * len(centres)
@@ -147,27 +160,38 @@ def _assign_cover_roles(
             full[w] = role
             if role[0] == "leaf1":
                 beta[role[1]] += 1
-        yield SideGuess(centres, type2, full, tuple(beta), alpha_const)
+        ranges = tuple((max(2, b), b + room) for b, room in zip(beta, rooms)) + fixed
+        yield SideGuess(centres, type2, full, tuple(beta), alpha_const, ranges)
 
 
 def enumerate_guesses(
     g1: Graph, g2: Graph, cover1, cover2
 ) -> Iterator[GuessPair]:
-    """Every consistent guess pair exactly once (canonical star order per side)."""
+    """Every consistent guess pair exactly once (canonical star order per side).
+
+    Each side's guesses of one star count come in descending order of the sum
+    of their stars' hi, so the guesses that can give the largest forests
+    come first.
+    """
     tc1 = twin_classes(g1, cover1)
     tc2 = twin_classes(g2, cover2)
-    by_count1: dict[int, list[SideGuess]] = {}
-    for s in enumerate_side_guesses(g1, tc1):
-        by_count1.setdefault(s.stars, []).append(s)
-    by_count2: dict[int, list[SideGuess]] = {}
-    for s in enumerate_side_guesses(g2, tc2):
-        by_count2.setdefault(s.stars, []).append(s)
+    by_count1 = _by_star_count(enumerate_side_guesses(g1, tc1))
+    by_count2 = _by_star_count(enumerate_side_guesses(g2, tc2))
     for t, sides1 in by_count1.items():
         for s1 in sides1:
             for s2 in by_count2.get(t, ()):
                 for pi in permutations(range(t)):
                     if _pi_consistent(s1, s2, pi):
                         yield GuessPair(s1, s2, pi)
+
+
+def _by_star_count(sides: Iterator[SideGuess]) -> dict[int, list[SideGuess]]:
+    out: dict[int, list[SideGuess]] = {}
+    for s in sides:
+        out.setdefault(s.stars, []).append(s)
+    for group in out.values():
+        group.sort(key=lambda s: -sum(hi for _, hi in s.ranges))
+    return out
 
 
 def _pi_consistent(s1: SideGuess, s2: SideGuess, pi: tuple[int, ...]) -> bool:
@@ -180,31 +204,36 @@ def _pi_consistent(s1: SideGuess, s2: SideGuess, pi: tuple[int, ...]) -> bool:
     return True
 
 
-def _capacities(side: SideGuess, tc: TwinClasses) -> dict[frozenset[int], int]:
+def _capacities(type2_stars: tuple, tc: TwinClasses) -> dict[frozenset[int], int]:
     """Per-class budget of independent-set vertices usable as type-I leaves."""
     anchored: dict[frozenset[int], int] = {}
-    for key, _ in side.type2_stars:
+    for key, _ in type2_stars:
         anchored[key] = anchored.get(key, 0) + 1
     return {key: tc.class_size(key) - anchored.get(key, 0) for key in tc.classes}
 
 
-def _size_ranges(side: SideGuess, tc: TwinClasses) -> list[tuple[int, int]]:
-    """Attainable [lo, hi] per star, ignoring cross-star capacity sharing."""
-    caps = _capacities(side, tc)
-    out = []
-    for i, c in enumerate(side.type1_centres):
-        room = sum(cap for key, cap in caps.items() if c in key)
-        out.append((max(2, side.beta[i]), side.beta[i] + room))
-    for size in side.alpha_const:
-        out.append((size, size))
-    return out
+def pair_bound(pair: GuessPair) -> int | None:
+    """Upper bound on the forest size of the pair's program, or None if it is infeasible.
+
+    Matched stars have equal sizes, so each is at most min(hi1, hi2) and the
+    program is infeasible when two matched ranges are disjoint.
+    """
+    ranges2 = pair.side2.ranges
+    total = 0
+    for (lo1, hi1), j in zip(pair.side1.ranges, pair.pi):
+        lo2, hi2 = ranges2[j]
+        hi = min(hi1, hi2)
+        if max(lo1, lo2) > hi:
+            return None
+        total += hi
+    return total
 
 
 def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.BipModel:
     s1, s2 = pair.side1, pair.side2
     model = bip.BipModel()
     for size, leaf, side, tc in (("alpha", "x", s1, tc1), ("gamma", "y", s2, tc2)):
-        caps = list(_capacities(side, tc).items())
+        caps = list(_capacities(side.type2_stars, tc).items())
         # a class can give leaves only to the centres in its neighbourhood key
         takes = [
             [idx for idx, (key, _) in enumerate(caps) if c in key]
@@ -233,8 +262,6 @@ def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.B
             model.add_constraint({i_var: 1}, bip.EQ, s2.alpha_const[j - s2.p])
         elif j_var:
             model.add_constraint({j_var: 1}, bip.EQ, s1.alpha_const[i - s1.p])
-        elif s1.alpha_const[i - s1.p] != s2.alpha_const[j - s2.p]:
-            model.add_constraint({}, bip.EQ, 1)  # unsatisfiable marker
 
     model.set_objective({f"alpha_{i}": 1 for i in range(s1.p)})
     return model
@@ -257,7 +284,8 @@ def solve_vc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
     for pair in enumerate_guesses(g1, g2, cover1, cover2):
         if best >= ceiling:
             break
-        if not _ranges_compatible(pair, tc1, tc2):
+        bound = pair_bound(pair)
+        if bound is None or bound <= best:
             continue
         sol = bip.solve(build_vc_model(pair, tc1, tc2), node_budget)
         if sol.status == "optimal":
@@ -265,15 +293,3 @@ def solve_vc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
             if total > best:
                 best = total
     return best
-
-
-def _ranges_compatible(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bool:
-    """Cheap necessary condition: matched size ranges must intersect."""
-    r1 = _size_ranges(pair.side1, tc1)
-    r2 = _size_ranges(pair.side2, tc2)
-    for i in range(pair.side1.stars):
-        lo1, hi1 = r1[i]
-        lo2, hi2 = r2[pair.pi[i]]
-        if max(lo1, lo2) > min(hi1, hi2):
-            return False
-    return True

@@ -6,10 +6,12 @@ from starforest import bip
 from starforest.errors import PreconditionError
 from starforest.graph import Graph, min_vertex_cover
 from starforest.oracle import opt_common_vector
+from starforest.treewidth import solve_tw
 from starforest.vc_ilp import (
     build_vc_model,
     enumerate_guesses,
     enumerate_side_guesses,
+    pair_bound,
     solve_vc,
     twin_classes,
 )
@@ -143,6 +145,38 @@ class TestModelStructure:
         assert found_infeasible
 
 
+class TestPairBound:
+    def test_bound_is_sound(self):
+        rng = random.Random(83)
+        done = optimal = infeasible = 0
+        while done < 12:
+            g1 = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.3]))
+            g2 = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.3]))
+            cover1, cover2 = min_vertex_cover(g1, 3), min_vertex_cover(g2, 3)
+            if cover1 is None or cover2 is None:
+                continue
+            done += 1
+            tc1, tc2 = twin_classes(g1, cover1), twin_classes(g2, cover2)
+            for pair in enumerate_guesses(g1, g2, cover1, cover2):
+                bound = pair_bound(pair)
+                sol = bip.solve(build_vc_model(pair, tc1, tc2))
+                if bound is None:
+                    assert sol.status == "infeasible"
+                    infeasible += 1
+                elif sol.status == "optimal":
+                    assert sol.objective_value + sum(pair.side1.alpha_const) <= bound
+                    optimal += 1
+        assert optimal and infeasible
+
+
+def _path_cover_graph(neighbourhoods) -> Graph:
+    """Cover path 0-1-2 plus one independent vertex per neighbourhood."""
+    edges = [(0, 1), (1, 2)]
+    for v, nbhd in enumerate(neighbourhoods, start=3):
+        edges += [(c, v) for c in nbhd]
+    return Graph.from_edges(3 + len(neighbourhoods), edges)
+
+
 class TestSolveVc:
     def test_examples(self):
         k3 = complete_graph(3)
@@ -166,3 +200,32 @@ class TestSolveVc:
                 continue
             done += 1
             assert solve_vc(g1, g2, 3) == opt_common_vector(g1, g2)[0]
+
+    @pytest.mark.parametrize(
+        "nbhds1, nbhds2",
+        [
+            # answer 8, the whole graph: found among the first guesses
+            (
+                [(0, 1, 2), (0, 2), (0, 1, 2), (0,), (0, 1)],
+                [(0, 1, 2), (2,), (0,), (0,), (1,)],
+            ),
+            # answer 7 < n: every remaining guess must be ruled out by its bound
+            (
+                [(1,), (2,), (0, 1), (1,), (1,)],
+                [(1, 2), (0,), (0,), (1,), (1,)],
+            ),
+        ],
+    )
+    def test_cover3_pairs_prune_guesses(self, monkeypatch, nbhds1, nbhds2):
+        g1, g2 = _path_cover_graph(nbhds1), _path_cover_graph(nbhds2)
+        assert len(min_vertex_cover(g1, 8)) == len(min_vertex_cover(g2, 8)) == 3
+        calls = []
+        real_solve = bip.solve
+
+        def counted(*args):
+            calls.append(1)
+            return real_solve(*args)
+
+        monkeypatch.setattr(bip, "solve", counted)
+        assert solve_vc(g1, g2, 3) == solve_tw(g1, g2)[0]
+        assert len(calls) <= 100  # thousands without the bound
