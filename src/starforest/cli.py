@@ -1,16 +1,15 @@
-"""Command-line interface: solve, verify, gen, bench.
+"""Command-line interface: solve, verify, gen.
 
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 algorithm
-precondition violated, 4 resource refusal.
+precondition violated, 4 resource refusal.  Cross-checks and timing over many
+instances live in ``scripts/solver_matrix.py`` and ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,7 +34,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 
-ALGOS = ("auto", "oracle", "fpt-h", "vc", "cc", "td-deg", "tw", "eptas")
+ALGOS = ("auto", "oracle", "fpt-h", "vc", "cc", "tw", "eptas")
 
 
 @dataclass
@@ -60,12 +59,6 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _default_seed(args_seed: int | None) -> int:
-    if args_seed is not None:
-        return args_seed
-    return int(os.environ.get("STARFOREST_SEED", "0"))
-
-
 def _pick_auto(inst: Instance) -> str:
     if inst.g1.n <= oracle.DEFAULT_VERTEX_LIMIT and inst.g2.n <= oracle.DEFAULT_VERTEX_LIMIT:
         return "oracle"
@@ -80,7 +73,7 @@ def _pick_auto(inst: Instance) -> str:
     return "tw"
 
 
-def run_solver(inst: Instance, algo: str, args, seed: int) -> tuple[int | str, list[int], dict]:
+def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], dict]:
     params: dict = {}
     if algo == "oracle":
         limit = args.oracle_limit or oracle.DEFAULT_VERTEX_LIMIT
@@ -90,7 +83,7 @@ def run_solver(inst: Instance, algo: str, args, seed: int) -> tuple[int | str, l
         cfg = solve_h.ColorCodingConfig(
             trials=args.trials,
             failure_probability=args.fail_prob,
-            rng_seed=seed,
+            rng_seed=args.seed,
         )
         params = {"mode": args.mode, "h": inst.h}
         yes, cert = solve_h.solve_h(inst, cfg, mode=args.mode)
@@ -108,6 +101,7 @@ def run_solver(inst: Instance, algo: str, args, seed: int) -> tuple[int | str, l
     if algo == "cc":
         k = args.k
         if k is None:
+            # also the treedepth-plus-degree route: those two bound every component
             k = max(
                 [len(c) for c in inst.g1.components()]
                 + [len(c) for c in inst.g2.components()],
@@ -115,8 +109,6 @@ def run_solver(inst: Instance, algo: str, args, seed: int) -> tuple[int | str, l
             )
         params = {"k": k}
         return component_ilp.solve_cc(inst.g1, inst.g2, k), [], params
-    if algo == "td-deg":
-        return component_ilp.solve_td_deg(inst.g1, inst.g2), [], params
     if algo == "tw":
         if args.dump_decomposition:
             td1 = treewidth.heuristic_decomposition(inst.g1)
@@ -138,17 +130,16 @@ def run_solver(inst: Instance, algo: str, args, seed: int) -> tuple[int | str, l
 def cmd_solve(args) -> int:
     data = Path(args.instance).read_bytes()
     inst = parse_instance(data.decode())
-    seed = _default_seed(args.seed)
     algo = args.algo
     params: dict = {}
     if algo == "auto":
         algo = _pick_auto(inst)
         params["decision"] = algo
     start = time.perf_counter()
-    answer, vector, algo_params = run_solver(inst, algo, args, seed)
+    answer, vector, algo_params = run_solver(inst, algo, args)
     elapsed = (time.perf_counter() - start) * 1000
     params.update(algo_params)
-    report = RunReport(_digest(data), algo, answer, vector, round(elapsed, 3), seed, params)
+    report = RunReport(_digest(data), algo, answer, vector, round(elapsed, 3), args.seed, params)
     print(report.to_json())
     return EXIT_OK
 
@@ -214,30 +205,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for algo in algos:
-        if algo not in ALGOS or algo == "auto":
-            raise PreconditionError(f"bench does not accept algorithm {algo!r}")
-    paths = sorted(Path(args.dir).glob("*.txt"))
-    if not paths:
-        raise PreconditionError(f"no *.txt instances under {args.dir}")
-    seed = _default_seed(args.seed)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["digest", "algo", "answer", "vector", "elapsed_ms", "seed"])
-    for path in paths:
-        data = path.read_bytes()
-        inst = parse_instance(data.decode())
-        for algo in algos:
-            start = time.perf_counter()
-            answer, vector, _ = run_solver(inst, algo, args, seed)
-            elapsed = round((time.perf_counter() - start) * 1000, 3)
-            writer.writerow(
-                [_digest(data), algo, answer, " ".join(map(str, vector)), elapsed, seed]
-            )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="starforest")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,7 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance")
     solve.add_argument("--algo", choices=ALGOS, default="auto")
-    _common_solver_flags(solve)
+    solve.add_argument("--k", type=int, default=None, help="cover / component bound")
+    solve.add_argument("--epsilon", type=float, default=0.5)
+    solve.add_argument("--mode", choices=("exact", "randomized"), default="exact")
+    solve.add_argument("--trials", type=int, default=None)
+    solve.add_argument("--fail-prob", type=float, default=0.01)
+    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--dump-decomposition", default=None)
+    solve.add_argument("--oracle-limit", type=int, default=None, help="brute-force vertex cap")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a certificate against an instance")
@@ -262,24 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--rescale", action="store_true", help="normalize items first")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
-
-    bench = sub.add_parser("bench", help="run a solver matrix over a directory")
-    bench.add_argument("dir")
-    bench.add_argument("--algos", default="oracle,tw")
-    _common_solver_flags(bench)
-    bench.set_defaults(func=cmd_bench)
     return parser
-
-
-def _common_solver_flags(cmd: argparse.ArgumentParser):
-    cmd.add_argument("--k", type=int, default=None, help="cover / component bound")
-    cmd.add_argument("--epsilon", type=float, default=0.5)
-    cmd.add_argument("--mode", choices=("exact", "randomized"), default="exact")
-    cmd.add_argument("--trials", type=int, default=None)
-    cmd.add_argument("--fail-prob", type=float, default=0.01)
-    cmd.add_argument("--seed", type=int, default=None)
-    cmd.add_argument("--dump-decomposition", default=None)
-    cmd.add_argument("--oracle-limit", type=int, default=None, help="brute-force vertex cap")
 
 
 def main(argv: list[str] | None = None) -> int:

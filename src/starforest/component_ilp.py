@@ -2,9 +2,11 @@
 
 Components are cataloged up to isomorphism (exact canonical form, affordable
 because components have at most 8 vertices).  For every shape we enumerate
-the star signatures realisable inside it, then a single integer program
-distributes signatures over component copies so that both graphs induce the
-same number of stars of every leaf count.
+the star-count vectors realisable inside it, then a single integer program
+distributes vectors over component copies so that both graphs induce the
+same number of stars of every size.  Bounded treedepth plus maximum degree
+bounds the component size, so with k read off the input this is also the
+paper's FPT route for that parameter pair.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ from . import bip
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph
 from .oracle import enum_star_vectors_brute
+from .vectors import CountVector, vector_total
 
 MAX_COMPONENT = 8  # canonicalization budget
-
-Signature = tuple[int, ...]  # entry j-1 = number of stars with j leaves, j in [k]
 
 
 @dataclass(frozen=True)
@@ -78,27 +79,15 @@ def catalog_components(g1: Graph, g2: Graph, k: int) -> ComponentCatalog:
     return ComponentCatalog(tuple(shapes), tuple(c1), tuple(c2), k)
 
 
-def realisation_table(catalog: ComponentCatalog) -> list[set[Signature]]:
-    """Per shape, every star signature realisable by an edge subset of it.
+def realisation_table(catalog: ComponentCatalog) -> list[frozenset[CountVector]]:
+    """Per shape, every star-count vector (sizes 2..k) realisable inside it.
 
     Found by star-packing backtracking, not by testing all k^k tuples.
     """
     k = catalog.k
-    out: list[set[Signature]] = []
-    for shape in catalog.shapes:
-        sigs: set[Signature] = set()
-        if shape.edge_count == 0 or k < 2:
-            sigs.add((0,) * k)
-        else:
-            fam = enum_star_vectors_brute(shape, k - 1)
-            for vec in fam.vectors:
-                # count vector is indexed by star size d = j+1
-                sig = [0] * k
-                for idx, c in enumerate(vec):
-                    sig[idx] = c  # size idx+2 has idx+1 leaves
-                sigs.add(tuple(sig))
-        out.append(sigs)
-    return out
+    if k < 2:
+        return [frozenset({()}) for _ in catalog.shapes]
+    return [enum_star_vectors_brute(shape, k - 1).vectors for shape in catalog.shapes]
 
 
 def solve_cc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
@@ -112,9 +101,9 @@ def solve_cc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
 
 
 def build_cc_model(
-    catalog: ComponentCatalog, table: list[set[Signature]]
-) -> tuple[bip.BipModel, dict[str, tuple[int, Signature]]]:
-    """The distribution ILP plus a variable-name -> (shape, signature) map."""
+    catalog: ComponentCatalog, table: list[frozenset[CountVector]]
+) -> tuple[bip.BipModel, dict[str, tuple[int, CountVector]]]:
+    """The distribution ILP plus a variable-name -> (shape, vector) map."""
     all_sigs = sorted({sig for sigs in table for sig in sigs})
     sig_index = {sig: idx for idx, sig in enumerate(all_sigs)}
 
@@ -130,7 +119,7 @@ def build_cc_model(
         model.add_constraint(
             {f"y_{i}_{sig_index[s]}": 1 for s in sigs}, bip.EQ, catalog.counts2[i]
         )
-    for j in range(catalog.k):
+    for j in range(catalog.k - 1):
         coeffs: dict[str, int] = {}
         for i, sigs in enumerate(table):
             for sig in sigs:
@@ -142,8 +131,7 @@ def build_cc_model(
     objective: dict[str, int] = {}
     for i, sigs in enumerate(table):
         for sig in sigs:
-            # a star with j leaves covers j+1 vertices
-            weight = sum((j + 1) * sig[j - 1] for j in range(1, catalog.k + 1))
+            weight = vector_total(sig)
             if weight:
                 objective[f"x_{i}_{sig_index[sig]}"] = weight
     model.set_objective(objective)
@@ -153,20 +141,3 @@ def build_cc_model(
             names[f"x_{i}_{sig_index[sig]}"] = (i, sig)
             names[f"y_{i}_{sig_index[sig]}"] = (i, sig)
     return model, names
-
-
-def solve_td_deg(g1: Graph, g2: Graph, node_budget: int = 2_000_000) -> int:
-    """Component-size solver keyed off the actual largest component.
-
-    Bounded treedepth and degree only guarantee small components a priori;
-    correctness needs nothing beyond the realized bound.
-    """
-    sizes = [len(c) for c in g1.components()] + [len(c) for c in g2.components()]
-    k = max(sizes, default=0)
-    if k == 0:
-        return 0
-    if k > MAX_COMPONENT:
-        raise ResourceLimitError(
-            f"largest component has {k} vertices, beyond the limit {MAX_COMPONENT}"
-        )
-    return solve_cc(g1, g2, k, node_budget)

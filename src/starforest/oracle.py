@@ -12,13 +12,7 @@ from itertools import combinations
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, StarForest, verify_embedding
 from .solve_h import embeds_star_forest
-from .vectors import (
-    CountVector,
-    VectorFamily,
-    counts_to_sizes,
-    vector_total,
-    zero_vector,
-)
+from .vectors import CountVector, VectorFamily, best_common, common_forest
 
 DEFAULT_VERTEX_LIMIT = 12
 
@@ -38,7 +32,7 @@ def enum_star_vectors_brute(
             f"graph has {g.n} vertices, above the oracle limit {vertex_limit}"
         )
     memo: dict[tuple[int, int], frozenset[CountVector]] = {}
-    zero = zero_vector(delta)
+    zero = (0,) * delta
 
     def packings(start: int, used: int) -> frozenset[CountVector]:
         key = (start, used)
@@ -78,13 +72,12 @@ def opt_common_brute(
     delta = min(g1.max_degree(), g2.max_degree())
     fam1 = enum_star_vectors_brute(g1, delta, vertex_limit)
     fam2 = enum_star_vectors_brute(g2, delta, vertex_limit)
-    _, best = max((vector_total(v), v) for v in fam1.vectors & fam2.vectors)
-    forest = StarForest(counts_to_sizes(best))
+    size, forest = common_forest(fam1, fam2)
     emb1 = embeds_star_forest(g1, forest)
     emb2 = embeds_star_forest(g2, forest)
     assert emb1 is not None and emb2 is not None, "family vector must embed"
     assert verify_embedding(g1, forest, emb1) and verify_embedding(g2, forest, emb2)
-    return vector_total(best), forest, emb1, emb2
+    return size, forest, emb1, emb2
 
 
 def opt_common_vector(
@@ -96,4 +89,4 @@ def opt_common_vector(
     delta = min(g1.max_degree(), g2.max_degree())
     fam1 = enum_star_vectors_brute(g1, delta, vertex_limit)
     fam2 = enum_star_vectors_brute(g2, delta, vertex_limit)
-    return max((vector_total(v), v) for v in fam1.vectors & fam2.vectors)
+    return best_common(fam1, fam2)

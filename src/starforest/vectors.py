@@ -16,10 +16,6 @@ from .graph import StarForest
 CountVector = tuple[int, ...]
 
 
-def zero_vector(delta: int) -> CountVector:
-    return (0,) * delta
-
-
 def counts_to_sizes(vec: CountVector) -> tuple[int, ...]:
     sizes: list[int] = []
     for j, c in enumerate(vec):

@@ -26,7 +26,7 @@ def run_main(args, capsys):
 
 
 class TestSolve:
-    @pytest.mark.parametrize("algo", ["oracle", "tw", "cc", "td-deg", "eptas", "auto"])
+    @pytest.mark.parametrize("algo", ["oracle", "tw", "cc", "eptas", "auto"])
     def test_size_algos_agree(self, instance_file, capsys, algo):
         code, out = run_main(["solve", instance_file, "--algo", algo], capsys)
         assert code == 0
@@ -76,7 +76,7 @@ class TestSolve:
         big = Instance(path_graph(9), path_graph(9), 3)
         path = tmp_path / "big.txt"
         path.write_text(serialize_instance(big))
-        assert main(["solve", str(path), "--algo", "td-deg"]) == 4
+        assert main(["solve", str(path), "--algo", "cc"]) == 4
 
     def test_dump_decomposition(self, instance_file, tmp_path, capsys):
         dump = tmp_path / "td.txt"
@@ -149,18 +149,6 @@ class TestGen:
 
 
 class TestBench:
-    def test_matrix_rows(self, tmp_path, capsys):
-        d = tmp_path / "corpus"
-        d.mkdir()
-        (d / "a.txt").write_text(P4_VS_STAR)
-        (d / "b.txt").write_text("2\n2 1\n0 1\n---\n2 1\n0 1\n")
-        (d / "c.txt").write_text("0\n1 0\n---\n1 0\n")
-        code, out = run_main(["bench", d, "--algos", "oracle,tw"], capsys)
-        assert code == 0
-        lines = [l for l in out.strip().splitlines() if l]
-        assert lines[0].startswith("digest,algo")
-        assert len(lines) == 1 + 3 * 2
-
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "starforest.cli", "--help"],
@@ -168,6 +156,18 @@ class TestBench:
             text=True,
         )
         assert proc.returncode == 0 and "solve" in proc.stdout
+
+
+class TestCommands:
+    def test_one_path_per_job(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        commands = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert commands.split(",") == ["solve", "verify", "gen"]
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance_file), "--algo", "td-deg"])
+        assert exc.value.code == 2
 
 
 class TestImport:

@@ -10,7 +10,6 @@ from starforest.component_ilp import (
     catalog_components,
     realisation_table,
     solve_cc,
-    solve_td_deg,
 )
 from starforest.errors import PreconditionError, ResourceLimitError
 from starforest.graph import Graph
@@ -50,7 +49,7 @@ def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:
             # components have diameter <= 2, i.e. no edge joins two deg>=2 ends
             if any(deg[u] > 1 and deg[v] > 1 for u, v in subset):
                 continue
-            sig = [0] * k
+            sig = [0] * (k - 1)
             counted = set()
             ok = True
             for u, v in subset:
@@ -59,7 +58,7 @@ def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:
                     continue
                 counted.add(centre)
                 leaves = deg[centre]
-                if leaves > k:
+                if leaves > k - 1:
                     ok = False
                     break
                 sig[leaves - 1] += 1
@@ -105,9 +104,9 @@ class TestRealisations:
     @pytest.mark.parametrize(
         "graph,k,expected",
         [
-            (Graph.from_edges(2, [(0, 1)]), 2, {(0, 0), (1, 0)}),
-            (path_graph(3), 3, {(0, 0, 0), (1, 0, 0), (0, 1, 0)}),
-            (complete_graph(3), 3, {(0, 0, 0), (1, 0, 0), (0, 1, 0)}),
+            (Graph.from_edges(2, [(0, 1)]), 2, {(0,), (1,)}),
+            (path_graph(3), 3, {(0, 0), (1, 0), (0, 1)}),
+            (complete_graph(3), 3, {(0, 0), (1, 0), (0, 1)}),
         ],
     )
     def test_small_shapes(self, graph, k, expected):
@@ -128,9 +127,9 @@ class TestRealisations:
     def test_downward_closure(self):
         cat = catalog_components(cycle_graph(5), cycle_graph(5), 5)
         sigs = realisation_table(cat)[0]
-        assert (0,) * 5 in sigs
+        assert (0,) * 4 in sigs
         for sig in sigs:
-            for j in range(5):
+            for j in range(4):
                 if sig[j] == 0:
                     continue
                 dropped = list(sig)
@@ -158,11 +157,12 @@ class TestSolve:
         assert solve_cc(Graph.from_edges(3, []), Graph.from_edges(3, []), 3) == 0
 
     def test_td_deg_examples(self):
+        # k read off the input, as bounded treedepth plus degree guarantees
         k2 = Graph.from_edges(2, [(0, 1)])
-        assert solve_td_deg(star_graph(2), star_graph(2)) == 3
-        assert solve_td_deg(disjoint_union(k2, k2), disjoint_union(k2, k2)) == 4
+        assert solve_cc(star_graph(2), star_graph(2), 3) == 3
+        assert solve_cc(disjoint_union(k2, k2), disjoint_union(k2, k2), 2) == 4
         with pytest.raises(ResourceLimitError):
-            solve_td_deg(path_graph(9), path_graph(9))
+            solve_cc(path_graph(9), path_graph(9), 9)
 
     def test_star_count_balance(self):
         g1 = disjoint_union(complete_graph(3), Graph.from_edges(2, [(0, 1)]))
@@ -171,13 +171,13 @@ class TestSolve:
         table = realisation_table(cat)
         model, names = build_cc_model(cat, table)
         sol = bip.solve(model)
-        per_j = [0] * cat.k
+        per_j = [0] * (cat.k - 1)
         for var, value in sol.assignment.items():
             i, sig = names[var]
             sign = 1 if var.startswith("x") else -1
-            for j in range(cat.k):
+            for j in range(cat.k - 1):
                 per_j[j] += sign * sig[j] * value
-        assert per_j == [0] * cat.k
+        assert per_j == [0] * (cat.k - 1)
 
     def test_oracle_equivalence_small_components(self):
         rng = random.Random(73)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -27,23 +28,19 @@ from conftest import complete_graph, cycle_graph, path_graph, random_graph, star
 
 
 def brute_max_matching_size(g: Graph) -> int:
-    edges = list(g.edges())
-    best = 0
-    for r in range(len(edges), 0, -1):
-        if r <= best:
-            break
-        for subset in itertools.combinations(edges, r):
-            seen = set()
-            ok = True
-            for u, v in subset:
-                if u in seen or v in seen:
-                    ok = False
-                    break
-                seen.update((u, v))
-            if ok:
-                best = max(best, r)
-                break
-    return best
+    """Exact reference: the lowest free vertex stays unmatched or takes a free neighbour."""
+
+    @functools.cache
+    def best(free: int) -> int:
+        if not free:
+            return 0
+        v = (free & -free).bit_length() - 1
+        rest = free & ~(1 << v)
+        return max(
+            [best(rest)] + [1 + best(rest & ~(1 << w)) for w in g.adjacency[v] if rest >> w & 1]
+        )
+
+    return best((1 << g.n) - 1)
 
 
 class TestParsing:
