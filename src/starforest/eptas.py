@@ -4,7 +4,9 @@ Delete every BFS level congruent to 3r+2 mod 3k (per graph, per shift r),
 solve each pruned pair exactly with the treewidth DP, and keep the best
 answer over all k^2 shift pairs.  Pruned graphs of planar inputs are
 3k-outerplanar, so the exact solves stay cheap; a star spans at most three
-consecutive levels, so for each side at most one shift in k hits it.
+consecutive levels, so for each side at most one shift in k hits it.  Shifts
+that keep the same vertices give the same pruned graph, so each distinct
+pruned graph is solved once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .graph import Graph, StarForest, bfs_levels
 from .treewidth import enum_star_vectors_dp
-from .vectors import best_common, counts_to_sizes
+from .vectors import VectorFamily, best_common, counts_to_sizes
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,9 @@ def solve_eptas(
 ) -> tuple[int, StarForest, tuple[int, int]]:
     """Best exact solve over all shift pairs; ties go to lexicographic (r1, r2).
 
+    Each distinct pruned graph runs the treewidth DP once, and each distinct
+    pair of pruned graphs is intersected once.
+
     The (1-eps) guarantee holds for planar inputs; the computation itself is
     well-defined on any graph and never overshoots the true optimum.
     """
@@ -54,17 +59,25 @@ def solve_eptas(
     # families at the shared bound stay intersectable across all shift pairs;
     # a pruned graph cannot host stars above its own degree bound anyway
     delta = min(g1.max_degree(), g2.max_degree())
-    fams1 = []
-    fams2 = []
-    for r in range(k):
-        sub1, _ = prune_levels(g1, r, k)
-        fams1.append(enum_star_vectors_dp(sub1, delta))
-        sub2, _ = prune_levels(g2, r, k)
-        fams2.append(enum_star_vectors_dp(sub2, delta))
+    sides1 = _distinct_families(g1, k, delta)
+    sides2 = _distinct_families(g2, k, delta)
     best = (0, StarForest(()), (0, 0))
-    for r1 in range(k):
-        for r2 in range(k):
-            size, vec = best_common(fams1[r1], fams2[r2])
+    for r1, fam1 in sides1:
+        for r2, fam2 in sides2:
+            size, vec = best_common(fam1, fam2)
             if size > best[0]:
                 best = (size, StarForest(counts_to_sizes(vec)), (r1, r2))
     return best
+
+
+def _distinct_families(g: Graph, k: int, delta: int) -> list[tuple[int, VectorFamily]]:
+    """One family per distinct kept-vertex list, with the first shift that keeps it.
+
+    A later shift keeping the same vertices only ties it, and ties go to the first.
+    """
+    firsts: dict[tuple[int, ...], tuple[int, VectorFamily]] = {}
+    for r in range(k):
+        sub, kept = prune_levels(g, r, k)
+        if tuple(kept) not in firsts:
+            firsts[tuple(kept)] = (r, enum_star_vectors_dp(sub, delta))
+    return list(firsts.values())

@@ -65,27 +65,35 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
     if g.n == 0:
         return TreeDecomposition((frozenset(),), ())
     adj: list[set[int]] = [set(a) for a in g.adjacency]
-    alive = set(range(g.n))
     order: list[int] = []
     elim_bags: list[frozenset[int]] = []
 
     def fill(x: int) -> int:
         return sum(1 for a, b in combinations(adj[x], 2) if b not in adj[a])
 
-    while alive:
-        v = min(alive, key=lambda x: (fill(x), x))
-        bag = frozenset(adj[v] | {v})
+    # fill-in counts of the alive vertices; eliminating v changes only the
+    # neighbourhoods of its neighbours and the edges among them, so only
+    # vertices within distance 2 of v need a new count
+    fills = {x: fill(x) for x in range(g.n)}
+    while fills:
+        v = min(fills, key=lambda x: (fills[x], x))
+        nbrs = adj[v]
         order.append(v)
-        elim_bags.append(bag)
-        for a in adj[v]:
-            for b in adj[v]:
+        elim_bags.append(frozenset(nbrs | {v}))
+        for a in nbrs:
+            for b in nbrs:
                 if a != b and b not in adj[a]:
                     adj[a].add(b)
                     adj[b].add(a)
-        for a in adj[v]:
+        for a in nbrs:
             adj[a].discard(v)
+        del fills[v]
+        touched = set(nbrs)
+        for a in nbrs:
+            touched |= adj[a]
+        for x in touched:
+            fills[x] = fill(x)
         adj[v].clear()
-        alive.discard(v)
 
     pos = {v: i for i, v in enumerate(order)}
     edges: list[tuple[int, int]] = []
@@ -129,25 +137,20 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
         covered |= bag
     if covered != set(range(g.n)):
         return g.n == 0 and not covered
+    holding: list[set[int]] = [set() for _ in range(g.n)]
+    for t, bag in enumerate(td.bags):
+        for v in bag:
+            holding[v].add(t)
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags):
+        if holding[u].isdisjoint(holding[v]):
             return False
-    for v in range(g.n):
-        holding = [t for t in range(nodes) if v in td.bags[t]]
-        if not holding:
-            return False
-        reach = {holding[0]}
-        stack = [holding[0]]
-        hold_set = set(holding)
-        while stack:
-            t = stack.pop()
-            for s in adj[t]:
-                if s in hold_set and s not in reach:
-                    reach.add(s)
-                    stack.append(s)
-        if len(reach) != len(holding):
-            return False
-    return True
+    # the nodes holding v induce a forest in the tree, which is connected
+    # exactly when it has one edge fewer than nodes
+    inner = [0] * g.n
+    for a, b in td.tree_edges:
+        for v in td.bags[a] & td.bags[b]:
+            inner[v] += 1
+    return all(inner[v] == len(holding[v]) - 1 for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from starforest import eptas
 from starforest.eptas import EptasConfig, prune_levels, solve_eptas
 from starforest.errors import PreconditionError
-from starforest.graph import Graph, bfs_levels
+from starforest.graph import Graph, StarForest, bfs_levels
 from starforest.oracle import opt_common_brute, opt_common_vector
-from starforest.treewidth import solve_tw
+from starforest.treewidth import enum_star_vectors_dp, solve_tw
+from starforest.vectors import best_common, counts_to_sizes
 
 from conftest import complete_graph, path_graph, planar_low_degree, star_graph
 
@@ -114,3 +116,55 @@ class TestSolveEptas:
                 for star in emb.stars:
                     span = {levels[v] for v in star}
                     assert max(span) - min(span) <= 2
+
+
+def every_shift_pair(g1, g2, cfg):
+    """solve_eptas without sharing: a DP and an intersection for every shift pair."""
+    delta = min(g1.max_degree(), g2.max_degree())
+    best = (0, StarForest(()), (0, 0))
+    for r1 in range(cfg.k):
+        for r2 in range(cfg.k):
+            sub1, _ = prune_levels(g1, r1, cfg.k)
+            sub2, _ = prune_levels(g2, r2, cfg.k)
+            size, vec = best_common(
+                enum_star_vectors_dp(sub1, delta), enum_star_vectors_dp(sub2, delta)
+            )
+            if size > best[0]:
+                best = (size, StarForest(counts_to_sizes(vec)), (r1, r2))
+    return best
+
+
+class TestDistinctPrunedGraphs:
+    def test_one_dp_per_distinct_pruned_graph(self, monkeypatch):
+        calls = []
+
+        def counted(g, delta):
+            calls.append(g.n)
+            return enum_star_vectors_dp(g, delta)
+
+        monkeypatch.setattr(eptas, "enum_star_vectors_dp", counted)
+        # stars have levels 0 and 1 only, so no shift of k = 4 prunes a vertex
+        size, forest, shifts = solve_eptas(star_graph(5), star_graph(4), EptasConfig(0.5))
+        assert calls == [6, 5]
+        assert (size, forest.star_sizes, shifts) == (5, (5,), (0, 0))
+
+    def test_equals_every_shift_pair(self):
+        rng = random.Random(95)
+        for _ in range(20):
+            g1 = planar_low_degree(rng, 14)
+            g2 = planar_low_degree(rng, 14)
+            for eps in (0.3, 0.5):
+                cfg = EptasConfig(eps)
+                assert solve_eptas(g1, g2, cfg) == every_shift_pair(g1, g2, cfg)
+
+    def test_exact_when_no_shift_prunes(self):
+        wheel = Graph.from_edges(
+            6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]
+        )
+        graphs = [star_graph(3), star_graph(6), complete_graph(4), wheel, path_graph(2)]
+        cfg = EptasConfig(0.3)
+        for g1 in graphs:
+            for g2 in graphs:
+                for g in (g1, g2):
+                    assert all(prune_levels(g, r, cfg.k)[1] == list(range(g.n)) for r in range(cfg.k))
+                assert solve_eptas(g1, g2, cfg)[0] == solve_tw(g1, g2)[0]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,64 @@ from conftest import (
 )
 
 
+def eliminate(adj, v):
+    for a, b in combinations(adj[v], 2):
+        adj[a].add(b)
+        adj[b].add(a)
+    for a in adj[v]:
+        adj[a].discard(v)
+    adj[v] = set()
+
+
+def naive_min_fill_order(g):
+    """Min-fill elimination, every fill recounted at every step, ties to the lower index."""
+    adj = [set(a) for a in g.adjacency]
+    alive = set(range(g.n))
+    order = []
+    while alive:
+        fills = {
+            x: sum(1 for a, b in combinations(adj[x], 2) if b not in adj[a]) for x in alive
+        }
+        v = min(alive, key=lambda x: (fills[x], x))
+        order.append(v)
+        eliminate(adj, v)
+        alive.discard(v)
+    return order
+
+
+def is_decomposition(g, td):
+    """The definition: a tree on the nodes, every vertex and edge in a bag,
+    and the nodes holding each vertex connected in the tree."""
+    m = len(td.bags)
+    if m == 0:
+        return g.n == 0
+    if sorted(set().union(*td.bags)) != list(range(g.n)):
+        return g.n == 0 and not set().union(*td.bags)
+    if len(td.tree_edges) != m - 1 or not connected(range(m), td.tree_edges):
+        return False
+    if not all(any({u, v} <= bag for bag in td.bags) for u, v in g.edges()):
+        return False
+    for v in range(g.n):
+        nodes = [t for t in range(m) if v in td.bags[t]]
+        inside = [(a, b) for a, b in td.tree_edges if a in nodes and b in nodes]
+        if not connected(nodes, inside):
+            return False
+    return True
+
+
+def connected(nodes, edges):
+    nodes = list(nodes)
+    reach = set(nodes[:1])
+    grew = True
+    while grew:
+        grew = False
+        for a, b in edges:
+            if (a in reach) != (b in reach):
+                reach |= {a, b}
+                grew = True
+    return reach == set(nodes)
+
+
 class TestHeuristicDecomposition:
     def test_trees_have_width_one(self):
         rng = random.Random(81)
@@ -48,6 +107,23 @@ class TestHeuristicDecomposition:
         for _ in range(40):
             g = random_graph(rng, rng.randint(0, 9), rng.random())
             assert verify_decomposition(g, heuristic_decomposition(g))
+
+    def test_min_fill_order(self):
+        rng = random.Random(87)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 14), rng.random() * 0.6)
+            td = heuristic_decomposition(g)
+            # bag i holds the vertex eliminated at step i and its alive
+            # neighbours; that vertex is the only one no later bag holds
+            order = []
+            for i, bag in enumerate(td.bags):
+                (v,) = bag - set().union(*td.bags[i + 1 :])
+                order.append(v)
+            assert order == naive_min_fill_order(g)
+            adj = [set(a) for a in g.adjacency]
+            for v, bag in zip(order, td.bags):
+                assert bag == frozenset(adj[v] | {v})
+                eliminate(adj, v)
 
     def test_dump_is_textual(self):
         td = heuristic_decomposition(path_graph(3))
@@ -75,6 +151,30 @@ class TestVerifyDecomposition:
     def test_rejects_non_tree(self):
         td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (), root=0)
         assert not verify_decomposition(path_graph(3), td)
+
+    def test_matches_definition_on_mutations(self):
+        rng = random.Random(88)
+        verdicts = set()
+        for _ in range(600):
+            g = random_graph(rng, rng.randint(1, 10), rng.random() * 0.6)
+            td = heuristic_decomposition(g)
+            bags = [set(b) for b in td.bags]
+            edges = list(td.tree_edges)
+            for _ in range(rng.randint(0, 2)):
+                t = rng.randrange(len(bags))
+                kind = rng.randrange(3)
+                if kind == 0 and bags[t]:
+                    bags[t].discard(rng.choice(sorted(bags[t])))
+                elif kind == 1:
+                    bags[t].add(rng.randrange(g.n))
+                elif kind == 2 and edges:
+                    i = rng.randrange(len(edges))
+                    edges[i] = (edges[i][0], rng.randrange(len(bags)))
+            mutated = TreeDecomposition(tuple(map(frozenset, bags)), tuple(edges), td.root)
+            verdict = verify_decomposition(g, mutated)
+            assert verdict == is_decomposition(g, mutated)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestEnumDP:
