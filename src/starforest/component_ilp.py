@@ -2,25 +2,30 @@
 
 Components are cataloged up to isomorphism (exact canonical form, affordable
 because components have at most 8 vertices).  For every shape we enumerate
-the star-count vectors realisable inside it, then a single integer program
-distributes vectors over component copies so that both graphs induce the
-same number of stars of every size.  Bounded treedepth plus maximum degree
-bounds the component size, so with k read off the input this is also the
-paper's FPT route for that parameter pair.
+the star-count vectors realisable inside it.  A disjoint union realises
+exactly the sums of its components' vectors, so each graph's family is the
+sumset of its components' families; a shape with multiplicity m is folded
+in by repeated doubling, in O(log m) sumsets, and no integer program is
+solved.  The optimum is the best vector the two families share.  Bounded
+treedepth plus maximum degree bounds the component size, so with k read
+off the input this is also the paper's FPT route for that parameter pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
-from . import bip
+from .combinatorics import IntVectorSet, sumset
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph
 from .oracle import enum_star_vectors_brute
-from .vectors import CountVector, vector_total
+from .vectors import CountVector, VectorFamily, best_common
 
 MAX_COMPONENT = 8  # canonicalization budget
+# a family can grow like n^(k-1); at about 10M sumset pairs/s this stops a
+# solve within a few seconds
+DEFAULT_PAIR_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,21 @@ class ComponentCatalog:
 
 
 def canonical_form(g: Graph) -> tuple:
-    """Lexicographically minimal upper-triangle adjacency bits over all labelings."""
+    """Lexicographically minimal upper-triangle adjacency bits over the
+    labelings that list vertices by non-increasing degree.
+
+    An isomorphism maps each degree class onto one of the same degree and
+    size, so isomorphic graphs have the same such labelings up to renaming
+    and the same minimum; the bits determine the graph, so the key is exact.
+    """
     n = g.n
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(g.degree(v), []).append(v)
+    blocks = [permutations(classes[d]) for d in sorted(classes, reverse=True)]
     best: tuple[int, ...] | None = None
-    for perm in permutations(range(n)):
+    for parts in product(*blocks):
+        perm = [v for part in parts for v in part]
         bits = tuple(
             1 if g.has_edge(perm[i], perm[j]) else 0
             for i in range(n)
@@ -47,11 +63,7 @@ def canonical_form(g: Graph) -> tuple:
 
 
 def catalog_components(g1: Graph, g2: Graph, k: int) -> ComponentCatalog:
-    """Shapes occurring in either graph, with per-graph multiplicities.
-
-    Only occurring shapes can carry nonzero counts, so cataloging just them
-    leaves the integer program unchanged.
-    """
+    """Shapes occurring in either graph, with per-graph multiplicities."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
     if k > MAX_COMPONENT:
@@ -90,54 +102,61 @@ def realisation_table(catalog: ComponentCatalog) -> list[frozenset[CountVector]]
     return [enum_star_vectors_brute(shape, k - 1).vectors for shape in catalog.shapes]
 
 
-def solve_cc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
-    """Exact optimum when every component of both graphs has <= k vertices."""
+def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
+    """Exact optimum when every component of both graphs has <= k vertices.
+
+    Raises ResourceLimitError rather than let the fold's sumsets together
+    pass `pair_budget` pairs.
+    """
     catalog = catalog_components(g1, g2, k)
     table = realisation_table(catalog)
-    model, _ = build_cc_model(catalog, table)
-    sol = bip.solve(model, node_budget)
-    assert sol.status == "optimal", "the all-zero realisation is always feasible"
-    return sol.objective_value
+    fam1, fam2 = build_cc_model(catalog, table, pair_budget)
+    return best_common(fam1, fam2)[0]
 
 
 def build_cc_model(
-    catalog: ComponentCatalog, table: list[frozenset[CountVector]]
-) -> tuple[bip.BipModel, dict[str, tuple[int, CountVector]]]:
-    """The distribution ILP plus a variable-name -> (shape, vector) map."""
-    all_sigs = sorted({sig for sigs in table for sig in sigs})
-    sig_index = {sig: idx for idx, sig in enumerate(all_sigs)}
+    catalog: ComponentCatalog,
+    table: list[frozenset[CountVector]],
+    pair_budget: int = DEFAULT_PAIR_BUDGET,
+) -> tuple[VectorFamily, VectorFamily]:
+    """The (VectorFamily, VectorFamily) of g1 and g2, each folded as the
+    sumset of its components' families.
 
-    model = bip.BipModel()
-    for i, sigs in enumerate(table):
-        for sig in sorted(sigs):
-            model.add_var(f"x_{i}_{sig_index[sig]}", 0, catalog.counts1[i])
-            model.add_var(f"y_{i}_{sig_index[sig]}", 0, catalog.counts2[i])
-    for i, sigs in enumerate(table):
-        model.add_constraint(
-            {f"x_{i}_{sig_index[s]}": 1 for s in sigs}, bip.EQ, catalog.counts1[i]
-        )
-        model.add_constraint(
-            {f"y_{i}_{sig_index[s]}": 1 for s in sigs}, bip.EQ, catalog.counts2[i]
-        )
-    for j in range(catalog.k - 1):
-        coeffs: dict[str, int] = {}
-        for i, sigs in enumerate(table):
-            for sig in sigs:
-                if sig[j]:
-                    coeffs[f"x_{i}_{sig_index[sig]}"] = sig[j]
-                    coeffs[f"y_{i}_{sig_index[sig]}"] = -sig[j]
-        if coeffs:
-            model.add_constraint(coeffs, bip.EQ, 0)
-    objective: dict[str, int] = {}
-    for i, sigs in enumerate(table):
-        for sig in sigs:
-            weight = vector_total(sig)
-            if weight:
-                objective[f"x_{i}_{sig_index[sig]}"] = weight
-    model.set_objective(objective)
-    names = {}
-    for i, sigs in enumerate(table):
-        for sig in sigs:
-            names[f"x_{i}_{sig_index[sig]}"] = (i, sig)
-            names[f"y_{i}_{sig_index[sig]}"] = (i, sig)
-    return model, names
+    Every partial sum is the vector of a star packing inside one graph, so
+    no coordinate exceeds max(n1, n2) // 2 and the packed sums stay exact.
+    Before each sumset its |A| * |B| pairs are added to a running count;
+    one that would take the count past `pair_budget` raises
+    ResourceLimitError instead of running.
+    """
+    if catalog.k < 2:
+        zero = VectorFamily(0, frozenset({()}))
+        return zero, zero
+    dim = catalog.k - 1
+    n = max(
+        sum(m * shape.n for m, shape in zip(counts, catalog.shapes))
+        for counts in (catalog.counts1, catalog.counts2)
+    )
+    base = max(2, n // 2 + 1)
+    pairs = 0
+
+    def add(a: IntVectorSet, b: IntVectorSet) -> IntVectorSet:
+        nonlocal pairs
+        pairs += len(a.members) * len(b.members)
+        if pairs > pair_budget:
+            raise ResourceLimitError(f"component fold pair budget {pair_budget} exceeded")
+        return sumset(a, b)
+
+    shape_sets = [IntVectorSet.of(sigs, dim, base) for sigs in table]
+    families = []
+    for counts in (catalog.counts1, catalog.counts2):
+        folded = IntVectorSet.of([(0,) * dim], dim, base)
+        for power, m in zip(shape_sets, counts):
+            # power holds 2^i copies of the shape while bit i of m is read
+            while m:
+                if m & 1:
+                    folded = add(folded, power)
+                m >>= 1
+                if m:
+                    power = add(power, power)
+        families.append(VectorFamily(dim, folded.vectors()))
+    return families[0], families[1]

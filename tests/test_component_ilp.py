@@ -1,9 +1,10 @@
+import contextlib
 import itertools
 import random
+import signal
 
 import pytest
 
-from starforest import bip
 from starforest.component_ilp import (
     build_cc_model,
     canonical_form,
@@ -12,8 +13,11 @@ from starforest.component_ilp import (
     solve_cc,
 )
 from starforest.errors import PreconditionError, ResourceLimitError
-from starforest.graph import Graph
-from starforest.oracle import opt_common_vector
+from starforest.graph import Graph, StarForest
+from starforest.oracle import enum_star_vectors_brute, opt_common_vector
+from starforest.solve_h import embeds_star_forest
+from starforest.treewidth import solve_tw
+from starforest.vectors import best_common, counts_to_sizes, vector_total
 
 from conftest import (
     complete_graph,
@@ -33,6 +37,33 @@ def brute_isomorphic(g1: Graph, g2: Graph) -> bool:
         if all((min(perm[u], perm[v]), max(perm[u], perm[v])) in e2 for u, v in g1.edges()):
             return True
     return False
+
+
+def random_union(rng: random.Random) -> Graph:
+    """Random components of 1-5 vertices until about 4-10 vertices in all."""
+    parts = []
+    total = 0
+    while total < rng.randint(4, 10):
+        s = rng.randint(1, 5)
+        parts.append(random_graph(rng, s, 0.6))
+        total += s
+    return disjoint_union(*parts)
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the block with TimeoutError once it has run `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:
@@ -74,6 +105,25 @@ class TestCanonicalForm:
         for a in graphs:
             for b in graphs:
                 assert (canonical_form(a) == canonical_form(b)) == brute_isomorphic(a, b)
+
+    def test_large_equal_degree_classes(self):
+        # 7 vertices in one or two degree classes: relabelled copies must
+        # meet, and same-degree-sequence near misses must not
+        rng = random.Random(74)
+        k34 = Graph.from_edges(7, [(a, b) for a in range(3) for b in range(3, 7)])
+        # a 2-switch keeps every degree but closes the triangle 0-1-5
+        switched = Graph.from_edges(
+            7, [e for e in k34.edges() if e not in {(0, 3), (1, 4)}] + [(0, 1), (3, 4)]
+        )
+        graphs = [cycle_graph(7), disjoint_union(cycle_graph(3), cycle_graph(4)), k34, switched]
+        for g in list(graphs):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            graphs.append(Graph.from_edges(7, [(perm[u], perm[v]) for u, v in g.edges()]))
+        keys = [canonical_form(g) for g in graphs]
+        for a, key_a in zip(graphs, keys):
+            for b, key_b in zip(graphs, keys):
+                assert (key_a == key_b) == brute_isomorphic(a, b)
 
 
 class TestCatalog:
@@ -164,34 +214,55 @@ class TestSolve:
         with pytest.raises(ResourceLimitError):
             solve_cc(path_graph(9), path_graph(9), 9)
 
-    def test_star_count_balance(self):
+    def test_common_vector_lies_in_both_families(self):
+        # the vector best_common picks is in both folded families, so both
+        # graphs host the same star counts, and each graph embeds it
         g1 = disjoint_union(complete_graph(3), Graph.from_edges(2, [(0, 1)]))
         g2 = disjoint_union(path_graph(3), path_graph(3))
         cat = catalog_components(g1, g2, 3)
-        table = realisation_table(cat)
-        model, names = build_cc_model(cat, table)
-        sol = bip.solve(model)
-        per_j = [0] * (cat.k - 1)
-        for var, value in sol.assignment.items():
-            i, sig = names[var]
-            sign = 1 if var.startswith("x") else -1
-            for j in range(cat.k - 1):
-                per_j[j] += sign * sig[j] * value
-        assert per_j == [0] * (cat.k - 1)
+        fam1, fam2 = build_cc_model(cat, realisation_table(cat))
+        size, vec = best_common(fam1, fam2)
+        assert vec in fam1.vectors and vec in fam2.vectors
+        assert size == vector_total(vec) == solve_cc(g1, g2, 3) == 5
+        forest = StarForest(counts_to_sizes(vec))
+        assert embeds_star_forest(g1, forest) is not None
+        assert embeds_star_forest(g2, forest) is not None
+
+    def test_folded_families_equal_whole_graph_families(self):
+        rng = random.Random(75)
+        checked = 0
+        while checked < 30:
+            g1, g2 = random_union(rng), random_union(rng)
+            if g1.n > 12 or g2.n > 12:
+                continue
+            k = max(2, max(len(c) for g in (g1, g2) for c in g.components()))
+            cat = catalog_components(g1, g2, k)
+            fam1, fam2 = build_cc_model(cat, realisation_table(cat))
+            assert fam1 == enum_star_vectors_brute(g1, k - 1)
+            assert fam2 == enum_star_vectors_brute(g2, k - 1)
+            checked += 1
+
+    def test_many_copies(self):
+        # 5 copies of three shapes per side: the folded families hold 2066
+        # and 2856 vectors, reached by doubling in O(log 5) sumsets a shape
+        bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+        paw = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        g1 = disjoint_union(*[bull, cycle_graph(5), paw] * 5)
+        g2 = disjoint_union(*[star_graph(4), path_graph(4), complete_graph(3)] * 5)
+        assert (g1.n, g2.n) == (70, 60)
+        with time_limit(5):
+            assert solve_cc(g1, g2, 5) == solve_tw(g1, g2)[0] == 55
+
+    def test_pair_budget(self):
+        # P3's family has 3 vectors; each side folds {0} + P3, 3 pairs each
+        assert solve_cc(path_graph(3), path_graph(3), 3, pair_budget=6) == 3
+        with pytest.raises(ResourceLimitError, match="pair budget"):
+            solve_cc(path_graph(3), path_graph(3), 3, pair_budget=5)
 
     def test_oracle_equivalence_small_components(self):
         rng = random.Random(73)
         for _ in range(30):
-            def build():
-                parts = []
-                total = 0
-                while total < rng.randint(4, 10):
-                    s = rng.randint(1, 5)
-                    parts.append(random_graph(rng, s, 0.6))
-                    total += s
-                return disjoint_union(*parts)
-
-            g1, g2 = build(), build()
+            g1, g2 = random_union(rng), random_union(rng)
             if g1.n > 12 or g2.n > 12:
                 continue
             assert solve_cc(g1, g2, 5) == opt_common_vector(g1, g2)[0]
