@@ -4,11 +4,11 @@ Components are cataloged up to isomorphism (exact canonical form, affordable
 because components have at most 8 vertices).  For every shape we enumerate
 the star-count vectors realisable inside it.  A disjoint union realises
 exactly the sums of its components' vectors, so each graph's family is the
-sumset of its components' families; a shape with multiplicity m is folded
-in by repeated doubling, in O(log m) sumsets, and no integer program is
-solved.  The optimum is the best vector the two families share.  Bounded
-treedepth plus maximum degree bounds the component size, so with k read
-off the input this is also the paper's FPT route for that parameter pair.
+sumset of its components' families, folded in one component at a time;
+no integer program is solved.  The optimum is the best vector the two
+families share.  Bounded treedepth plus maximum degree bounds the
+component size, so with k read off the input this is also the paper's FPT
+route for that parameter pair.
 """
 
 from __future__ import annotations
@@ -117,10 +117,10 @@ def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGE
 def build_cc_model(
     catalog: ComponentCatalog,
     table: list[frozenset[CountVector]],
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
+    pair_budget: int,
 ) -> tuple[VectorFamily, VectorFamily]:
     """The (VectorFamily, VectorFamily) of g1 and g2, each folded as the
-    sumset of its components' families.
+    sumset of its components' families, one component at a time.
 
     Every partial sum is the vector of a star packing inside one graph, so
     no coordinate exceeds max(n1, n2) // 2 and the packed sums stay exact.
@@ -150,13 +150,8 @@ def build_cc_model(
     families = []
     for counts in (catalog.counts1, catalog.counts2):
         folded = IntVectorSet.of([(0,) * dim], dim, base)
-        for power, m in zip(shape_sets, counts):
-            # power holds 2^i copies of the shape while bit i of m is read
-            while m:
-                if m & 1:
-                    folded = add(folded, power)
-                m >>= 1
-                if m:
-                    power = add(power, power)
+        for shape_set, m in zip(shape_sets, counts):
+            for _ in range(m):
+                folded = add(folded, shape_set)
         families.append(VectorFamily(dim, folded.vectors()))
     return families[0], families[1]

@@ -6,6 +6,7 @@ import signal
 import pytest
 
 from starforest.component_ilp import (
+    DEFAULT_PAIR_BUDGET,
     build_cc_model,
     canonical_form,
     catalog_components,
@@ -220,7 +221,7 @@ class TestSolve:
         g1 = disjoint_union(complete_graph(3), Graph.from_edges(2, [(0, 1)]))
         g2 = disjoint_union(path_graph(3), path_graph(3))
         cat = catalog_components(g1, g2, 3)
-        fam1, fam2 = build_cc_model(cat, realisation_table(cat))
+        fam1, fam2 = build_cc_model(cat, realisation_table(cat), DEFAULT_PAIR_BUDGET)
         size, vec = best_common(fam1, fam2)
         assert vec in fam1.vectors and vec in fam2.vectors
         assert size == vector_total(vec) == solve_cc(g1, g2, 3) == 5
@@ -237,14 +238,14 @@ class TestSolve:
                 continue
             k = max(2, max(len(c) for g in (g1, g2) for c in g.components()))
             cat = catalog_components(g1, g2, k)
-            fam1, fam2 = build_cc_model(cat, realisation_table(cat))
+            fam1, fam2 = build_cc_model(cat, realisation_table(cat), DEFAULT_PAIR_BUDGET)
             assert fam1 == enum_star_vectors_brute(g1, k - 1)
             assert fam2 == enum_star_vectors_brute(g2, k - 1)
             checked += 1
 
     def test_many_copies(self):
         # 5 copies of three shapes per side: the folded families hold 2066
-        # and 2856 vectors, reached by doubling in O(log 5) sumsets a shape
+        # and 2856 vectors, reached in 15 sumsets per side
         bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
         paw = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         g1 = disjoint_union(*[bull, cycle_graph(5), paw] * 5)
