@@ -19,11 +19,11 @@ from .graph import Graph, StarForest, max_matching
 Partition = tuple[int, ...]  # parts sorted non-increasing
 
 
-def enum_partitions(h: int) -> list[Partition]:
-    """All partitions of h, each exactly once.
+def _partitions(h: int, smallest: int) -> list[Partition]:
+    """Partitions of h into parts >= smallest, each exactly once.
 
     Recursive scheme: grow parts non-decreasingly, close each branch with the
-    remainder; output is reversed into non-increasing order.
+    remainder; each partition is listed with its parts non-decreasing.
     """
     if h < 0:
         raise PreconditionError("h must be non-negative")
@@ -31,35 +31,24 @@ def enum_partitions(h: int) -> list[Partition]:
         return [()]
     out: list[Partition] = []
 
-    def rec(prefix: list[int], total: int):
-        rem = h - total
-        out.append(tuple(reversed(prefix + [rem])))
-        lo = prefix[-1] if prefix else 1
-        for part in range(lo, rem // 2 + 1):
-            rec(prefix + [part], total + part)
+    def rec(prefix: list[int], rem: int):
+        out.append(tuple(prefix) + (rem,))
+        for part in range(prefix[-1] if prefix else smallest, rem // 2 + 1):
+            rec(prefix + [part], rem - part)
 
-    rec([], 0)
+    if h >= smallest:
+        rec([], h)
     return out
+
+
+def enum_partitions(h: int) -> list[Partition]:
+    """All partitions of h, each exactly once."""
+    return [tuple(reversed(p)) for p in _partitions(h, 1)]
 
 
 def enum_star_partitions(h: int) -> list[StarForest]:
     """Partitions of h with every part >= 2, i.e. the star forests on h vertices."""
-    if h < 0:
-        raise PreconditionError("h must be non-negative")
-    if h == 0:
-        return [StarForest(())]
-    out: list[StarForest] = []
-
-    def rec(prefix: list[int], total: int):
-        rem = h - total
-        out.append(StarForest(tuple(prefix + [rem])))
-        lo = prefix[-1] if prefix else 2
-        for part in range(lo, rem // 2 + 1):
-            rec(prefix + [part], total + part)
-
-    if h >= 2:
-        rec([], 0)
-    return out
+    return [StarForest(p) for p in _partitions(h, 2)]
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,6 @@ class KwayInstance:
 def rescale(kw: KwayInstance) -> KwayInstance:
     """Multiply items and capacity up to the normalized regime (even, >= 2k+10)."""
     factor = 2 * kw.k + 10
-    if factor % 2:  # factor is even by construction; guard stays for clarity
-        factor *= 2
     return KwayInstance(tuple(a * factor for a in kw.items), kw.k, kw.capacity * factor)
 
 
@@ -63,9 +61,6 @@ class LabeledInstance:
 
     def g1_name(self, name: str) -> int:
         return self.labels1[name]
-
-    def g2_name(self, name: str) -> int:
-        return self.labels2[name]
 
 
 class _Builder:
@@ -378,9 +373,10 @@ def _check_partition(inst: LabeledInstance, part: list[list[int]]) -> list[int]:
     return bin_of
 
 
-def _g2_star(inst: LabeledInstance, centre: str, leaves: list[str]) -> tuple[int, ...]:
-    g2 = inst.labels2
-    return (g2[centre],) + tuple(g2[name] for name in leaves)
+def _g2_star(inst: LabeledInstance, centre: str) -> tuple[int, ...]:
+    """G2's star around the named centre; every G2 component is a star."""
+    c = inst.labels2[centre]
+    return (c,) + inst.instance.g2.adjacency[c]
 
 
 def _embed_td5(inst: LabeledInstance, part: list[list[int]]):
@@ -398,19 +394,13 @@ def _embed_td5(inst: LabeledInstance, part: list[list[int]]):
         b = bin_of[i - 1]
         # P_i on the root
         host = [g1[f"r_{i}"]] + [g1[f"h_{i}_{m}"] for m in range(1, D)] + [g1[f"s_{i}_{b}"]]
-        pairs.append((
-            tuple(host),
-            _g2_star(inst, f"alpha_{i}_0", [f"alpha_{i}_{m}" for m in range(1, D + 1)]),
-        ))
+        pairs.append((tuple(host), _g2_star(inst, f"alpha_{i}_0")))
         # the k-1 spare branches host the Q stars
         for jp, j in enumerate(
             (j for j in range(1, k + 1) if j != b), start=1
         ):
             host = [g1[f"s_{i}_{j}"]] + [g1[f"t_{i}_{j}_{l}"] for l in range(1, a_i + 1)]
-            pairs.append((
-                tuple(host),
-                _g2_star(inst, f"beta_{i}_{jp}_0", [f"beta_{i}_{jp}_{m}" for m in range(1, a_i + 1)]),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"beta_{i}_{jp}_0")))
         # bin branch hosts R stars (with the t rung as the extra leaf)
         for l in range(1, a_i + 1):
             idx = l + p_off[b]
@@ -419,10 +409,7 @@ def _embed_td5(inst: LabeledInstance, part: list[list[int]]):
                 + [g1[f"v_{i}_{b}_{l}_{m}"] for m in range(1, 2 * b + 4 + 1)]
                 + [g1[f"t_{i}_{b}_{l}"]]
             )
-            pairs.append((
-                tuple(host),
-                _g2_star(inst, f"gamma_{b}_{idx}_0", [f"gamma_{b}_{idx}_{m}" for m in range(1, 2 * b + 5 + 1)]),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"gamma_{b}_{idx}_0")))
         # spare branches host S stars
         for j in range(1, k + 1):
             if j == b:
@@ -433,10 +420,7 @@ def _embed_td5(inst: LabeledInstance, part: list[list[int]]):
                 host = [g1[f"u_{i}_{j}_{l}"]] + [
                     g1[f"v_{i}_{j}_{l}_{m}"] for m in range(1, 2 * j + 4 + 1)
                 ]
-                pairs.append((
-                    tuple(host),
-                    _g2_star(inst, f"delta_{j}_{idx}_0", [f"delta_{j}_{idx}_{m}" for m in range(1, 2 * j + 4 + 1)]),
-                ))
+                pairs.append((tuple(host), _g2_star(inst, f"delta_{j}_{idx}_0")))
         p_off[b] += a_i
         for j in range(1, k + 1):
             if j != b:
@@ -462,24 +446,15 @@ def _embed_pw4(inst: LabeledInstance, part: list[list[int]]):
         spare = [j for j in range(1, k + 1) if j != b]
         # P_i
         host = [g1[f"r_{i}"]] + [g1[f"h_{i}_{m}"] for m in range(1, D)] + [g1[f"s_{i}_{b}_0"]]
-        pairs.append((
-            tuple(host),
-            _g2_star(inst, f"alpha_{i}_0", [f"alpha_{i}_{m}" for m in range(1, D + 1)]),
-        ))
+        pairs.append((tuple(host), _g2_star(inst, f"alpha_{i}_0")))
         # bin-branch rungs carry the 2-leaf stars S_{i,1..a-2}
         for l in range(1, a - 1):
             host = [g1[f"z_{i}_{b}_{l}"], g1[f"y_{i}_{b}_{l}"], g1[f"s_{i}_{b}_{l}"]]
-            pairs.append((
-                tuple(host),
-                _g2_star(inst, f"delta_{i}_{l}_0", [f"delta_{i}_{l}_1", f"delta_{i}_{l}_2"]),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"delta_{i}_{l}_0")))
         # spare-branch mouths carry the remaining k-1 2-leaf stars
         for jp, j in enumerate(spare, start=a - 1):
             host = [g1[f"s_{i}_{j}_0"], g1[f"t_{i}_{j}_1"], g1[f"y_{i}_{j}_1"]]
-            pairs.append((
-                tuple(host),
-                _g2_star(inst, f"delta_{i}_{jp}_0", [f"delta_{i}_{jp}_1", f"delta_{i}_{jp}_2"]),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"delta_{i}_{jp}_0")))
         # spare-branch spines carry the 3-leaf stars U
         for jp, j in enumerate(spare, start=1):
             for l in range(1, a - 2):
@@ -489,28 +464,14 @@ def _embed_pw4(inst: LabeledInstance, part: list[list[int]]):
                     g1[f"t_{i}_{j}_{l + 1}"],
                     g1[f"y_{i}_{j}_{l + 1}"],
                 ]
-                pairs.append((
-                    tuple(host),
-                    _g2_star(
-                        inst,
-                        f"epsilon_{i}_{jp}_{l}_0",
-                        [f"epsilon_{i}_{jp}_{l}_{m}" for m in (1, 2, 3)],
-                    ),
-                ))
+                pairs.append((tuple(host), _g2_star(inst, f"epsilon_{i}_{jp}_{l}_0")))
             host = [
                 g1[f"s_{i}_{j}_{a - 2}"],
                 g1[f"z_{i}_{j}_{a - 2}"],
                 g1[f"t_{i}_{j}_{a - 1}"],
                 g1[f"t_{i}_{j}_{a}"],
             ]
-            pairs.append((
-                tuple(host),
-                _g2_star(
-                    inst,
-                    f"epsilon_{i}_{jp}_{a - 2}_0",
-                    [f"epsilon_{i}_{jp}_{a - 2}_{m}" for m in (1, 2, 3)],
-                ),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"epsilon_{i}_{jp}_{a - 2}_0")))
         # bin branch: Q stars on the first a_i cups, W stars above them
         for l in range(1, a_i + 1):
             idx = l + p_off[b]
@@ -519,10 +480,7 @@ def _embed_pw4(inst: LabeledInstance, part: list[list[int]]):
                 + [g1[f"v_{i}_{b}_{l}_{m}"] for m in range(1, 2 * b + 4 + 1)]
                 + [g1[f"t_{i}_{b}_{l}"]]
             )
-            pairs.append((
-                tuple(host),
-                _g2_star(inst, f"beta_{b}_{idx}_0", [f"beta_{b}_{idx}_{m}" for m in range(1, 2 * b + 5 + 1)]),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"beta_{b}_{idx}_0")))
         for l in range(1, a - a_i + 1):
             idx = l + e_off
             host = (
@@ -530,10 +488,7 @@ def _embed_pw4(inst: LabeledInstance, part: list[list[int]]):
                 + [g1[f"v_{i}_{b}_{l + a_i}_{m}"] for m in range(1, E + 1)]
                 + [g1[f"t_{i}_{b}_{l + a_i}"]]
             )
-            pairs.append((
-                tuple(host),
-                _g2_star(inst, f"zeta_{idx}_0", [f"zeta_{idx}_{m}" for m in range(1, E + 1 + 1)]),
-            ))
+            pairs.append((tuple(host), _g2_star(inst, f"zeta_{idx}_0")))
         # spare branches: R stars low, Y stars high
         for rank, j in enumerate(spare):
             q_ij = outside[j]
@@ -542,20 +497,14 @@ def _embed_pw4(inst: LabeledInstance, part: list[list[int]]):
                 host = [g1[f"u_{i}_{j}_{l}"]] + [
                     g1[f"v_{i}_{j}_{l}_{m}"] for m in range(1, 2 * j + 4 + 1)
                 ]
-                pairs.append((
-                    tuple(host),
-                    _g2_star(inst, f"gamma_{j}_{idx}_0", [f"gamma_{j}_{idx}_{m}" for m in range(1, 2 * j + 4 + 1)]),
-                ))
+                pairs.append((tuple(host), _g2_star(inst, f"gamma_{j}_{idx}_0")))
             f_ij = (k - 1) * e_off + (a - a_i) * rank
             for l in range(1, a - a_i + 1):
                 idx = l + f_ij
                 host = [g1[f"u_{i}_{j}_{l + a_i}"]] + [
                     g1[f"v_{i}_{j}_{l + a_i}_{m}"] for m in range(1, E + 1)
                 ]
-                pairs.append((
-                    tuple(host),
-                    _g2_star(inst, f"eta_{idx}_0", [f"eta_{idx}_{m}" for m in range(1, E + 1)]),
-                ))
+                pairs.append((tuple(host), _g2_star(inst, f"eta_{idx}_0")))
         p_off[b] += a_i
         for j in range(1, k + 1):
             if j != b:

@@ -2,11 +2,20 @@
 
 For each graph: fix a minimum vertex cover, bucket the independent-set
 vertices into twin classes by exact neighbourhood, then guess the shape of
-the solution's stars anchored on the cover: how many stars, which cover
-vertices centre them, which cover vertices serve as leaves, and the full
-(class, leaf-set) description of stars centred outside the cover.  A guess
-pair plus a star-matching bijection yields one small integer program; the
-answer is the best optimum over all guesses.
+the solution's stars anchored on the cover: which cover vertices centre
+type-I stars, how many leftover cover vertices each of them takes as
+leaves, and the (class, leaf-set) description of type-II stars, those
+centred outside the cover.  A guess pair plus a star-matching bijection
+yields one small integer program; the answer is the best optimum over all
+guesses.
+
+A guess guesses only what the program cannot decide.  A type-II star has at
+least two cover leaves: a one-leaf type-II star is an edge {v, c} with v
+independent and c in the cover, and the guess that makes c a type-I centre
+taking no cover vertex and one leaf from v's class reaches the same forests
+with the same class capacities and the same leftover cover vertices.  The
+program reads only how many leftover cover vertices each centre takes
+(beta), so a guess fixes those counts and not which vertices they are.
 
 Each side guess carries a size range [lo, hi] per star.  Matched stars have
 equal sizes, so a pair can give at most the sum over matched stars of
@@ -25,8 +34,6 @@ from typing import Iterator
 from . import bip
 from .errors import PreconditionError
 from .graph import Graph, min_vertex_cover
-
-Role = tuple  # ("centre", i) | ("leaf1", i) | ("leaf2", j) | ("unused",)
 
 
 @dataclass(frozen=True)
@@ -64,9 +71,11 @@ class SideGuess:
     """One graph's half of a guess; star indices run type-I first, then type-II."""
 
     type1_centres: tuple[int, ...]
-    type2_stars: tuple[tuple[frozenset[int], frozenset[int]], ...]  # (class key, leaves)
-    cover_roles: dict[int, Role]
-    beta: tuple[int, ...]  # per type-I star: cover vertices it contains, centre included
+    # (class key, cover leaves), at least two leaves: one leaf is a type-I star
+    type2_stars: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    # per type-I star: cover vertices it contains, centre included; which
+    # leftover cover vertices make up the count is not part of the guess
+    beta: tuple[int, ...]
     alpha_const: tuple[int, ...]  # per type-II star: its (fixed) size
     ranges: tuple[tuple[int, int], ...]  # per star: attainable [lo, hi] size
 
@@ -101,15 +110,16 @@ def enumerate_side_guesses(g: Graph, tc: TwinClasses) -> Iterator[SideGuess]:
         for centres in combinations(cover, p):
             cset = set(centres)
             # all possible type-II stars: a twin class to anchor the centre in,
-            # plus a nonempty leaf set inside its key, avoiding the centres
+            # plus at least two leaves inside its key, avoiding the centres
             cands: list[tuple[frozenset[int], frozenset[int]]] = []
             for key in tc.classes:
                 avail = sorted(key - cset)
-                for size in range(1, len(avail) + 1):
+                for size in range(2, len(avail) + 1):
                     for leaves in combinations(avail, size):
                         cands.append((key, frozenset(leaves)))
             cands.sort(key=lambda c: (_canon_key(c[0]), _canon_key(c[1])))
-            for q in range(a - p + 1):
+            # each type-II star takes two or more of the a - p non-centres
+            for q in range((a - p) // 2 + 1):
                 for chosen in combinations(range(len(cands)), q):
                     stars = [cands[i] for i in chosen]
                     taken: set[int] = set()
@@ -136,32 +146,25 @@ def _assign_cover_roles(
     type2: tuple[tuple[frozenset[int], frozenset[int]], ...],
     type2_leaves: set[int],
 ) -> Iterator[SideGuess]:
-    roles: dict[int, Role] = {c: ("centre", i) for i, c in enumerate(centres)}
-    for j, (_, leaves) in enumerate(type2):
-        for w in leaves:
-            roles[w] = ("leaf2", j)
-    rest = [w for w in tc.cover if w not in roles]
+    """One guess per distinct beta the leftover cover vertices can give."""
+    rest = [w for w in tc.cover if w not in centres and w not in type2_leaves]
     caps = _capacities(type2, tc)
     # a type-I star may take every usable vertex of the classes around its
     # centre (ignoring that other stars share them)
     rooms = [sum(cap for key, cap in caps.items() if c in key) for c in centres]
-    # a leftover cover vertex may hang off an adjacent type-I centre, or sit out
+    # a leftover cover vertex may hang off an adjacent type-I centre, or sit out (-1)
     choice_lists = [
-        [("unused",)]
-        + [("leaf1", i) for i, c in enumerate(centres) if g.has_edge(w, c)]
-        for w in rest
+        [-1] + [i for i, c in enumerate(centres) if g.has_edge(w, c)] for w in rest
     ]
+    betas = dict.fromkeys(
+        tuple(1 + picks.count(i) for i in range(len(centres)))
+        for picks in product(*choice_lists)
+    )
     alpha_const = tuple(1 + len(leaves) for _, leaves in type2)
     fixed = tuple((size, size) for size in alpha_const)
-    for picks in product(*choice_lists):
-        full = dict(roles)
-        beta = [1] * len(centres)
-        for w, role in zip(rest, picks):
-            full[w] = role
-            if role[0] == "leaf1":
-                beta[role[1]] += 1
+    for beta in betas:
         ranges = tuple((max(2, b), b + room) for b, room in zip(beta, rooms)) + fixed
-        yield SideGuess(centres, type2, full, tuple(beta), alpha_const, ranges)
+        yield SideGuess(centres, type2, beta, alpha_const, ranges)
 
 
 def enumerate_guesses(
@@ -273,9 +276,8 @@ def solve_vc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
     cover2 = min_vertex_cover(g2, k)
     for g, cover, tag in ((g1, cover1, "first"), (g2, cover2, "second")):
         if cover is None:
-            actual = len(min_vertex_cover(g, g.n))
             raise PreconditionError(
-                f"{tag} graph has minimum vertex cover {actual} > k={k}"
+                f"{tag} graph has no vertex cover of at most k={k} vertices"
             )
     tc1 = twin_classes(g1, cover1)
     tc2 = twin_classes(g2, cover2)

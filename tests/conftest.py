@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+import signal
 from itertools import combinations
 
 from starforest.graph import Graph
@@ -71,3 +73,19 @@ def planar_low_degree(rng: random.Random, max_n: int = 10) -> Graph:
     b = rng.randint(2, n - 2)
     edges.add((min(a, b), max(a, b)))
     return Graph.from_edges(n, sorted(edges))
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the block with TimeoutError once it has run `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,5 @@
-import contextlib
 import itertools
 import random
-import signal
 
 import pytest
 
@@ -27,6 +25,7 @@ from conftest import (
     path_graph,
     random_graph,
     star_graph,
+    time_limit,
 )
 
 
@@ -49,22 +48,6 @@ def random_union(rng: random.Random) -> Graph:
         parts.append(random_graph(rng, s, 0.6))
         total += s
     return disjoint_union(*parts)
-
-
-@contextlib.contextmanager
-def time_limit(seconds: float):
-    """Fail the block with TimeoutError once it has run `seconds` of wall time."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:

@@ -16,7 +16,7 @@ from starforest.vc_ilp import (
     twin_classes,
 )
 
-from conftest import complete_graph, path_graph, random_graph, star_graph
+from conftest import complete_graph, path_graph, random_graph, star_graph, time_limit
 
 
 class TestTwinClasses:
@@ -71,10 +71,10 @@ class TestEnumeration:
             key = (
                 gp.side1.type1_centres,
                 gp.side1.type2_stars,
-                tuple(sorted(gp.side1.cover_roles.items())),
+                gp.side1.beta,
                 gp.side2.type1_centres,
                 gp.side2.type2_stars,
-                tuple(sorted(gp.side2.cover_roles.items())),
+                gp.side2.beta,
                 gp.pi,
             )
             assert key not in seen
@@ -86,11 +86,33 @@ class TestEnumeration:
         for side in enumerate_side_guesses(g, tc):
             for key, leaves in side.type2_stars:
                 assert leaves and leaves <= key
-            roles = side.cover_roles
-            assert set(roles) == set(tc.cover)  # every cover vertex exactly one role
-            for w, role in roles.items():
-                if role[0] == "leaf1":
-                    assert g.has_edge(w, side.type1_centres[role[1]])
+            # beta counts leftover cover vertices: neither centres nor type-II leaves
+            leftover = set(tc.cover) - set(side.type1_centres)
+            for _, leaves in side.type2_stars:
+                leftover -= leaves
+            for c, b in zip(side.type1_centres, side.beta):
+                assert 1 <= b <= 1 + sum(g.has_edge(w, c) for w in leftover)
+            assert sum(b - 1 for b in side.beta) <= len(leftover)
+
+    def test_type2_stars_have_two_leaves(self):
+        g = _path_cover_graph([(0, 1, 2), (1,), (0, 2), (0, 1)])
+        tc = twin_classes(g, [0, 1, 2])
+        sides = list(enumerate_side_guesses(g, tc))
+        assert any(side.q for side in sides)
+        for side in sides:
+            for _, leaves in side.type2_stars:
+                assert len(leaves) >= 2
+
+    def test_each_beta_guessed_once(self):
+        # centre 1 takes one leftover cover vertex as 0 or as 2: one guess
+        g = _path_cover_graph([(0, 1, 2), (1,), (0, 2), (0, 1)])
+        tc = twin_classes(g, [0, 1, 2])
+        keys = [
+            (side.type1_centres, side.type2_stars, side.beta)
+            for side in enumerate_side_guesses(g, tc)
+        ]
+        assert len(keys) == len(set(keys))
+        assert keys.count(((1,), (), (2,))) == 1
 
 
 class TestModelStructure:
@@ -187,8 +209,19 @@ class TestSolveVc:
 
     def test_cover_bound_error_reports_size(self):
         k4 = complete_graph(4)
-        with pytest.raises(PreconditionError, match="3 > k=1"):
+        with pytest.raises(PreconditionError, match="no vertex cover of at most k=1"):
             solve_vc(k4, k4, 1)
+
+    def test_cover_bound_error_is_fast(self):
+        # an exact cover size would take an exponential search here
+        g = random_graph(random.Random(5), 30, 0.3)
+        with time_limit(2), pytest.raises(PreconditionError, match="at most k=3"):
+            solve_vc(g, g, 3)
+
+    def test_cover_independent_edges(self):
+        g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
+        assert len(min_vertex_cover(g, 6)) == 3
+        assert solve_vc(g, g, 3) == 6
 
     def test_oracle_equivalence(self):
         rng = random.Random(61)
