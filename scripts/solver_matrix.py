@@ -25,7 +25,7 @@ from starforest.graph import Instance, min_vertex_cover  # noqa: E402
 from starforest.oracle import opt_common_vector  # noqa: E402
 from starforest.solve_h import solve_h  # noqa: E402
 from starforest.treewidth import solve_tw  # noqa: E402
-from starforest.vc_ilp import solve_vc  # noqa: E402
+from starforest.vc_ilp import MAX_COVER, solve_vc  # noqa: E402
 
 
 def main():
@@ -48,8 +48,9 @@ def main():
         comp = max(len(c) for c in g1.components() + g2.components())
         cc = solve_cc(g1, g2, comp) if comp <= MAX_COMPONENT else None
         vc = (
-            solve_vc(g1, g2, 3)
-            if min_vertex_cover(g1, 3) is not None and min_vertex_cover(g2, 3) is not None
+            solve_vc(g1, g2, MAX_COVER)
+            if min_vertex_cover(g1, MAX_COVER) is not None
+            and min_vertex_cover(g2, MAX_COVER) is not None
             else None
         )
         yes, _ = solve_h(Instance(g1, g2, opt), mode="exact")

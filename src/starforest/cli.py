@@ -68,7 +68,8 @@ def _pick_auto(inst: Instance) -> str:
     )
     if comp <= component_ilp.MAX_COMPONENT:
         return "cc"
-    if min_vertex_cover(inst.g1, 3) is not None and min_vertex_cover(inst.g2, 3) is not None:
+    cover = vc_ilp.MAX_COVER
+    if min_vertex_cover(inst.g1, cover) is not None and min_vertex_cover(inst.g2, cover) is not None:
         return "vc"
     return "tw"
 
@@ -90,12 +91,8 @@ def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], d
         vector = list(cert[0].star_sizes) if yes and cert else []
         return ("yes" if yes else "no"), vector, params
     if algo == "vc":
-        k = args.k
-        if k is None:
-            k = max(
-                len(min_vertex_cover(inst.g1, inst.g1.n) or []),
-                len(min_vertex_cover(inst.g2, inst.g2.n) or []),
-            )
+        # a larger cover is refused by solve_vc at once
+        k = vc_ilp.MAX_COVER if args.k is None else args.k
         params = {"k": k}
         return vc_ilp.solve_vc(inst.g1, inst.g2, k), [], params
     if algo == "cc":

@@ -35,6 +35,10 @@ from . import bip
 from .errors import PreconditionError
 from .graph import Graph, min_vertex_cover
 
+# the largest cover the guess enumeration handles in interactive time; the
+# CLI's default bound and its automatic choice of this route
+MAX_COVER = 3
+
 
 @dataclass(frozen=True)
 class TwinClasses:

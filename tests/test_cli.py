@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from starforest.cli import RunReport, main
 from starforest.graph import Instance, parse_instance, serialize_instance
 
-from conftest import path_graph, star_graph
+from conftest import path_graph, random_graph, star_graph, time_limit
 
 P4_VS_STAR = "3\n4 3\n0 1\n1 2\n2 3\n---\n4 3\n0 1\n0 2\n0 3\n"
 
@@ -71,6 +72,14 @@ class TestSolve:
 
     def test_precondition_exit_3(self, instance_file, capsys):
         assert main(["solve", str(instance_file), "--algo", "vc", "--k", "0"]) == 3
+
+    def test_vc_default_bound_refuses_large_cover(self, tmp_path, capsys):
+        # an exact cover of these 30-vertex graphs takes an exponential search
+        g = random_graph(random.Random(5), 30, 0.3)
+        path = tmp_path / "dense.txt"
+        path.write_text(serialize_instance(Instance(g, g, 3)))
+        with time_limit(2):
+            assert main(["solve", str(path), "--algo", "vc"]) == 3
 
     def test_resource_exit_4(self, tmp_path, capsys):
         big = Instance(path_graph(9), path_graph(9), 3)
