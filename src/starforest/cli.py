@@ -107,12 +107,6 @@ def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], d
         params = {"k": k}
         return component_ilp.solve_cc(inst.g1, inst.g2, k), [], params
     if algo == "tw":
-        if args.dump_decomposition:
-            td1 = treewidth.heuristic_decomposition(inst.g1)
-            td2 = treewidth.heuristic_decomposition(inst.g2)
-            Path(args.dump_decomposition).write_text(
-                treewidth.dump_decomposition(td1) + "---\n" + treewidth.dump_decomposition(td2)
-            )
         size, forest = treewidth.solve_tw(inst.g1, inst.g2)
         return size, list(forest.star_sizes), params
     if algo == "eptas":
@@ -215,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--trials", type=int, default=None)
     solve.add_argument("--fail-prob", type=float, default=0.01)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--dump-decomposition", default=None)
     solve.add_argument("--oracle-limit", type=int, default=None, help="brute-force vertex cap")
     solve.set_defaults(func=cmd_solve)
 

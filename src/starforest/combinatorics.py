@@ -1,16 +1,11 @@
-"""Integer partitions, packed integer-vector sumsets, and the dominating-set matching.
+"""Integer partitions and the dominating-set matching.
 
-The sumset is the workhorse of the treewidth DP's join step.  A vector with
-coordinates in [0, base) is packed into one Python int, coordinate j times
-base**j (Kronecker substitution).  Packing is linear, so vector addition is
-int addition while no coordinate of a sum reaches the base, and a sumset is
-a double loop of int additions.  The tuple double loop `_sumset_naive` stays
-as the reference the tests compare against.
+Star partitions are the star forests `solve_h` tries to embed.  The
+packed star-count vectors and their sumsets live in `vectors`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import PreconditionError
@@ -49,74 +44,6 @@ def enum_partitions(h: int) -> list[Partition]:
 def enum_star_partitions(h: int) -> list[StarForest]:
     """Partitions of h with every part >= 2, i.e. the star forests on h vertices."""
     return [StarForest(p) for p in _partitions(h, 2)]
-
-
-# ---------------------------------------------------------------------------
-# sumsets of packed integer vectors
-
-
-def pack(vec: Iterable[int], base: int) -> int:
-    """Kronecker substitution: coordinate j of the vector weighs base**j."""
-    code = 0
-    for c in reversed(tuple(vec)):
-        code = code * base + c
-    return code
-
-
-def unpack(code: int, dimension: int, base: int) -> tuple[int, ...]:
-    """Inverse of pack for a vector with coordinates in [0, base)."""
-    vec = []
-    for _ in range(dimension):
-        code, c = divmod(code, base)
-        vec.append(c)
-    return tuple(vec)
-
-
-@dataclass(frozen=True)
-class IntVectorSet:
-    """A set of d-dimensional vectors with coordinates in [0, base), each packed into one int."""
-
-    dimension: int
-    base: int
-    members: frozenset[int]
-
-    @staticmethod
-    def of(vectors: Iterable[tuple[int, ...]], dimension: int, base: int) -> "IntVectorSet":
-        """Pack tuples, rejecting a wrong length or a coordinate outside [0, base)."""
-        if dimension < 1 or base < 2:
-            raise PreconditionError("dimension must be positive and base at least 2")
-        packed = set()
-        for vec in vectors:
-            if len(vec) != dimension:
-                raise PreconditionError(f"vector {vec} has dimension != {dimension}")
-            if any(c < 0 or c >= base for c in vec):
-                raise PreconditionError(f"vector {vec} outside [0, {base})")
-            packed.add(pack(vec, base))
-        return IntVectorSet(dimension, base, frozenset(packed))
-
-    def vectors(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(unpack(m, self.dimension, self.base) for m in self.members)
-
-
-def sumset(a: IntVectorSet, b: IntVectorSet) -> IntVectorSet:
-    """Componentwise sumset {x + y | x in A, y in B}, in the same packing.
-
-    Packing is linear, so this is exact while no coordinate of a sum reaches
-    the base; choosing a base that keeps it so is the caller's invariant.
-    """
-    if a.dimension != b.dimension or a.base != b.base:
-        raise PreconditionError(
-            f"shape mismatch: dimension {a.dimension} base {a.base}"
-            f" vs dimension {b.dimension} base {b.base}"
-        )
-    return IntVectorSet(
-        a.dimension, a.base, frozenset({x + y for x in a.members for y in b.members})
-    )
-
-
-def _sumset_naive(amems: Iterable[tuple[int, ...]], bmems: Iterable[tuple[int, ...]]):
-    """Quadratic sumset over tuples: the reference the packed sumset is tested against."""
-    return {tuple(x + y for x, y in zip(va, vb)) for va in amems for vb in bmems}
 
 
 # ---------------------------------------------------------------------------

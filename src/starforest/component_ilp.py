@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .combinatorics import IntVectorSet, sumset
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph
 from .oracle import enum_star_vectors_brute
-from .vectors import CountVector, VectorFamily, best_common
+from .vectors import CountVector, VectorFamily, best_common, sumset
 
 MAX_COMPONENT = 8  # canonicalization budget
 # a family can grow like n^(k-1); at about 10M sumset pairs/s this stops a
@@ -129,7 +128,7 @@ def build_cc_model(
     ResourceLimitError instead of running.
     """
     if catalog.k < 2:
-        zero = VectorFamily(0, frozenset({()}))
+        zero = VectorFamily.of([()], 0, 2)
         return zero, zero
     dim = catalog.k - 1
     n = max(
@@ -139,19 +138,19 @@ def build_cc_model(
     base = max(2, n // 2 + 1)
     pairs = 0
 
-    def add(a: IntVectorSet, b: IntVectorSet) -> IntVectorSet:
+    def add(a: VectorFamily, b: VectorFamily) -> VectorFamily:
         nonlocal pairs
         pairs += len(a.members) * len(b.members)
         if pairs > pair_budget:
             raise ResourceLimitError(f"component fold pair budget {pair_budget} exceeded")
         return sumset(a, b)
 
-    shape_sets = [IntVectorSet.of(sigs, dim, base) for sigs in table]
+    shape_families = [VectorFamily.of(sigs, dim, base) for sigs in table]
     families = []
     for counts in (catalog.counts1, catalog.counts2):
-        folded = IntVectorSet.of([(0,) * dim], dim, base)
-        for shape_set, m in zip(shape_sets, counts):
+        folded = VectorFamily.of([(0,) * dim], dim, base)
+        for shape_family, m in zip(shape_families, counts):
             for _ in range(m):
-                folded = add(folded, shape_set)
-        families.append(VectorFamily(dim, folded.vectors()))
+                folded = add(folded, shape_family)
+        families.append(folded)
     return families[0], families[1]

@@ -12,7 +12,7 @@ from itertools import combinations
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, StarForest, verify_embedding
 from .solve_h import embeds_star_forest
-from .vectors import CountVector, VectorFamily, best_common, common_forest
+from .vectors import CountVector, VectorFamily, best_common, counts_to_sizes
 
 DEFAULT_VERTEX_LIMIT = 12
 
@@ -60,19 +60,15 @@ def enum_star_vectors_brute(
         memo[key] = frozen
         return frozen
 
-    return VectorFamily(delta, packings(0, 0))
+    return VectorFamily.of(packings(0, 0), delta, max(2, g.n + 1))
 
 
 def opt_common_brute(
     g1: Graph, g2: Graph, vertex_limit: int = DEFAULT_VERTEX_LIMIT
 ) -> tuple[int, StarForest, Embedding, Embedding]:
     """Exact optimum of the common star forest problem, with certificates."""
-    if g1.edge_count == 0 or g2.edge_count == 0:
-        return 0, StarForest(()), Embedding(()), Embedding(())
-    delta = min(g1.max_degree(), g2.max_degree())
-    fam1 = enum_star_vectors_brute(g1, delta, vertex_limit)
-    fam2 = enum_star_vectors_brute(g2, delta, vertex_limit)
-    size, forest = common_forest(fam1, fam2)
+    size, vec = opt_common_vector(g1, g2, vertex_limit)
+    forest = StarForest(counts_to_sizes(vec))
     emb1 = embeds_star_forest(g1, forest)
     emb2 = embeds_star_forest(g2, forest)
     assert emb1 is not None and emb2 is not None, "family vector must embed"

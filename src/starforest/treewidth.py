@@ -19,11 +19,11 @@ therefore never sees an edge on both sides; it merges a centre held on both
 sides into one star whose two leaf sets are disjoint.
 
 Each table maps a mask to a set of vectors packed into ints base n+1 (see
-`combinatorics.pack`).  No count exceeds n, not even the sum of two
+`vectors.pack`).  No count exceeds n, not even the sum of two
 children's counts at a join before its correction, so packing is injective
 on every intermediate set.  Adding a star, growing one and the join's
-correction are then int additions of powers of the base, and the root
-decodes its vectors once.
+correction are then int additions of powers of the base, and the root's
+set is the family as it stands.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .combinatorics import IntVectorSet, sumset, unpack
 from .errors import PreconditionError
 from .graph import Graph, StarForest
-from .vectors import VectorFamily, common_forest
+from .vectors import VectorFamily, common_forest, sumset
 
 # mask role codes: 0 = uncovered, 1 = leaf of a forgotten centre,
 # d >= 2 = centre of a size-d partial star whose leaves are all forgotten
@@ -210,8 +209,7 @@ def enum_star_vectors_dp(
         p = parent[t]
         table = move(table, bags[t], bags[p])
         tables[p] = _join(base, star, tables[p], table) if p in tables else table
-    root = tables[-1]
-    return VectorFamily(delta, frozenset(unpack(c, delta, base) for c in root.get((), set())))
+    return VectorFamily(delta, base, frozenset(tables[-1].get((), ())))
 
 
 def _forget(
@@ -311,8 +309,7 @@ def _join(base: int, star: list[int], t1: Table, t2: Table) -> Table:
             summed = sum_cache.get(key)
             if summed is None:
                 summed = sumset(
-                    IntVectorSet(delta, base, key[0]),
-                    IntVectorSet(delta, base, key[1]),
+                    VectorFamily(delta, base, key[0]), VectorFamily(delta, base, key[1])
                 ).members
                 sum_cache[key] = summed
             shifted = {v + shift for v in summed}
@@ -358,11 +355,3 @@ def solve_tw(g1: Graph, g2: Graph) -> tuple[int, StarForest]:
     delta = min(g1.max_degree(), g2.max_degree())
     return common_forest(enum_star_vectors_dp(g1, delta), enum_star_vectors_dp(g2, delta))
 
-
-def dump_decomposition(td: TreeDecomposition) -> str:
-    lines = [f"{len(td.bags)} {td.width}"]
-    for i, bag in enumerate(td.bags):
-        lines.append(f"bag {i}: " + " ".join(str(v) for v in sorted(bag)))
-    for a, b in td.tree_edges:
-        lines.append(f"edge {a} {b}")
-    return "\n".join(lines) + "\n"

@@ -1,14 +1,19 @@
-"""Star-count vectors and families of them.
+"""Star-count vectors and families of them, packed into ints.
 
-A vector is a plain tuple (c_2, ..., c_{delta+1}): entry j counts stars of
-size j+2.  Families collect every vector realizable as a star packing of one
-graph; the common-subgraph answer is read off the intersection of two
-families.
+A vector is a tuple (c_2, ..., c_{delta+1}): entry j counts stars of size
+j+2.  A family holds every vector realizable as a star packing of one graph,
+each packed into one int: coordinate j weighs base**j (Kronecker
+substitution), every coordinate in [0, base).  Packing is linear, so vector
+addition is int addition while no coordinate of a sum reaches the base, and
+a sumset is a double loop of int additions; `_sumset_naive` is the tuple
+reference the tests compare against.  The common-subgraph answer is read off
+the intersection of two families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import PreconditionError
 from .graph import StarForest
@@ -28,27 +33,84 @@ def vector_total(vec: CountVector) -> int:
     return sum((j + 2) * c for j, c in enumerate(vec))
 
 
+def pack(vec: Iterable[int], base: int) -> int:
+    """Kronecker substitution: coordinate j of the vector weighs base**j."""
+    code = 0
+    for c in reversed(tuple(vec)):
+        code = code * base + c
+    return code
+
+
+def unpack(code: int, delta: int, base: int) -> CountVector:
+    """Inverse of pack for a vector with coordinates in [0, base)."""
+    vec = []
+    for _ in range(delta):
+        code, c = divmod(code, base)
+        vec.append(c)
+    return tuple(vec)
+
+
 @dataclass(frozen=True)
 class VectorFamily:
-    """All star-count vectors achievable as star packings of one graph."""
+    """Delta-long star-count vectors with coordinates in [0, base), each packed into one int."""
 
     delta: int
-    vectors: frozenset[CountVector]
+    base: int
+    members: frozenset[int]
 
-    def __post_init__(self):
-        for vec in self.vectors:
-            if len(vec) != self.delta:
-                raise PreconditionError(f"vector {vec} has length != delta={self.delta}")
+    @staticmethod
+    def of(vectors: Iterable[CountVector], delta: int, base: int) -> "VectorFamily":
+        """Pack tuples, rejecting a wrong length or a coordinate outside [0, base)."""
+        if delta < 0 or base < 2:
+            raise PreconditionError("delta must be non-negative and base at least 2")
+        packed = set()
+        for vec in vectors:
+            if len(vec) != delta:
+                raise PreconditionError(f"vector {vec} has length != delta={delta}")
+            if any(c < 0 or c >= base for c in vec):
+                raise PreconditionError(f"vector {vec} outside [0, {base})")
+            packed.add(pack(vec, base))
+        return VectorFamily(delta, base, frozenset(packed))
+
+    @property
+    def vectors(self) -> frozenset[CountVector]:
+        return frozenset(unpack(m, self.delta, self.base) for m in self.members)
+
+
+def sumset(a: VectorFamily, b: VectorFamily) -> VectorFamily:
+    """Componentwise sumset {x + y | x in A, y in B}, in the same packing.
+
+    Packing is linear, so this is exact while no coordinate of a sum reaches
+    the base; choosing a base that keeps it so is the caller's invariant.
+    """
+    if a.delta != b.delta or a.base != b.base:
+        raise PreconditionError(
+            f"shape mismatch: delta {a.delta} base {a.base} vs delta {b.delta} base {b.base}"
+        )
+    return VectorFamily(a.delta, a.base, frozenset({x + y for x in a.members for y in b.members}))
+
+
+def _sumset_naive(amems: Iterable[CountVector], bmems: Iterable[CountVector]):
+    """Quadratic sumset over tuples: the reference the packed sumset is tested against."""
+    return {tuple(x + y for x, y in zip(va, vb)) for va in amems for vb in bmems}
 
 
 def best_common(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, CountVector]:
-    """Largest total over the intersection; ties broken by the vector itself."""
+    """Largest total over the intersection; ties broken by the vector itself.
+
+    Families of different bases are compared after re-packing the one with
+    the smaller base into the larger: its coordinates fit there too.
+    """
     if fam1.delta != fam2.delta:
         raise PreconditionError(f"families have different deltas {fam1.delta} and {fam2.delta}")
-    common = fam1.vectors & fam2.vectors
+    small, large = sorted((fam1, fam2), key=lambda fam: fam.base)
+    members = small.members
+    if small.base != large.base:
+        members = {pack(unpack(m, small.delta, small.base), large.base) for m in members}
+    common = large.members & members
     if not common:
         raise PreconditionError("families share no vector, not even the empty one")
-    return max((vector_total(v), v) for v in common)
+    return max((vector_total(v), v) for v in (unpack(m, large.delta, large.base) for m in common))
 
 
 def common_forest(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, StarForest]:

@@ -15,12 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from starforest import cli
-from starforest.combinatorics import (
-    IntVectorSet,
-    dominating_matching,
-    enum_partitions,
-    sumset,
-)
+from starforest.combinatorics import dominating_matching, enum_partitions
 from starforest.component_ilp import solve_cc
 from starforest.eptas import EptasConfig, solve_eptas
 from starforest.generators import (
@@ -47,7 +42,7 @@ from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.solve_h import ColorCodingConfig, embeds_star_forest, solve_h
 from starforest.treewidth import enum_star_vectors_dp, solve_tw, verify_decomposition
 from starforest.vc_ilp import solve_vc
-from starforest.vectors import vector_total
+from starforest.vectors import VectorFamily, sumset, vector_total
 
 from conftest import planar_low_degree, random_graph
 
@@ -241,8 +236,8 @@ def check_6_support_identities():
         mems_b = {tuple(rng.randint(0, bound) for _ in range(d)) for _ in range(rng.randint(1, 25))}
         base = 2 * bound + 1  # room for the sum of two coordinates in [0, bound]
         got = sumset(
-            IntVectorSet.of(mems_a, d, base), IntVectorSet.of(mems_b, d, base)
-        ).vectors()
+            VectorFamily.of(mems_a, d, base), VectorFamily.of(mems_b, d, base)
+        ).vectors
         want = {tuple(x + y for x, y in zip(a, b)) for a in mems_a for b in mems_b}
         if got != want:
             return False, "sumset disagrees with the quadratic oracle"

@@ -87,13 +87,6 @@ class TestSolve:
         path.write_text(serialize_instance(big))
         assert main(["solve", str(path), "--algo", "cc"]) == 4
 
-    def test_dump_decomposition(self, instance_file, tmp_path, capsys):
-        dump = tmp_path / "td.txt"
-        code, _ = run_main(
-            ["solve", instance_file, "--algo", "tw", "--dump-decomposition", dump], capsys
-        )
-        assert code == 0 and "bag 0" in dump.read_text()
-
 
 class TestVerify:
     def write(self, tmp_path, payload):

@@ -2,17 +2,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from starforest.combinatorics import (
-    IntVectorSet,
-    dominating_matching,
-    enum_partitions,
-    enum_star_partitions,
-    sumset,
-    _sumset_naive,
-)
+from starforest.combinatorics import dominating_matching, enum_partitions, enum_star_partitions
 from starforest.errors import PreconditionError
 from starforest.graph import Graph
 
@@ -90,73 +83,6 @@ class TestStarPartitions:
             got = {f.star_sizes for f in enum_star_partitions(h)}
             want = {p for p in brute_partitions(h) if all(x >= 2 for x in p)}
             assert got == want
-
-
-class TestSumset:
-    def test_identity_element(self):
-        a = IntVectorSet.of([(0, 0)], 2, 10)
-        b = IntVectorSet.of([(3, 1)], 2, 10)
-        assert sumset(a, b).vectors() == {(3, 1)}
-
-    def test_hand_sum(self):
-        a = IntVectorSet.of([(0, 0), (1, 2)], 2, 10)
-        b = IntVectorSet.of([(2, 1)], 2, 10)
-        assert sumset(a, b).vectors() == {(2, 1), (3, 3)}
-
-    def test_dimension_mismatch(self):
-        a = IntVectorSet.of([(0,)], 1, 3)
-        b = IntVectorSet.of([(0, 0)], 2, 3)
-        with pytest.raises(PreconditionError):
-            sumset(a, b)
-
-    def test_of_validates(self):
-        with pytest.raises(PreconditionError):
-            IntVectorSet.of([(0, 3)], 2, 3)
-        with pytest.raises(PreconditionError):
-            IntVectorSet.of([(0, -1)], 2, 3)
-        with pytest.raises(PreconditionError):
-            IntVectorSet.of([(0, 0, 0)], 2, 3)
-        assert IntVectorSet.of([(2, 1), (0, 2)], 2, 3).vectors() == {(2, 1), (0, 2)}
-
-    def test_equals_naive_on_random(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            d = rng.randint(1, 3)
-            n = rng.randint(1, 15)
-            size_a = rng.randint(1, 20)
-            size_b = rng.randint(1, 20)
-            amems = {tuple(rng.randint(0, n) for _ in range(d)) for _ in range(size_a)}
-            bmems = {tuple(rng.randint(0, n) for _ in range(d)) for _ in range(size_b)}
-            # sums of two coordinates in [0, n] stay below 2n+1
-            a = IntVectorSet.of(amems, d, 2 * n + 1)
-            b = IntVectorSet.of(bmems, d, 2 * n + 1)
-            out = sumset(a, b)
-            assert out.vectors() == _sumset_naive(amems, bmems)
-            assert out.base == 2 * n + 1
-            assert all(0 <= c <= 2 * n for vec in out.vectors() for c in vec)
-
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 8),
-        st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=8),
-        st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=8),
-    )
-    @settings(max_examples=60)
-    def test_commutative_and_exact(self, d, n, raw_a, raw_b):
-        bound = 8
-        amems = {v[:d] if d < 2 else v + (0,) * (d - 2) for v in raw_a}
-        bmems = {v[:d] if d < 2 else v + (0,) * (d - 2) for v in raw_b}
-        a = IntVectorSet.of(amems, d, 2 * bound + 1)
-        b = IntVectorSet.of(bmems, d, 2 * bound + 1)
-        assert sumset(a, b).members == sumset(b, a).members
-        assert sumset(a, b).vectors() == _sumset_naive(amems, bmems)
-
-    def test_exact_with_large_packed_codes(self):
-        # (2n+1)^d is about 2.8e11 here; packed codes are Python ints of any size
-        d, n = 6, 40
-        amems = {tuple(0 for _ in range(d)), tuple(1 for _ in range(d))}
-        a = IntVectorSet.of(amems, d, 2 * n + 1)
-        assert sumset(a, a).vectors() == _sumset_naive(amems, amems)
 
 
 def brute_min_dominating_set(g: Graph) -> list[int]:

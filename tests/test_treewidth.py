@@ -8,7 +8,6 @@ from starforest.graph import Graph
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.treewidth import (
     TreeDecomposition,
-    dump_decomposition,
     enum_star_vectors_dp,
     heuristic_decomposition,
     solve_tw,
@@ -124,11 +123,6 @@ class TestHeuristicDecomposition:
             for v, bag in zip(order, td.bags):
                 assert bag == frozenset(adj[v] | {v})
                 eliminate(adj, v)
-
-    def test_dump_is_textual(self):
-        td = heuristic_decomposition(path_graph(3))
-        text = dump_decomposition(td)
-        assert "bag 0" in text and text.endswith("\n")
 
 
 class TestVerifyDecomposition:
