@@ -19,7 +19,7 @@ from itertools import permutations, product
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph
 from .oracle import enum_star_vectors_brute
-from .vectors import CountVector, VectorFamily, best_common, sumset
+from .vectors import VectorFamily, best_common, sumset
 
 MAX_COMPONENT = 8  # canonicalization budget
 # a family can grow like n^(k-1); at about 10M sumset pairs/s this stops a
@@ -90,15 +90,16 @@ def catalog_components(g1: Graph, g2: Graph, k: int) -> ComponentCatalog:
     return ComponentCatalog(tuple(shapes), tuple(c1), tuple(c2), k)
 
 
-def realisation_table(catalog: ComponentCatalog) -> list[frozenset[CountVector]]:
-    """Per shape, every star-count vector (sizes 2..k) realisable inside it.
+def realisation_table(catalog: ComponentCatalog) -> list[VectorFamily]:
+    """Per shape, the family of star-count vectors (sizes 2..k) realisable inside it.
 
-    Found by star-packing backtracking, not by testing all k^k tuples.
+    Found by star-packing backtracking, not by testing all k^k tuples, and
+    packed at the oracle's base for the shape.
     """
     k = catalog.k
     if k < 2:
-        return [frozenset({()}) for _ in catalog.shapes]
-    return [enum_star_vectors_brute(shape, k - 1).vectors for shape in catalog.shapes]
+        return [VectorFamily.of([()], 0, 2) for _ in catalog.shapes]
+    return [enum_star_vectors_brute(shape, k - 1) for shape in catalog.shapes]
 
 
 def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
@@ -115,7 +116,7 @@ def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGE
 
 def build_cc_model(
     catalog: ComponentCatalog,
-    table: list[frozenset[CountVector]],
+    table: list[VectorFamily],
     pair_budget: int,
 ) -> tuple[VectorFamily, VectorFamily]:
     """The (VectorFamily, VectorFamily) of g1 and g2, each folded as the
@@ -145,7 +146,7 @@ def build_cc_model(
             raise ResourceLimitError(f"component fold pair budget {pair_budget} exceeded")
         return sumset(a, b)
 
-    shape_families = [VectorFamily.of(sigs, dim, base) for sigs in table]
+    shape_families = [family.rebase(base) for family in table]
     families = []
     for counts in (catalog.counts1, catalog.counts2):
         folded = VectorFamily.of([(0,) * dim], dim, base)

@@ -76,6 +76,15 @@ class VectorFamily:
     def vectors(self) -> frozenset[CountVector]:
         return frozenset(unpack(m, self.delta, self.base) for m in self.members)
 
+    def rebase(self, base: int) -> "VectorFamily":
+        """The same vectors packed at `base`; a smaller base must still exceed every coordinate."""
+        if base == self.base:
+            return self
+        vectors = [unpack(m, self.delta, self.base) for m in self.members]
+        if base < self.base and any(c >= base for vec in vectors for c in vec):
+            raise PreconditionError(f"a coordinate of the family does not fit base {base}")
+        return VectorFamily(self.delta, base, frozenset(pack(vec, base) for vec in vectors))
+
 
 def sumset(a: VectorFamily, b: VectorFamily) -> VectorFamily:
     """Componentwise sumset {x + y | x in A, y in B}, in the same packing.
@@ -104,10 +113,7 @@ def best_common(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, CountVecto
     if fam1.delta != fam2.delta:
         raise PreconditionError(f"families have different deltas {fam1.delta} and {fam2.delta}")
     small, large = sorted((fam1, fam2), key=lambda fam: fam.base)
-    members = small.members
-    if small.base != large.base:
-        members = {pack(unpack(m, small.delta, small.base), large.base) for m in members}
-    common = large.members & members
+    common = large.members & small.rebase(large.base).members
     if not common:
         raise PreconditionError("families share no vector, not even the empty one")
     return max((vector_total(v), v) for v in (unpack(m, large.delta, large.base) for m in common))

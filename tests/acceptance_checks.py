@@ -17,7 +17,7 @@ from pathlib import Path
 from starforest import cli
 from starforest.combinatorics import dominating_matching, enum_partitions
 from starforest.component_ilp import solve_cc
-from starforest.eptas import EptasConfig, solve_eptas
+from starforest.eptas import EptasConfig, prune_levels, solve_eptas
 from starforest.generators import (
     KwayInstance,
     embed_from_partition,
@@ -44,7 +44,7 @@ from starforest.treewidth import enum_star_vectors_dp, solve_tw, verify_decompos
 from starforest.vc_ilp import solve_vc
 from starforest.vectors import VectorFamily, sumset, vector_total
 
-from conftest import planar_low_degree, random_graph
+from conftest import deep_planar, planar_low_degree, random_graph
 
 
 def _random_instances(seed: int, count: int, max_n: int = 9):
@@ -118,6 +118,28 @@ def check_3_eptas_guarantee(count: int = 100):
             if not (1 - eps) * opt <= size <= opt:
                 return False, f"instance {idx}: SOL={size} outside [(1-{eps})*{opt}, {opt}]"
     return True, f"{count} planar instances, eps in {{0.3, 0.5, 0.8}}"
+
+
+def check_9_eptas_deep(count: int = 40):
+    """(1-eps)*OPT <= SOL <= OPT on planar inputs deep enough that every shift prunes.
+
+    The graphs have 24 to 40 vertices, beyond the brute-force oracle, so OPT
+    comes from the exact treewidth DP.
+    """
+    rng = random.Random(1009)
+    epsilons = [Fraction(5, 10), Fraction(8, 10)]
+    for idx in range(count):
+        g1, g2 = deep_planar(rng), deep_planar(rng)
+        opt = solve_tw(g1, g2)[0]
+        for eps in epsilons:
+            cfg = EptasConfig(float(eps))
+            for g in (g1, g2):
+                if any(len(prune_levels(g, r, cfg.k)[1]) == g.n for r in range(cfg.k)):
+                    return False, f"instance {idx}: a shift at eps {eps} prunes nothing"
+            size, _, _ = solve_eptas(g1, g2, cfg)
+            if not (1 - eps) * opt <= size <= opt:
+                return False, f"instance {idx}: SOL={size} outside [(1-{eps})*{opt}, {opt}]"
+    return True, f"{count} deep planar instances (24-40 vertices), eps in {{0.5, 0.8}}"
 
 
 def _kway_corpus(minimum: int = 20):
@@ -347,4 +369,5 @@ ALL_CHECKS = [
     ("6 support identities", check_6_support_identities),
     ("7 matching-or-exact equivalence", check_7_matching_or_exact),
     ("8 randomized color coding", check_8_color_coding),
+    ("9 EPTAS guarantee on deep inputs", check_9_eptas_deep),
 ]

@@ -75,6 +75,26 @@ def planar_low_degree(rng: random.Random, max_n: int = 10) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
+def deep_tree(rng: random.Random, n: int) -> Graph:
+    """Random tree hanging vertex i off i-1 or i-2: planar, degree <= 3, depth >= n/2."""
+    return Graph.from_edges(n, [(rng.randint(max(0, i - 2), i - 1), i) for i in range(1, n)])
+
+
+def deep_planar(rng: random.Random) -> Graph:
+    """Ladders 2x12 to 2x20, or paths, cycles and deep trees on 24 to 40 vertices.
+
+    Their BFS levels reach 12, so at eps 0.5 and 0.8 every EPTAS shift prunes.
+    """
+    kind = rng.randrange(4)
+    if kind == 0:
+        return ladder_graph(rng.randint(12, 20))
+    if kind == 1:
+        return path_graph(rng.randint(24, 40))
+    if kind == 2:
+        return cycle_graph(rng.randint(24, 40))
+    return deep_tree(rng, rng.randint(24, 40))
+
+
 @contextlib.contextmanager
 def time_limit(seconds: float):
     """Fail the block with TimeoutError once it has run `seconds` of wall time."""

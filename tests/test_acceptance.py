@@ -39,3 +39,7 @@ def test_acceptance_7_matching_or_exact():
 
 def test_acceptance_8_color_coding():
     _run("8 randomized color coding", checks.check_8_color_coding)
+
+
+def test_acceptance_9_eptas_deep():
+    _run("9 EPTAS guarantee on deep inputs", checks.check_9_eptas_deep)

@@ -145,7 +145,7 @@ class TestRealisations:
     )
     def test_small_shapes(self, graph, k, expected):
         cat = catalog_components(graph, graph, k)
-        assert realisation_table(cat)[0] == expected
+        assert realisation_table(cat)[0].vectors == expected
 
     def test_matches_edge_subset_oracle(self):
         rng = random.Random(72)
@@ -156,11 +156,11 @@ class TestRealisations:
             sub, _ = g.induced(comp0)
             k = max(2, sub.n)
             cat = catalog_components(sub, sub, k)
-            assert realisation_table(cat)[0] == signatures_by_edge_subsets(sub, k)
+            assert realisation_table(cat)[0].vectors == signatures_by_edge_subsets(sub, k)
 
     def test_downward_closure(self):
         cat = catalog_components(cycle_graph(5), cycle_graph(5), 5)
-        sigs = realisation_table(cat)[0]
+        sigs = realisation_table(cat)[0].vectors
         assert (0,) * 4 in sigs
         for sig in sigs:
             for j in range(4):

@@ -11,7 +11,14 @@ from starforest.oracle import opt_common_brute, opt_common_vector
 from starforest.treewidth import enum_star_vectors_dp, solve_tw
 from starforest.vectors import best_common, counts_to_sizes
 
-from conftest import complete_graph, path_graph, planar_low_degree, star_graph
+from conftest import (
+    complete_graph,
+    deep_planar,
+    ladder_graph,
+    path_graph,
+    planar_low_degree,
+    star_graph,
+)
 
 
 class TestConfig:
@@ -134,18 +141,28 @@ def every_shift_pair(g1, g2, cfg):
     return best
 
 
+def counted_dp(monkeypatch):
+    """Route eptas's DP through a wrapper; returns the list of graphs it was given."""
+    calls = []
+
+    def counted(g, delta):
+        calls.append(g)
+        return enum_star_vectors_dp(g, delta)
+
+    monkeypatch.setattr(eptas, "enum_star_vectors_dp", counted)
+    return calls
+
+
+def bound(g):
+    return g.n - len(g.isolated_vertices())
+
+
 class TestDistinctPrunedGraphs:
     def test_one_dp_per_distinct_pruned_graph(self, monkeypatch):
-        calls = []
-
-        def counted(g, delta):
-            calls.append(g.n)
-            return enum_star_vectors_dp(g, delta)
-
-        monkeypatch.setattr(eptas, "enum_star_vectors_dp", counted)
+        calls = counted_dp(monkeypatch)
         # stars have levels 0 and 1 only, so no shift of k = 4 prunes a vertex
         size, forest, shifts = solve_eptas(star_graph(5), star_graph(4), EptasConfig(0.5))
-        assert calls == [6, 5]
+        assert [g.n for g in calls] == [6, 5]
         assert (size, forest.star_sizes, shifts) == (5, (5,), (0, 0))
 
     def test_equals_every_shift_pair(self):
@@ -168,3 +185,72 @@ class TestDistinctPrunedGraphs:
                 for g in (g1, g2):
                     assert all(prune_levels(g, r, cfg.k)[1] == list(range(g.n)) for r in range(cfg.k))
                 assert solve_eptas(g1, g2, cfg)[0] == solve_tw(g1, g2)[0]
+
+
+class TestBestBoundFirst:
+    def test_equals_every_shift_pair_when_every_shift_prunes(self):
+        rng = random.Random(96)
+        for _ in range(8):
+            g1, g2 = deep_planar(rng), deep_planar(rng)
+            for eps in (0.5, 0.8):
+                cfg = EptasConfig(eps)
+                for g in (g1, g2):
+                    assert all(len(prune_levels(g, r, cfg.k)[1]) < g.n for r in range(cfg.k))
+                assert solve_eptas(g1, g2, cfg) == every_shift_pair(g1, g2, cfg)
+
+    def test_whole_graphs_only_when_they_reach_the_bound(self, monkeypatch):
+        # at k = 4 shifts 0 and 1 prune a level of each graph and shifts 2 and 3
+        # keep every vertex; the whole pair covers all 8 vertices, which no
+        # pruned graph can beat, so no pruned graph is solved
+        g1, g2 = path_graph(8), ladder_graph(4)
+        cfg = EptasConfig(0.5)
+        assert [len(prune_levels(g, r, cfg.k)[1]) for g in (g1, g2) for r in range(cfg.k)] == [
+            7, 7, 8, 8, 6, 8, 8, 8
+        ]
+        calls = counted_dp(monkeypatch)
+        size, forest, shifts = solve_eptas(g1, g2, cfg)
+        assert calls == [g1, g2]
+        assert (size, forest.star_sizes, shifts) == (8, (2, 2, 2, 2), (2, 1))
+        assert (size, forest, shifts) == every_shift_pair(g1, g2, cfg)
+
+    def test_pruned_graph_below_the_answer_is_never_solved(self, monkeypatch):
+        # shift 0 cuts 4 vertices of a 40-path and isolates vertex 39, so its
+        # bound 35 is below the 37 that shift pair (1, 1) reaches
+        g = path_graph(40)
+        cfg = EptasConfig(0.5)
+        pruned = [prune_levels(g, r, cfg.k)[0] for r in range(cfg.k)]
+        assert [bound(sub) for sub in pruned] == [35, 37, 37, 37]
+        want = every_shift_pair(g, g, cfg)
+        calls = counted_dp(monkeypatch)
+        assert solve_eptas(g, g, cfg) == want
+        assert want[0] == 37 and want[2] == (1, 1)
+        assert calls == [pruned[1], pruned[1]]
+
+    def test_tie_with_a_lower_bound_pair_goes_to_earlier_shifts(self):
+        # shift 0 prunes a level of each tree and g2's shift 1 prunes one leaf;
+        # pair (1, 2), whole against whole, has bound 10 and is visited first,
+        # but only reaches 9, which the bound-9 pair (1, 1) ties with earlier shifts
+        g1 = Graph.from_edges(
+            10, [(0, 1), (0, 7), (0, 8), (1, 2), (1, 3), (1, 6), (2, 4), (4, 5), (4, 9)]
+        )
+        g2 = Graph.from_edges(
+            10, [(0, 1), (0, 2), (0, 5), (1, 4), (2, 3), (3, 6), (6, 7), (6, 8), (7, 9)]
+        )
+        cfg = EptasConfig(0.5)
+        assert [bound(prune_levels(g2, r, cfg.k)[0]) for r in range(cfg.k)] == [8, 9, 10, 10]
+        size, forest, shifts = solve_eptas(g1, g2, cfg)
+        assert (size, forest.star_sizes, shifts) == (9, (4, 3, 2), (1, 1))
+        assert (size, forest, shifts) == every_shift_pair(g1, g2, cfg)
+
+    def test_a_graph_two_visited_pairs_need_is_solved_once(self, monkeypatch):
+        # g1 is a 7-cycle with the chord (0, 4); at k = 4 shift 0 cuts it down
+        # to the star K_{1,3} around vertex 0.  Pairs (0, 1) and (1, 1) both
+        # have bound 4 and both need the whole 4-cycle g2
+        g1 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)] + [(0, 4)])
+        g2 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        cfg = EptasConfig(0.5)
+        calls = counted_dp(monkeypatch)
+        size, forest, shifts = solve_eptas(g1, g2, cfg)
+        assert (size, forest.star_sizes, shifts) == (4, (2, 2), (1, 1))
+        assert (size, forest, shifts) == every_shift_pair(g1, g2, cfg)
+        assert [(g.n, g.edge_count) for g in calls] == [(4, 3), (4, 4), (7, 8)]

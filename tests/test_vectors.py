@@ -100,3 +100,13 @@ class TestFamily:
             want = max((vector_total(v), v) for v in fam1.vectors & fam2.vectors)
             assert best_common(fam1, fam2) == best_common(fam2, fam1) == want
         assert mixed > 25
+
+    def test_rebase_keeps_the_vectors(self):
+        fam = VectorFamily.of([(0, 0), (2, 1), (0, 3)], 2, 4)
+        assert fam.rebase(4) is fam
+        for base in (7, 100):
+            moved = fam.rebase(base)
+            assert moved == VectorFamily.of(fam.vectors, 2, base)
+            assert moved.rebase(4) == fam
+        with pytest.raises(PreconditionError):
+            fam.rebase(3)  # the coordinate 3 does not fit
