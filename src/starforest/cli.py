@@ -77,7 +77,7 @@ def _pick_auto(inst: Instance) -> str:
 def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], dict]:
     params: dict = {}
     if algo == "oracle":
-        limit = args.oracle_limit or oracle.DEFAULT_VERTEX_LIMIT
+        limit = oracle.DEFAULT_VERTEX_LIMIT if args.oracle_limit is None else args.oracle_limit
         size, forest, _, _ = oracle.opt_common_brute(inst.g1, inst.g2, limit)
         return size, list(forest.star_sizes), params
     if algo == "fpt-h":
@@ -118,9 +118,25 @@ def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], d
     raise PreconditionError(f"unknown algorithm {algo!r}")
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; a missing, unreadable or undecodable file is a ParseError."""
+    try:
+        return Path(path).read_bytes().decode()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _int_list(value) -> list[int]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return value
+
+
 def cmd_solve(args) -> int:
-    data = Path(args.instance).read_bytes()
-    inst = parse_instance(data.decode())
+    text = _read_text(args.instance)
+    inst = parse_instance(text)
     algo = args.algo
     params: dict = {}
     if algo == "auto":
@@ -130,19 +146,21 @@ def cmd_solve(args) -> int:
     answer, vector, algo_params = run_solver(inst, algo, args)
     elapsed = (time.perf_counter() - start) * 1000
     params.update(algo_params)
-    report = RunReport(_digest(data), algo, answer, vector, round(elapsed, 3), args.seed, params)
+    report = RunReport(
+        _digest(text.encode()), algo, answer, vector, round(elapsed, 3), args.seed, params
+    )
     print(report.to_json())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    data = Path(args.instance).read_bytes()
-    inst = parse_instance(data.decode())
+    inst = parse_instance(_read_text(args.instance))
+    cert_text = _read_text(args.certificate)
     try:
-        cert = json.loads(Path(args.certificate).read_text())
-        forest = StarForest(tuple(cert["star_sizes"]))
-        emb1 = Embedding.from_lists(cert["emb1"])
-        emb2 = Embedding.from_lists(cert["emb2"])
+        cert = json.loads(cert_text)
+        forest = StarForest(tuple(_int_list(cert["star_sizes"])))
+        emb1 = Embedding.from_lists(map(_int_list, cert["emb1"]))
+        emb2 = Embedding.from_lists(map(_int_list, cert["emb2"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
     for tag, g, emb in (("emb1", inst.g1, emb1), ("emb2", inst.g2, emb2)):
@@ -169,7 +187,7 @@ def _parse_items(text: str) -> tuple[int, ...]:
 def cmd_gen(args) -> int:
     kind = args.kind
     if kind in ("domset", "p3"):
-        g = parse_graph(Path(args.graph).read_text())
+        g = parse_graph(_read_text(args.graph))
         labeled = (
             generators.gen_domset(g, args.k or 1) if kind == "domset" else generators.gen_p3(g)
         )

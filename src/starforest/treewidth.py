@@ -16,7 +16,10 @@ endpoint is still in the bag then, and no vertex is forgotten twice.  A
 forgotten vertex may stay out of any star, become the leaf of one bag
 neighbour, or take uncovered bag neighbours as its own leaves.  A join
 therefore never sees an edge on both sides; it merges a centre held on both
-sides into one star whose two leaf sets are disjoint.
+sides into one star whose two leaf sets are disjoint.  It pairs every left
+mask with every right mask, drops a pair at once when per-mask bitmasks show
+a leaf of a forgotten centre on one side facing a covered vertex on the
+other, and lets `_merge_masks` refuse a merged centre larger than delta+1.
 
 Each table maps a mask to a set of vectors packed into ints base n+1 (see
 `vectors.pack`).  No count exceeds n, not even the sum of two
@@ -261,70 +264,39 @@ def _forget(
 
 
 def _join(base: int, star: list[int], t1: Table, t2: Table) -> Table:
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
-    out: Table = {}
     delta = len(star) - 2
-    frozen1 = {mask: frozenset(v) for mask, v in t1.items()}
-    frozen2 = {mask: frozenset(v) for mask, v in t2.items()}
-    centre_codes = tuple(range(2, delta + 2))
-    # lazily built, per support pattern of a left mask: projection of the
-    # right table onto those positions -> right masks sharing it
-    proj_indexes: dict[tuple[int, ...], dict[tuple[int, ...], list]] = {}
-    sum_cache: dict[tuple[frozenset, frozenset], frozenset] = {}
-
+    # the tables' own sets serve as family members: nothing mutates them here
+    right = [
+        (mask, *_cover_bits(mask), VectorFamily(delta, base, vecs)) for mask, vecs in t2.items()
+    ]
+    out: Table = {}
     for mask1, vecs1 in t1.items():
-        support = tuple(i for i, c in enumerate(mask1) if c != UNCOVERED)
-        options: list[tuple[int, ...]] = []
-        count = 1
-        for i in support:
-            if mask1[i] == LEAF_OUTSIDE:
-                # the forgotten centre lives in exactly one child's subtree
-                opts = (UNCOVERED,)
-            else:
-                # centres c and c2 merge to c + c2 - 1, at most delta + 1
-                opts = (UNCOVERED,) + centre_codes[: delta + 1 - mask1[i]]
-            options.append(opts)
-            count *= len(opts)
-        if count <= len(t2):
-            index = proj_indexes.get(support)
-            if index is None:
-                index = {}
-                for m2 in t2:
-                    index.setdefault(tuple(m2[i] for i in support), []).append(m2)
-                proj_indexes[support] = index
-            candidates = [
-                m2
-                for proj in _cartesian(options)
-                for m2 in index.get(proj, ())
-            ]
-        else:
-            candidates = t2
-        for mask2 in candidates:
+        covered1, leaves1 = _cover_bits(mask1)
+        fam1 = VectorFamily(delta, base, vecs1)
+        for mask2, covered2, leaves2, fam2 in right:
+            # the forgotten centre of a leaf lives in exactly one child's subtree
+            if leaves1 & covered2 or leaves2 & covered1:
+                continue
             merged = _merge_masks(star, mask1, mask2)
             if merged is None:
                 continue
             mask_out, shift = merged
-            key = (frozen1[mask1], frozen2[mask2])
-            summed = sum_cache.get(key)
-            if summed is None:
-                summed = sumset(
-                    VectorFamily(delta, base, key[0]), VectorFamily(delta, base, key[1])
-                ).members
-                sum_cache[key] = summed
-            shifted = {v + shift for v in summed}
-            if mask_out in out:
-                out[mask_out].update(shifted)
-            else:
-                out[mask_out] = shifted
+            summed = sumset(fam1, fam2).members
+            if shift:
+                summed = {v + shift for v in summed}
+            out.setdefault(mask_out, set()).update(summed)
     return out
 
 
-def _cartesian(options: list[tuple[int, ...]]):
-    stack: list[tuple[int, ...]] = [()]
-    for opts in options:
-        stack = [pre + (o,) for pre in stack for o in opts]
-    return stack
+def _cover_bits(mask: tuple[int, ...]) -> tuple[int, int]:
+    """Bitmasks of the bag positions that are covered and of those that are LEAF_OUTSIDE."""
+    covered = leaves = 0
+    for i, c in enumerate(mask):
+        if c != UNCOVERED:
+            covered |= 1 << i
+            if c == LEAF_OUTSIDE:
+                leaves |= 1 << i
+    return covered, leaves
 
 
 def _merge_masks(

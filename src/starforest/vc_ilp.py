@@ -172,7 +172,7 @@ def _assign_cover_roles(
 
 
 def enumerate_guesses(
-    g1: Graph, g2: Graph, cover1, cover2
+    g1: Graph, g2: Graph, tc1: TwinClasses, tc2: TwinClasses
 ) -> Iterator[GuessPair]:
     """Every consistent guess pair exactly once (canonical star order per side).
 
@@ -180,8 +180,6 @@ def enumerate_guesses(
     of their stars' hi, so the guesses that can give the largest forests
     come first.
     """
-    tc1 = twin_classes(g1, cover1)
-    tc2 = twin_classes(g2, cover2)
     by_count1 = _by_star_count(enumerate_side_guesses(g1, tc1))
     by_count2 = _by_star_count(enumerate_side_guesses(g2, tc2))
     for t, sides1 in by_count1.items():
@@ -287,7 +285,7 @@ def solve_vc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
     tc2 = twin_classes(g2, cover2)
     ceiling = min(g1.n, g2.n)
     best = 0
-    for pair in enumerate_guesses(g1, g2, cover1, cover2):
+    for pair in enumerate_guesses(g1, g2, tc1, tc2):
         if best >= ceiling:
             break
         bound = pair_bound(pair)

@@ -70,6 +70,11 @@ class TestSolve:
         bad.write_text("not an instance")
         assert main(["solve", str(bad)]) == 2
 
+    def test_oracle_limit_zero_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "k2.txt"
+        path.write_text(serialize_instance(Instance(path_graph(2), path_graph(2), 1)))
+        assert main(["solve", str(path), "--algo", "oracle", "--oracle-limit", "0"]) == 4
+
     def test_precondition_exit_3(self, instance_file, capsys):
         assert main(["solve", str(instance_file), "--algo", "vc", "--k", "0"]) == 3
 
@@ -116,6 +121,37 @@ class TestVerify:
         path = tmp_path / "cert.json"
         path.write_text("{}")
         assert main(["verify", str(instance_file), str(path)]) == 2
+
+    def test_non_integer_vertices_exit_2(self, instance_file, tmp_path, capsys):
+        cert = self.write(tmp_path, {"star_sizes": [2], "emb1": ["ab"], "emb2": [[0, 1]]})
+        assert main(["verify", str(instance_file), str(cert)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_missing_certificate_exit_2(self, instance_file, tmp_path, capsys):
+        assert main(["verify", str(instance_file), str(tmp_path / "absent.json")]) == 2
+
+
+class TestUnreadableInput:
+    """A missing or non-UTF-8 instance is a parse error (2), never failed verification (1)."""
+
+    def args(self, command, inst, tmp_path):
+        if command == "solve":
+            return ["solve", str(inst), "--algo", "tw"]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"star_sizes": [2], "emb1": [[0, 1]], "emb2": [[0, 1]]}))
+        return ["verify", str(inst), str(cert)]
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        assert main(self.args(command, tmp_path / "absent.txt", tmp_path)) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_non_utf8_bytes(self, command, tmp_path, capsys):
+        inst = tmp_path / "latin1.txt"
+        inst.write_bytes(P4_VS_STAR.replace("---", "\u00e9---").encode("latin-1"))
+        assert main(self.args(command, inst, tmp_path)) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestGen:

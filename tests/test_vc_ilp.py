@@ -41,7 +41,8 @@ class TestTwinClasses:
 class TestEnumeration:
     def test_k2_contains_single_star_guess(self):
         k2 = Graph.from_edges(2, [(0, 1)])
-        pairs = list(enumerate_guesses(k2, k2, [0], [0]))
+        tc = twin_classes(k2, [0])
+        pairs = list(enumerate_guesses(k2, k2, tc, tc))
         hits = [
             gp
             for gp in pairs
@@ -51,7 +52,8 @@ class TestEnumeration:
 
     def test_k12_centre_guess(self):
         g = star_graph(2)
-        pairs = list(enumerate_guesses(g, g, [0], [0]))
+        tc = twin_classes(g, [0])
+        pairs = list(enumerate_guesses(g, g, tc, tc))
         assert any(
             gp.side1.type1_centres == (0,) and gp.side2.type1_centres == (0,)
             for gp in pairs
@@ -59,7 +61,8 @@ class TestEnumeration:
 
     def test_edgeless_only_empty_guess(self):
         g = Graph.from_edges(3, [])
-        pairs = list(enumerate_guesses(g, g, [], []))
+        tc = twin_classes(g, [])
+        pairs = list(enumerate_guesses(g, g, tc, tc))
         assert len(pairs) == 1
         assert pairs[0].side1.stars == 0 and pairs[0].side2.stars == 0
 
@@ -67,7 +70,8 @@ class TestEnumeration:
         g1 = star_graph(3)
         g2 = path_graph(4)
         seen = set()
-        for gp in enumerate_guesses(g1, g2, [0], [1, 2]):
+        tc1, tc2 = twin_classes(g1, [0]), twin_classes(g2, [1, 2])
+        for gp in enumerate_guesses(g1, g2, tc1, tc2):
             key = (
                 gp.side1.type1_centres,
                 gp.side1.type2_stars,
@@ -123,7 +127,7 @@ class TestModelStructure:
         cap = {frozenset({0}): 3}
         pair = next(
             gp
-            for gp in enumerate_guesses(k13, k13, [0], [0])
+            for gp in enumerate_guesses(k13, k13, tc, tc)
             if gp.side1.p == 1 and gp.side1.q == 0 and gp.side2.p == 1 and gp.side2.q == 0
         )
         model = build_vc_model(pair, tc, tc)
@@ -149,7 +153,7 @@ class TestModelStructure:
         # a centre with no admissible class and beta=1 cannot reach size 2
         g = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
         tc = twin_classes(g, [0])
-        for gp in enumerate_guesses(g, g, [0], [0]):
+        for gp in enumerate_guesses(g, g, tc, tc):
             if gp.side1.p == 1 and gp.side1.beta == (1,):
                 model = build_vc_model(gp, tc, tc)
                 sol = bip.solve(model)
@@ -159,7 +163,7 @@ class TestModelStructure:
         g2 = Graph.from_edges(2, [(0, 1)])
         tc2 = twin_classes(g2, [0, 1])  # both vertices covered, no classes
         found_infeasible = False
-        for gp in enumerate_guesses(g2, g2, [0, 1], [0, 1]):
+        for gp in enumerate_guesses(g2, g2, tc2, tc2):
             if gp.side1.p == 1 and gp.side1.beta == (1,) and gp.side2.beta == (1,):
                 sol = bip.solve(build_vc_model(gp, tc2, tc2))
                 assert sol.status == "infeasible"
@@ -179,7 +183,7 @@ class TestPairBound:
                 continue
             done += 1
             tc1, tc2 = twin_classes(g1, cover1), twin_classes(g2, cover2)
-            for pair in enumerate_guesses(g1, g2, cover1, cover2):
+            for pair in enumerate_guesses(g1, g2, tc1, tc2):
                 bound = pair_bound(pair)
                 sol = bip.solve(build_vc_model(pair, tc1, tc2))
                 if bound is None:
