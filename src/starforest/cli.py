@@ -187,6 +187,8 @@ def _parse_items(text: str) -> tuple[int, ...]:
 def cmd_gen(args) -> int:
     kind = args.kind
     if kind in ("domset", "p3"):
+        if args.graph is None:
+            raise ParseError(f"gen {kind} needs --graph")
         g = parse_graph(_read_text(args.graph))
         labeled = (
             generators.gen_domset(g, args.k or 1) if kind == "domset" else generators.gen_p3(g)

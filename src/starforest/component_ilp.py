@@ -91,15 +91,12 @@ def catalog_components(g1: Graph, g2: Graph, k: int) -> ComponentCatalog:
 
 
 def realisation_table(catalog: ComponentCatalog) -> list[VectorFamily]:
-    """Per shape, the family of star-count vectors (sizes 2..k) realisable inside it.
+    """Per shape, the family of star-count vectors (sizes 2..k, k >= 2) realisable inside it.
 
     Found by star-packing backtracking, not by testing all k^k tuples, and
     packed at the oracle's base for the shape.
     """
-    k = catalog.k
-    if k < 2:
-        return [VectorFamily.of([()], 0, 2) for _ in catalog.shapes]
-    return [enum_star_vectors_brute(shape, k - 1) for shape in catalog.shapes]
+    return [enum_star_vectors_brute(shape, catalog.k - 1) for shape in catalog.shapes]
 
 
 def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGET) -> int:
@@ -109,6 +106,8 @@ def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGE
     pass `pair_budget` pairs.
     """
     catalog = catalog_components(g1, g2, k)
+    if k < 2:
+        return 0  # every component is a single vertex
     table = realisation_table(catalog)
     fam1, fam2 = build_cc_model(catalog, table, pair_budget)
     return best_common(fam1, fam2)[0]
@@ -128,9 +127,6 @@ def build_cc_model(
     one that would take the count past `pair_budget` raises
     ResourceLimitError instead of running.
     """
-    if catalog.k < 2:
-        zero = VectorFamily.of([()], 0, 2)
-        return zero, zero
     dim = catalog.k - 1
     n = max(
         sum(m * shape.n for m, shape in zip(counts, catalog.shapes))

@@ -188,8 +188,7 @@ def _colorful_embedding(
         reachable = nxt
         if not reachable:
             return None
-    if full not in reachable:
-        return None
+    # the forest has h vertices, so every surviving union holds all h colours
 
     # realize each chosen color mask as an actual star
     stars: list[tuple[int, ...]] = []

@@ -212,7 +212,7 @@ def enum_star_vectors_dp(
         p = parent[t]
         table = move(table, bags[t], bags[p])
         tables[p] = _join(base, star, tables[p], table) if p in tables else table
-    return VectorFamily(delta, base, frozenset(tables[-1].get((), ())))
+    return VectorFamily(delta, base, tables[-1][()])
 
 
 def _forget(

@@ -17,18 +17,22 @@ with the same class capacities and the same leftover cover vertices.  The
 program reads only how many leftover cover vertices each centre takes
 (beta), so a guess fixes those counts and not which vertices they are.
 
-Each side guess carries a size range [lo, hi] per star.  Matched stars have
-equal sizes, so a pair can give at most the sum over matched stars of
-min(hi1, hi2); a pair whose bound does not beat the best answer so far, or
-that matches two disjoint ranges, is skipped without building its program.
-Each side's guesses come best-first (descending sum of hi), so a large
-answer is found early and most pairs are skipped.
+Each side guess carries a size range [lo, hi] per star; a type-II star's
+range is its one size.  Matched stars have equal sizes, so a pair that
+matches two disjoint ranges has no solution, and any other pair gives at
+most the sum over matched stars of min(hi1, hi2).  The pairs whose ranges
+meet come in decreasing order of that bound, and the search stops at the
+first whose bound, capped at the smaller graph's order, does not beat the
+best answer so far.  The program bounds each matched star's size by the
+intersection of its two ranges, so only two matched type-I stars need an
+equality row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator
 
 from . import bip
@@ -80,8 +84,8 @@ class SideGuess:
     # per type-I star: cover vertices it contains, centre included; which
     # leftover cover vertices make up the count is not part of the guess
     beta: tuple[int, ...]
-    alpha_const: tuple[int, ...]  # per type-II star: its (fixed) size
-    ranges: tuple[tuple[int, int], ...]  # per star: attainable [lo, hi] size
+    # per star: attainable [lo, hi] size; a type-II star's is its fixed size
+    ranges: tuple[tuple[int, int], ...]
 
     @property
     def p(self) -> int:
@@ -164,49 +168,36 @@ def _assign_cover_roles(
         tuple(1 + picks.count(i) for i in range(len(centres)))
         for picks in product(*choice_lists)
     )
-    alpha_const = tuple(1 + len(leaves) for _, leaves in type2)
-    fixed = tuple((size, size) for size in alpha_const)
+    fixed = tuple((1 + len(leaves),) * 2 for _, leaves in type2)
     for beta in betas:
         ranges = tuple((max(2, b), b + room) for b, room in zip(beta, rooms)) + fixed
-        yield SideGuess(centres, type2, beta, alpha_const, ranges)
+        yield SideGuess(centres, type2, beta, ranges)
 
 
 def enumerate_guesses(
     g1: Graph, g2: Graph, tc1: TwinClasses, tc2: TwinClasses
 ) -> Iterator[GuessPair]:
-    """Every consistent guess pair exactly once (canonical star order per side).
+    """Every guess pair whose program can be feasible, once, by decreasing bound.
 
-    Each side's guesses of one star count come in descending order of the sum
-    of their stars' hi, so the guesses that can give the largest forests
-    come first.
+    A pair matches the stars of two side guesses of one star count in any
+    order; it is kept when pair_bound finds its matched ranges meet, which
+    also rules out two type-II stars of different sizes.  Pairs of equal
+    bound keep their enumeration order.
     """
-    by_count1 = _by_star_count(enumerate_side_guesses(g1, tc1))
-    by_count2 = _by_star_count(enumerate_side_guesses(g2, tc2))
-    for t, sides1 in by_count1.items():
-        for s1 in sides1:
-            for s2 in by_count2.get(t, ()):
-                for pi in permutations(range(t)):
-                    if _pi_consistent(s1, s2, pi):
-                        yield GuessPair(s1, s2, pi)
-
-
-def _by_star_count(sides: Iterator[SideGuess]) -> dict[int, list[SideGuess]]:
-    out: dict[int, list[SideGuess]] = {}
-    for s in sides:
-        out.setdefault(s.stars, []).append(s)
-    for group in out.values():
-        group.sort(key=lambda s: -sum(hi for _, hi in s.ranges))
-    return out
-
-
-def _pi_consistent(s1: SideGuess, s2: SideGuess, pi: tuple[int, ...]) -> bool:
-    """Matched type-II pairs must agree on their constant sizes."""
-    for i in range(s1.stars):
-        j = pi[i]
-        if i >= s1.p and j >= s2.p:
-            if s1.alpha_const[i - s1.p] != s2.alpha_const[j - s2.p]:
-                return False
-    return True
+    sides2: dict[int, list[SideGuess]] = {}
+    for s2 in enumerate_side_guesses(g2, tc2):
+        sides2.setdefault(s2.stars, []).append(s2)
+    bounded: list[tuple[int, GuessPair]] = []
+    for s1 in enumerate_side_guesses(g1, tc1):
+        for s2 in sides2.get(s1.stars, ()):
+            for pi in permutations(range(s1.stars)):
+                pair = GuessPair(s1, s2, pi)
+                bound = pair_bound(pair)
+                if bound is not None:
+                    bounded.append((bound, pair))
+    bounded.sort(key=itemgetter(0), reverse=True)  # stable
+    for _, pair in bounded:
+        yield pair
 
 
 def _capacities(type2_stars: tuple, tc: TwinClasses) -> dict[frozenset[int], int]:
@@ -235,7 +226,13 @@ def pair_bound(pair: GuessPair) -> int | None:
 
 
 def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.BipModel:
+    """The pair's program: maximise side 1's type-I sizes; the pair must have a bound."""
     s1, s2 = pair.side1, pair.side2
+    # matched stars have equal sizes, so both lie in the meet of their ranges
+    meet: dict[tuple[str, int], tuple[int, int]] = {}
+    for i, j in enumerate(pair.pi):
+        (lo1, hi1), (lo2, hi2) = s1.ranges[i], s2.ranges[j]
+        meet["alpha", i] = meet["gamma", j] = (max(lo1, lo2), min(hi1, hi2))
     model = bip.BipModel()
     for size, leaf, side, tc in (("alpha", "x", s1, tc1), ("gamma", "y", s2, tc2)):
         caps = list(_capacities(side.type2_stars, tc).items())
@@ -245,7 +242,7 @@ def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.B
             for c in side.type1_centres
         ]
         for i, idxs in enumerate(takes):
-            model.add_var(f"{size}_{i}", 2, tc.n)  # stars are non-trivial: floor of 2
+            model.add_var(f"{size}_{i}", *meet[size, i])
             for idx in idxs:
                 model.add_var(f"{leaf}_{i}_c{idx}", 0, max(caps[idx][1], 0))
             coeffs = {f"{size}_{i}": 1}
@@ -256,23 +253,16 @@ def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.B
             if row:
                 model.add_constraint(row, bip.LE, cap)
 
-    # matched stars have equal sizes
-    for i in range(s1.stars):
-        j = pair.pi[i]
-        i_var = f"alpha_{i}" if i < s1.p else None
-        j_var = f"gamma_{j}" if j < s2.p else None
-        if i_var and j_var:
-            model.add_constraint({i_var: 1, j_var: -1}, bip.EQ, 0)
-        elif i_var:
-            model.add_constraint({i_var: 1}, bip.EQ, s2.alpha_const[j - s2.p])
-        elif j_var:
-            model.add_constraint({j_var: 1}, bip.EQ, s1.alpha_const[i - s1.p])
+    # a type-II partner fixes a type-I star's size through its bounds
+    for i, j in enumerate(pair.pi[: s1.p]):
+        if j < s2.p:
+            model.add_constraint({f"alpha_{i}": 1, f"gamma_{j}": -1}, bip.EQ, 0)
 
     model.set_objective({f"alpha_{i}": 1 for i in range(s1.p)})
     return model
 
 
-def solve_vc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
+def solve_vc(g1: Graph, g2: Graph, k: int) -> int:
     """Largest common star forest size, given both covers are within k."""
     cover1 = min_vertex_cover(g1, k)
     cover2 = min_vertex_cover(g2, k)
@@ -286,14 +276,10 @@ def solve_vc(g1: Graph, g2: Graph, k: int, node_budget: int = 2_000_000) -> int:
     ceiling = min(g1.n, g2.n)
     best = 0
     for pair in enumerate_guesses(g1, g2, tc1, tc2):
-        if best >= ceiling:
+        if min(pair_bound(pair), ceiling) <= best:
             break
-        bound = pair_bound(pair)
-        if bound is None or bound <= best:
-            continue
-        sol = bip.solve(build_vc_model(pair, tc1, tc2), node_budget)
+        sol = bip.solve(build_vc_model(pair, tc1, tc2))
         if sol.status == "optimal":
-            total = sol.objective_value + sum(pair.side1.alpha_const)
-            if total > best:
-                best = total
+            type2 = sum(lo for lo, _ in pair.side1.ranges[pair.side1.p :])
+            best = max(best, sol.objective_value + type2)
     return best

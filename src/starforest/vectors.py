@@ -13,7 +13,7 @@ the intersection of two families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from .errors import PreconditionError
 from .graph import StarForest
@@ -52,11 +52,15 @@ def unpack(code: int, delta: int, base: int) -> CountVector:
 
 @dataclass(frozen=True)
 class VectorFamily:
-    """Delta-long star-count vectors with coordinates in [0, base), each packed into one int."""
+    """Delta-long star-count vectors with coordinates in [0, base), each packed into one int.
+
+    `members` is read-only by contract: it may be a plain set that its maker
+    keeps (a DP table's entry, a fresh sumset), so nobody mutates it.
+    """
 
     delta: int
     base: int
-    members: frozenset[int]
+    members: AbstractSet[int]  # read-only
 
     @staticmethod
     def of(vectors: Iterable[CountVector], delta: int, base: int) -> "VectorFamily":
@@ -96,7 +100,7 @@ def sumset(a: VectorFamily, b: VectorFamily) -> VectorFamily:
         raise PreconditionError(
             f"shape mismatch: delta {a.delta} base {a.base} vs delta {b.delta} base {b.base}"
         )
-    return VectorFamily(a.delta, a.base, frozenset({x + y for x in a.members for y in b.members}))
+    return VectorFamily(a.delta, a.base, {x + y for x in a.members for y in b.members})
 
 
 def _sumset_naive(amems: Iterable[CountVector], bmems: Iterable[CountVector]):

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from starforest.cli import RunReport, main
-from starforest.graph import Instance, parse_instance, serialize_instance
+from starforest.graph import Graph, Instance, parse_instance, serialize_instance
+from starforest.treewidth import solve_tw
 
-from conftest import path_graph, random_graph, star_graph, time_limit
+from conftest import disjoint_union, path_graph, random_graph, star_graph, time_limit
 
 P4_VS_STAR = "3\n4 3\n0 1\n1 2\n2 3\n---\n4 3\n0 1\n0 2\n0 3\n"
 
@@ -86,11 +87,55 @@ class TestSolve:
         with time_limit(2):
             assert main(["solve", str(path), "--algo", "vc"]) == 3
 
+    def test_cc_on_edgeless_instance(self, tmp_path, capsys):
+        # every component has one vertex, so the default k is 1
+        path = tmp_path / "edgeless.txt"
+        edgeless = Graph.from_edges(3, [])
+        path.write_text(serialize_instance(Instance(edgeless, edgeless, 0)))
+        code, out = run_main(["solve", path, "--algo", "cc"], capsys)
+        report = RunReport.from_json(out)
+        assert code == 0 and report.answer == 0 and report.parameters == {"k": 1}
+
     def test_resource_exit_4(self, tmp_path, capsys):
         big = Instance(path_graph(9), path_graph(9), 3)
         path = tmp_path / "big.txt"
         path.write_text(serialize_instance(big))
         assert main(["solve", str(path), "--algo", "cc"]) == 4
+
+
+def _grid(rows: int, cols: int) -> Graph:
+    edges = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _cover3_graph(independent: int) -> Graph:
+    """Cover path 0-1-2; independent vertex i neighbours cover vertex i % 3."""
+    edges = [(0, 1), (1, 2)] + [(i % 3, 3 + i) for i in range(independent)]
+    return Graph.from_edges(3 + independent, edges)
+
+
+class TestPickAuto:
+    @pytest.mark.parametrize(
+        "g1, g2, decision",
+        [
+            # 16 and 15 vertices in components of at most 8
+            (disjoint_union(*[path_graph(4)] * 4), disjoint_union(*[star_graph(4)] * 3), "cc"),
+            # one 13-vertex component per side, covers of 1 and 3
+            (star_graph(12), _cover3_graph(10), "vc"),
+            # 16 vertices in one component with a cover of 8
+            (_grid(4, 4), _grid(4, 4), "tw"),
+        ],
+    )
+    def test_decision(self, tmp_path, capsys, g1, g2, decision):
+        assert g1.n > 12 and g2.n > 12
+        path = tmp_path / "inst.txt"
+        path.write_text(serialize_instance(Instance(g1, g2, 1)))
+        code, out = run_main(["solve", path], capsys)
+        report = RunReport.from_json(out)
+        assert code == 0 and report.algorithm == decision
+        assert report.parameters["decision"] == decision
+        assert report.answer == solve_tw(g1, g2)[0]
 
 
 class TestVerify:
@@ -167,6 +212,14 @@ class TestGen:
         assert inst.h == 3
         labels = json.loads(sidecar.read_text())
         assert "labels2" in labels and labels["params"]["construction"] == "p3"
+
+    @pytest.mark.parametrize("kind", ["domset", "p3"])
+    def test_missing_graph_exit_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.txt"
+        assert main(["gen", kind, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--graph" in err
+        assert not out.exists()
 
     def test_kway_td5_odd_items_exit_3(self, tmp_path, capsys):
         out = tmp_path / "x.txt"

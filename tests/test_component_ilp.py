@@ -188,7 +188,12 @@ class TestSolve:
             )
             == 5
         )
-        assert solve_cc(Graph.from_edges(3, []), Graph.from_edges(3, []), 3) == 0
+        edgeless = Graph.from_edges(3, [])
+        assert solve_cc(edgeless, edgeless, 3) == 0
+        # k = 1 admits only single-vertex components, where no star fits
+        assert solve_cc(edgeless, edgeless, 1) == 0
+        with pytest.raises(PreconditionError):
+            solve_cc(edgeless, path_graph(2), 1)
 
     def test_td_deg_examples(self):
         # k read off the input, as bounded treedepth plus degree guarantees

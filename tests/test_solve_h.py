@@ -6,7 +6,12 @@ import pytest
 from starforest.errors import PreconditionError
 from starforest.graph import Graph, Instance, StarForest, max_matching, verify_embedding
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
-from starforest.solve_h import ColorCodingConfig, embeds_star_forest, solve_h
+from starforest.solve_h import (
+    ColorCodingConfig,
+    _colorful_embedding,
+    embeds_star_forest,
+    solve_h,
+)
 from starforest.vectors import vector_total
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
@@ -121,6 +126,14 @@ class TestRandomized:
     def test_no_side_never_lies(self):
         cfg = ColorCodingConfig(trials=60, rng_seed=8)
         assert embeds_star_forest(complete_graph(3), StarForest((4,)), "randomized", cfg) is None
+
+    def test_colorful_embedding_uses_every_colour(self):
+        # P5 coloured 0..4: the stars (3, 2) take all five colours
+        g, forest = path_graph(5), StarForest((3, 2))
+        emb = _colorful_embedding(g, forest, [0, 1, 2, 3, 4], 5)
+        assert emb is not None and verify_embedding(g, forest, emb)
+        # colour 4 is missing, so five distinct colours cannot be found
+        assert _colorful_embedding(g, forest, [0, 1, 2, 3, 0], 5) is None
 
     def test_deterministic_for_fixed_seed(self):
         g = path_graph(6)

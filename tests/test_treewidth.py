@@ -5,6 +5,7 @@ import pytest
 
 from starforest.errors import PreconditionError
 from starforest.graph import Graph
+from starforest import treewidth
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.treewidth import (
     TreeDecomposition,
@@ -221,6 +222,28 @@ class TestEnumDP:
             b = enum_star_vectors_dp(g, delta, one_bag)
             c = enum_star_vectors_dp(g, delta, doubled)
             assert a.vectors == b.vectors == c.vectors
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    def test_join_caps_merged_centre(self, monkeypatch, delta):
+        # both children hold the hub 0 as a centre with two forgotten leaves;
+        # merged it has five vertices, above delta + 1 unless delta is 4
+        g = star_graph(4)
+        td = TreeDecomposition(
+            (frozenset({0, 1, 2}), frozenset({0, 3, 4}), frozenset({0})), ((0, 2), (1, 2)), 2
+        )
+        refused = []
+        real_merge = treewidth._merge_masks
+
+        def counted(*args):
+            merged = real_merge(*args)
+            refused.append(merged is None)
+            return merged
+
+        monkeypatch.setattr(treewidth, "_merge_masks", counted)
+        fam = enum_star_vectors_dp(g, delta, td)
+        assert fam.vectors == enum_star_vectors_brute(g, delta).vectors
+        # the join rejects leaf conflicts itself, so every refusal is the cap
+        assert any(refused) == (delta < 4)
 
     def test_long_path_decomposition(self):
         # 1199 bags in a path: the walk must not recurse once per node

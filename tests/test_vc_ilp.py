@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -8,6 +10,7 @@ from starforest.graph import Graph, min_vertex_cover
 from starforest.oracle import opt_common_vector
 from starforest.treewidth import solve_tw
 from starforest.vc_ilp import (
+    GuessPair,
     build_vc_model,
     enumerate_guesses,
     enumerate_side_guesses,
@@ -150,29 +153,67 @@ class TestModelStructure:
         assert sol.objective_value == 4  # the whole star on both sides
 
     def test_unreachable_star_infeasible(self):
-        # a centre with no admissible class and beta=1 cannot reach size 2
+        # a centre with an independent neighbour reaches size 2 from beta=1
         g = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
         tc = twin_classes(g, [0])
-        for gp in enumerate_guesses(g, g, tc, tc):
-            if gp.side1.p == 1 and gp.side1.beta == (1,):
-                model = build_vc_model(gp, tc, tc)
-                sol = bip.solve(model)
-                # alpha_0 = 1 + x over class {0}: feasible here (class {0} nonempty)
-                assert sol.status == "optimal"
-        # now make the class empty: cover vertex with no independent neighbours
+        pairs = [
+            gp
+            for gp in enumerate_guesses(g, g, tc, tc)
+            if gp.side1.p == 1 and gp.side1.beta == (1,)
+        ]
+        assert pairs
+        for gp in pairs:
+            assert bip.solve(build_vc_model(gp, tc, tc)).status == "optimal"
+        # a cover vertex with no independent neighbour: beta=1 leaves it alone
         g2 = Graph.from_edges(2, [(0, 1)])
         tc2 = twin_classes(g2, [0, 1])  # both vertices covered, no classes
-        found_infeasible = False
+        lonely = [s for s in enumerate_side_guesses(g2, tc2) if s.p == 1 and s.beta == (1,)]
+        assert lonely
+        for side in lonely:
+            assert not _realised_sizes(side, tc2)
         for gp in enumerate_guesses(g2, g2, tc2, tc2):
-            if gp.side1.p == 1 and gp.side1.beta == (1,) and gp.side2.beta == (1,):
-                sol = bip.solve(build_vc_model(gp, tc2, tc2))
-                assert sol.status == "infeasible"
-                found_infeasible = True
-        assert found_infeasible
+            assert gp.side1 not in lonely and gp.side2 not in lonely
+
+
+def _realised_sizes(side, tc) -> set[tuple[int, ...]]:
+    """Every tuple of star sizes a side guess can realise, by brute force.
+
+    Each independent vertex that anchors no type-II star joins at most one
+    type-I star whose centre it neighbours.  A type-I star is its beta cover
+    vertices plus those leaves, two vertices at least; a type-II star is its
+    centre plus its cover leaves.
+    """
+    anchors = Counter(key for key, _ in side.type2_stars)
+    spreads = [
+        combinations_with_replacement(
+            [None] + [i for i, c in enumerate(side.type1_centres) if c in key],
+            len(members) - anchors[key],
+        )
+        for key, members in tc.classes.items()
+    ]
+    type2 = tuple(1 + len(leaves) for _, leaves in side.type2_stars)
+    out = set()
+    for picks in product(*spreads):
+        sizes = list(side.beta)
+        for pick in picks:
+            for i in pick:
+                if i is not None:
+                    sizes[i] += 1
+        if all(size >= 2 for size in sizes):
+            out.add(tuple(sizes) + type2)
+    return out
 
 
 class TestPairBound:
     def test_bound_is_sound(self):
+        """Brute force over every side-guess pair and matching, not the ranges.
+
+        Every realisable star size lies in its range, so a pair whose matched
+        sizes can agree has a bound at least its best total, and a pair with
+        no bound has no agreeing sizes.  The pairs yielded are exactly those
+        with a bound, by decreasing bound, and each one's program finds the
+        brute-force best.
+        """
         rng = random.Random(83)
         done = optimal = infeasible = 0
         while done < 12:
@@ -183,15 +224,42 @@ class TestPairBound:
                 continue
             done += 1
             tc1, tc2 = twin_classes(g1, cover1), twin_classes(g2, cover2)
-            for pair in enumerate_guesses(g1, g2, tc1, tc2):
-                bound = pair_bound(pair)
+            sides1 = {s: _realised_sizes(s, tc1) for s in enumerate_side_guesses(g1, tc1)}
+            sides2 = {s: _realised_sizes(s, tc2) for s in enumerate_side_guesses(g2, tc2)}
+            for sides in (sides1, sides2):
+                for side, realised in sides.items():
+                    for sizes in realised:
+                        assert all(lo <= x <= hi for x, (lo, hi) in zip(sizes, side.ranges))
+            best: dict[GuessPair, int] = {}
+            for (s1, realised1), (s2, realised2) in product(sides1.items(), sides2.items()):
+                if s1.stars != s2.stars:
+                    continue
+                for pi in permutations(range(s1.stars)):
+                    pair = GuessPair(s1, s2, pi)
+                    totals = [
+                        sum(t1)
+                        for t1 in realised1
+                        if tuple(t1[pi.index(j)] for j in range(s2.stars)) in realised2
+                    ]
+                    bound = pair_bound(pair)
+                    if bound is None:
+                        assert not totals
+                        infeasible += 1
+                    else:
+                        assert max(totals, default=0) <= bound
+                        best[pair] = max(totals, default=-1)
+            yielded = list(enumerate_guesses(g1, g2, tc1, tc2))
+            assert len(yielded) == len(set(yielded)) and set(yielded) == set(best)
+            bounds = [pair_bound(pair) for pair in yielded]
+            assert bounds == sorted(bounds, reverse=True)
+            for pair in yielded:
                 sol = bip.solve(build_vc_model(pair, tc1, tc2))
-                if bound is None:
-                    assert sol.status == "infeasible"
-                    infeasible += 1
-                elif sol.status == "optimal":
-                    assert sol.objective_value + sum(pair.side1.alpha_const) <= bound
+                if sol.status == "optimal":
+                    type2 = sum(1 + len(leaves) for _, leaves in pair.side1.type2_stars)
+                    assert sol.objective_value + type2 == best[pair]
                     optimal += 1
+                else:
+                    assert best[pair] == -1
         assert optimal and infeasible
 
 
