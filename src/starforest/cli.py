@@ -59,14 +59,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _largest_component(inst: Instance) -> int:
+    """Vertex count of the largest component of either graph; 0 if both are empty."""
+    return max((len(c) for g in (inst.g1, inst.g2) for c in g.components()), default=0)
+
+
 def _pick_auto(inst: Instance) -> str:
     if inst.g1.n <= oracle.DEFAULT_VERTEX_LIMIT and inst.g2.n <= oracle.DEFAULT_VERTEX_LIMIT:
         return "oracle"
-    comp = max(
-        [len(c) for c in inst.g1.components()] + [len(c) for c in inst.g2.components()],
-        default=0,
-    )
-    if comp <= component_ilp.MAX_COMPONENT:
+    if _largest_component(inst) <= component_ilp.MAX_COMPONENT:
         return "cc"
     cover = vc_ilp.MAX_COVER
     if min_vertex_cover(inst.g1, cover) is not None and min_vertex_cover(inst.g2, cover) is not None:
@@ -91,7 +92,7 @@ def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], d
         vector = list(cert[0].star_sizes) if yes and cert else []
         return ("yes" if yes else "no"), vector, params
     if algo == "vc":
-        # a larger cover is refused by solve_vc at once
+        # solve_vc refuses at once a bound above MAX_COVER or a cover above the bound
         k = vc_ilp.MAX_COVER if args.k is None else args.k
         params = {"k": k}
         return vc_ilp.solve_vc(inst.g1, inst.g2, k), [], params
@@ -99,11 +100,7 @@ def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], d
         k = args.k
         if k is None:
             # also the treedepth-plus-degree route: those two bound every component
-            k = max(
-                [len(c) for c in inst.g1.components()]
-                + [len(c) for c in inst.g2.components()],
-                default=1,
-            )
+            k = max(_largest_component(inst), 1)
         params = {"k": k}
         return component_ilp.solve_cc(inst.g1, inst.g2, k), [], params
     if algo == "tw":

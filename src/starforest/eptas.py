@@ -105,13 +105,19 @@ def solve_eptas(
 def _distinct_pruned(g: Graph, k: int) -> list[_Pruned]:
     """One pruned graph per distinct kept-vertex list, with the first shift that keeps it.
 
-    A later shift keeping the same vertices only ties it, and ties go to the first.
+    A later shift keeping the same vertices only ties it, and ties go to the
+    first.  Once 3r + 2 passes the deepest level, shift r and every later one
+    keep all vertices, so the loop stops there and its length does not grow
+    with k.
     """
     levels = bfs_levels(g)
+    deepest = max(levels)
     firsts: dict[tuple[int, ...], _Pruned] = {}
     for r in range(k):
         kept = _kept(levels, r, k)
         if kept not in firsts:
             sub = g if len(kept) == g.n else g.induced(kept)[0]
             firsts[kept] = _Pruned(r, sub, sub.n - len(sub.isolated_vertices()))
+        if 3 * r + 2 > deepest:
+            break  # this shift and every later one delete no level
     return list(firsts.values())

@@ -36,11 +36,11 @@ from operator import itemgetter
 from typing import Iterator
 
 from . import bip
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph, min_vertex_cover
 
-# the largest cover the guess enumeration handles in interactive time; the
-# CLI's default bound and its automatic choice of this route
+# the largest cover the guess enumeration handles in interactive time;
+# solve_vc refuses a larger bound, and the CLI chooses this route up to it
 MAX_COVER = 3
 
 
@@ -263,7 +263,12 @@ def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.B
 
 
 def solve_vc(g1: Graph, g2: Graph, k: int) -> int:
-    """Largest common star forest size, given both covers are within k."""
+    """Largest common star forest size, given both covers are within k.
+
+    Raises ResourceLimitError for k above MAX_COVER, before any cover search.
+    """
+    if k > MAX_COVER:
+        raise ResourceLimitError(f"cover bound {k} exceeds the limit {MAX_COVER}")
     cover1 = min_vertex_cover(g1, k)
     cover2 = min_vertex_cover(g2, k)
     for g, cover, tag in ((g1, cover1, "first"), (g2, cover2, "second")):

@@ -46,6 +46,15 @@ def random_tree(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def cover_path_graph(rng: random.Random, cover: int, independent: int) -> Graph:
+    """A path on vertices 0..cover-1 plus `independent` vertices, each joined
+    to a random non-empty set of path vertices; the path covers every edge."""
+    edges = [(i, i + 1) for i in range(cover - 1)]
+    for v in range(cover, cover + independent):
+        edges += [(u, v) for u in rng.sample(range(cover), rng.randint(1, cover))]
+    return Graph.from_edges(cover + independent, edges)
+
+
 def ladder_graph(rungs: int) -> Graph:
     """2 x rungs grid; planar with maximum degree 3."""
     edges = []

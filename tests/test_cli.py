@@ -9,7 +9,14 @@ from starforest.cli import RunReport, main
 from starforest.graph import Graph, Instance, parse_instance, serialize_instance
 from starforest.treewidth import solve_tw
 
-from conftest import disjoint_union, path_graph, random_graph, star_graph, time_limit
+from conftest import (
+    cover_path_graph,
+    disjoint_union,
+    path_graph,
+    random_graph,
+    star_graph,
+    time_limit,
+)
 
 P4_VS_STAR = "3\n4 3\n0 1\n1 2\n2 3\n---\n4 3\n0 1\n0 2\n0 3\n"
 
@@ -86,6 +93,16 @@ class TestSolve:
         path.write_text(serialize_instance(Instance(g, g, 3)))
         with time_limit(2):
             assert main(["solve", str(path), "--algo", "vc"]) == 3
+
+    @pytest.mark.parametrize("k", ["4", "6"])
+    def test_vc_bound_above_max_cover_exit_4(self, tmp_path, capsys, k):
+        # covers of 6: with k >= 6 the guess search runs for more than 20 s here
+        rng = random.Random(3)
+        inst = Instance(cover_path_graph(rng, 6, 6), cover_path_graph(rng, 6, 7), 3)
+        path = tmp_path / "cover6.txt"
+        path.write_text(serialize_instance(inst))
+        with time_limit(1):
+            assert main(["solve", str(path), "--algo", "vc", "--k", k]) == 4
 
     def test_cc_on_edgeless_instance(self, tmp_path, capsys):
         # every component has one vertex, so the default k is 1

@@ -7,7 +7,6 @@ from starforest.component_ilp import (
     DEFAULT_PAIR_BUDGET,
     build_cc_model,
     canonical_form,
-    catalog_components,
     realisation_table,
     solve_cc,
 )
@@ -48,6 +47,12 @@ def random_union(rng: random.Random) -> Graph:
         parts.append(random_graph(rng, s, 0.6))
         total += s
     return disjoint_union(*parts)
+
+
+def folded_families(g1: Graph, g2: Graph, k: int):
+    """Both graphs' families, folded from their components' families as solve_cc does."""
+    parts = [[g.induced(comp)[0] for comp in g.components()] for g in (g1, g2)]
+    return build_cc_model(realisation_table(parts, k), k, max(g1.n, g2.n), DEFAULT_PAIR_BUDGET)
 
 
 def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:
@@ -111,27 +116,15 @@ class TestCanonicalForm:
 
 
 class TestCatalog:
-    def test_shared_shape(self):
-        k2 = Graph.from_edges(2, [(0, 1)])
-        cat = catalog_components(disjoint_union(k2, k2), k2, 2)
-        assert len(cat.shapes) == 1 and cat.counts1 == (2,) and cat.counts2 == (1,)
-
-    def test_three_shapes(self):
-        cat = catalog_components(
-            disjoint_union(path_graph(3), Graph.from_edges(2, [(0, 1)])),
-            complete_graph(3),
-            3,
-        )
-        assert len(cat.shapes) == 3
-        assert sorted(cat.counts1) == [0, 1, 1] and sorted(cat.counts2) == [0, 0, 1]
+    """The inputs solve_cc refuses before it enumerates any family."""
 
     def test_oversized_component(self):
         with pytest.raises(PreconditionError, match="4 vertices"):
-            catalog_components(path_graph(4), path_graph(3), 3)
+            solve_cc(path_graph(4), path_graph(3), 3)
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            catalog_components(path_graph(3), path_graph(3), 9)
+            solve_cc(path_graph(3), path_graph(3), 9)
 
 
 class TestRealisations:
@@ -144,8 +137,7 @@ class TestRealisations:
         ],
     )
     def test_small_shapes(self, graph, k, expected):
-        cat = catalog_components(graph, graph, k)
-        assert realisation_table(cat)[0].vectors == expected
+        assert realisation_table([[graph]], k)[0][0].vectors == expected
 
     def test_matches_edge_subset_oracle(self):
         rng = random.Random(72)
@@ -155,12 +147,10 @@ class TestRealisations:
             comp0 = g.components()[0]
             sub, _ = g.induced(comp0)
             k = max(2, sub.n)
-            cat = catalog_components(sub, sub, k)
-            assert realisation_table(cat)[0].vectors == signatures_by_edge_subsets(sub, k)
+            assert realisation_table([[sub]], k)[0][0].vectors == signatures_by_edge_subsets(sub, k)
 
     def test_downward_closure(self):
-        cat = catalog_components(cycle_graph(5), cycle_graph(5), 5)
-        sigs = realisation_table(cat)[0].vectors
+        sigs = realisation_table([[cycle_graph(5)]], 5)[0][0].vectors
         assert (0,) * 4 in sigs
         for sig in sigs:
             for j in range(4):
@@ -208,8 +198,7 @@ class TestSolve:
         # graphs host the same star counts, and each graph embeds it
         g1 = disjoint_union(complete_graph(3), Graph.from_edges(2, [(0, 1)]))
         g2 = disjoint_union(path_graph(3), path_graph(3))
-        cat = catalog_components(g1, g2, 3)
-        fam1, fam2 = build_cc_model(cat, realisation_table(cat), DEFAULT_PAIR_BUDGET)
+        fam1, fam2 = folded_families(g1, g2, 3)
         size, vec = best_common(fam1, fam2)
         assert vec in fam1.vectors and vec in fam2.vectors
         assert size == vector_total(vec) == solve_cc(g1, g2, 3) == 5
@@ -225,8 +214,7 @@ class TestSolve:
             if g1.n > 12 or g2.n > 12:
                 continue
             k = max(2, max(len(c) for g in (g1, g2) for c in g.components()))
-            cat = catalog_components(g1, g2, k)
-            fam1, fam2 = build_cc_model(cat, realisation_table(cat), DEFAULT_PAIR_BUDGET)
+            fam1, fam2 = folded_families(g1, g2, k)
             assert fam1.vectors == enum_star_vectors_brute(g1, k - 1).vectors
             assert fam2.vectors == enum_star_vectors_brute(g2, k - 1).vectors
             checked += 1
@@ -241,6 +229,32 @@ class TestSolve:
         assert (g1.n, g2.n) == (70, 60)
         with time_limit(5):
             assert solve_cc(g1, g2, 5) == solve_tw(g1, g2)[0] == 55
+
+    @pytest.mark.parametrize(
+        "parts1, parts2",
+        [
+            ("C8 C8 C8", "Q3 Q3 Q3"),
+            ("K44 K44", "C6 C8"),
+            ("C6 Q3 K44", "C8 C8"),
+            ("Q3 Q3", "K44 K44"),
+        ],
+    )
+    def test_regular_components(self, parts1, parts2):
+        # regular components of 6-8 vertices: every vertex has one degree,
+        # where a canonical labeling would try up to 8! orders per component
+        shapes = {
+            "C6": cycle_graph(6),
+            "C8": cycle_graph(8),
+            "Q3": Graph.from_edges(
+                8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1]
+            ),
+            "K44": Graph.from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)]),
+        }
+        g1 = disjoint_union(*[shapes[name] for name in parts1.split()])
+        g2 = disjoint_union(*[shapes[name] for name in parts2.split()])
+        with time_limit(0.3):
+            answer = solve_cc(g1, g2, 8)
+        assert answer == solve_tw(g1, g2)[0]
 
     def test_pair_budget(self):
         # P3's family has 3 vectors; each side folds {0} + P3, 3 pairs each

@@ -18,6 +18,7 @@ from conftest import (
     path_graph,
     planar_low_degree,
     star_graph,
+    time_limit,
 )
 
 
@@ -67,6 +68,13 @@ class TestSolveEptas:
         g = Graph.from_edges(2, [(0, 1)])
         size, forest, shifts = solve_eptas(g, g, EptasConfig(0.5))
         assert size == 2
+
+    def test_tiny_epsilon_stops_at_the_first_shift_that_deletes_nothing(self):
+        # k = 2e9 shifts; on a 6-vertex path only shifts 0 and 1 delete a level
+        g = path_graph(6)
+        with time_limit(1):
+            size, _, shifts = solve_eptas(g, g, EptasConfig(1e-9))
+        assert size == solve_tw(g, g)[0] == 6 and shifts == (2, 2)
 
     def test_bounds_on_small_instance(self):
         size, _, _ = solve_eptas(path_graph(4), star_graph(3), EptasConfig(0.9))

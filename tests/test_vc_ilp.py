@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 
 from starforest import bip
-from starforest.errors import PreconditionError
+from starforest.errors import PreconditionError, ResourceLimitError
 from starforest.graph import Graph, min_vertex_cover
 from starforest.oracle import opt_common_vector
 from starforest.treewidth import solve_tw
@@ -19,7 +19,14 @@ from starforest.vc_ilp import (
     twin_classes,
 )
 
-from conftest import complete_graph, path_graph, random_graph, star_graph, time_limit
+from conftest import (
+    complete_graph,
+    cover_path_graph,
+    path_graph,
+    random_graph,
+    star_graph,
+    time_limit,
+)
 
 
 class TestTwinClasses:
@@ -289,6 +296,14 @@ class TestSolveVc:
         g = random_graph(random.Random(5), 30, 0.3)
         with time_limit(2), pytest.raises(PreconditionError, match="at most k=3"):
             solve_vc(g, g, 3)
+
+    @pytest.mark.parametrize("k", [4, 10])
+    def test_bound_above_max_cover_is_refused_at_once(self, k):
+        # covers of 6: with k >= 6 the guess search runs for more than 20 s here
+        rng = random.Random(3)
+        g1, g2 = cover_path_graph(rng, 6, 6), cover_path_graph(rng, 6, 7)
+        with time_limit(1), pytest.raises(ResourceLimitError, match="exceeds the limit 3"):
+            solve_vc(g1, g2, k)
 
     def test_cover_independent_edges(self):
         g = Graph.from_edges(6, [(0, 3), (1, 4), (2, 5)])
