@@ -20,19 +20,25 @@ program reads only how many leftover cover vertices each centre takes
 Each side guess carries a size range [lo, hi] per star; a type-II star's
 range is its one size.  Matched stars have equal sizes, so a pair that
 matches two disjoint ranges has no solution, and any other pair gives at
-most the sum over matched stars of min(hi1, hi2).  The pairs whose ranges
-meet come in decreasing order of that bound, and the search stops at the
-first whose bound, capped at the smaller graph's order, does not beat the
-best answer so far.  The program bounds each matched star's size by the
-intersection of its two ranges, so only two matched type-I stars need an
-equality row.
+most the sum over matched stars of min(hi1, hi2).  A skeleton is a side
+guess without its beta; its bound, p plus the leftover cover vertices
+adjacent to some centre plus the centres' rooms plus the type-II sizes, is
+the largest sum of hi over its betas.  One heap holds pairs of skeletons
+of one star count, keyed by the smaller skeleton bound, pairs of side
+guesses, keyed by the smaller sum of hi, and concrete pairs, keyed by
+their bound; each key bounds every pair beneath it, so pairs come out in
+non-increasing bound order and only the part of the search that can still
+win is expanded.  The search stops at the first pair whose bound, capped
+at the smaller graph's order, does not beat the best answer so far.  The
+program bounds each matched star's size by the intersection of its two
+ranges, so only two matched type-I stars need an equality row.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from operator import itemgetter
+from itertools import combinations, count, permutations, product
 from typing import Iterator
 
 from . import bip
@@ -107,16 +113,41 @@ class GuessPair:
     pi: tuple[int, ...]  # star i on side 1 pairs with star pi[i] on side 2
 
 
-def _canon_key(key: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(key))
+@dataclass(frozen=True)
+class Skeleton:
+    """A side guess without its beta: its type-I centres and type-II stars."""
+
+    centres: tuple[int, ...]
+    type2_stars: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    rest: tuple[int, ...]  # leftover cover vertices: no centre, no type-II leaf
+    # per centre, every usable vertex of the classes around it (ignoring
+    # that other stars share them): the most leaves it can take from them
+    rooms: tuple[int, ...]
+    # the largest sum of hi over the skeleton's betas: every leftover cover
+    # vertex adjacent to some centre joins one
+    bound: int
+
+    @property
+    def stars(self) -> int:
+        return len(self.centres) + len(self.type2_stars)
 
 
-def enumerate_side_guesses(g: Graph, tc: TwinClasses) -> Iterator[SideGuess]:
+def enumerate_skeletons(g: Graph, tc: TwinClasses) -> Iterator[Skeleton]:
+    """Every skeleton a side guess can have, each once."""
     cover = tc.cover
     a = len(cover)
+    # a centre's room before any type-II star anchors in its classes
+    room = {c: sum(len(m) for key, m in tc.classes.items() if c in key) for c in cover}
     for p in range(a + 1):
         for centres in combinations(cover, p):
             cset = set(centres)
+            others = tuple(w for w in cover if w not in cset)
+            rooms0 = tuple(room[c] for c in centres)
+            # the non-centres that can hang off a centre as leftover vertices
+            near = {w for w in others if not cset.isdisjoint(g.adjacency[w])}
+            yield Skeleton(centres, (), others, rooms0, p + len(near) + sum(rooms0))
+            if a - p < 2:
+                continue  # each type-II star takes two or more of the non-centres
             # all possible type-II stars: a twin class to anchor the centre in,
             # plus at least two leaves inside its key, avoiding the centres
             cands: list[tuple[frozenset[int], frozenset[int]]] = []
@@ -125,11 +156,8 @@ def enumerate_side_guesses(g: Graph, tc: TwinClasses) -> Iterator[SideGuess]:
                 for size in range(2, len(avail) + 1):
                     for leaves in combinations(avail, size):
                         cands.append((key, frozenset(leaves)))
-            cands.sort(key=lambda c: (_canon_key(c[0]), _canon_key(c[1])))
-            # each type-II star takes two or more of the a - p non-centres
-            for q in range((a - p) // 2 + 1):
-                for chosen in combinations(range(len(cands)), q):
-                    stars = [cands[i] for i in chosen]
+            for q in range(1, (a - p) // 2 + 1):
+                for stars in combinations(cands, q):
                     taken: set[int] = set()
                     per_key: dict[frozenset[int], int] = {}
                     ok = True
@@ -144,60 +172,96 @@ def enumerate_side_guesses(g: Graph, tc: TwinClasses) -> Iterator[SideGuess]:
                             break
                     if not ok:
                         continue
-                    yield from _assign_cover_roles(g, tc, centres, tuple(stars), taken)
+                    # a type-II star's centre leaves its class to no type-I star
+                    rooms = tuple(
+                        room - sum(c in key for key, _ in stars)
+                        for c, room in zip(centres, rooms0)
+                    )
+                    rest = tuple(w for w in others if w not in taken)
+                    sizes = sum(1 + len(leaves) for _, leaves in stars)
+                    bound = p + len(near - taken) + sum(rooms) + sizes
+                    yield Skeleton(centres, stars, rest, rooms, bound)
 
 
-def _assign_cover_roles(
-    g: Graph,
-    tc: TwinClasses,
-    centres: tuple[int, ...],
-    type2: tuple[tuple[frozenset[int], frozenset[int]], ...],
-    type2_leaves: set[int],
-) -> Iterator[SideGuess]:
+def enumerate_side_guesses(g: Graph, tc: TwinClasses) -> Iterator[SideGuess]:
+    for sk in enumerate_skeletons(g, tc):
+        yield from _assign_cover_roles(g, sk)
+
+
+def _assign_cover_roles(g: Graph, sk: Skeleton) -> Iterator[SideGuess]:
     """One guess per distinct beta the leftover cover vertices can give."""
-    rest = [w for w in tc.cover if w not in centres and w not in type2_leaves]
-    caps = _capacities(type2, tc)
-    # a type-I star may take every usable vertex of the classes around its
-    # centre (ignoring that other stars share them)
-    rooms = [sum(cap for key, cap in caps.items() if c in key) for c in centres]
+    centres = sk.centres
     # a leftover cover vertex may hang off an adjacent type-I centre, or sit out (-1)
     choice_lists = [
-        [-1] + [i for i, c in enumerate(centres) if g.has_edge(w, c)] for w in rest
+        [-1] + [i for i, c in enumerate(centres) if g.has_edge(w, c)] for w in sk.rest
     ]
     betas = dict.fromkeys(
         tuple(1 + picks.count(i) for i in range(len(centres)))
         for picks in product(*choice_lists)
     )
-    fixed = tuple((1 + len(leaves),) * 2 for _, leaves in type2)
+    fixed = tuple((1 + len(leaves),) * 2 for _, leaves in sk.type2_stars)
     for beta in betas:
-        ranges = tuple((max(2, b), b + room) for b, room in zip(beta, rooms)) + fixed
-        yield SideGuess(centres, type2, beta, ranges)
+        ranges = tuple((max(2, b), b + room) for b, room in zip(beta, sk.rooms)) + fixed
+        yield SideGuess(centres, sk.type2_stars, beta, ranges)
+
+
+# heap entry kinds; at equal keys a concrete pair pops before anything that
+# might still produce another pair of that bound
+_PAIR, _SIDES, _SKELETONS = range(3)
 
 
 def enumerate_guesses(
     g1: Graph, g2: Graph, tc1: TwinClasses, tc2: TwinClasses
 ) -> Iterator[GuessPair]:
-    """Every guess pair whose program can be feasible, once, by decreasing bound.
+    """Every guess pair whose program can be feasible, once, by non-increasing bound.
 
     A pair matches the stars of two side guesses of one star count in any
     order; it is kept when pair_bound finds its matched ranges meet, which
-    also rules out two type-II stars of different sizes.  Pairs of equal
-    bound keep their enumeration order.
+    also rules out two type-II stars of different sizes.  The search is lazy
+    and best first over one heap: a pair of skeletons of one star count is
+    keyed by the smaller skeleton bound, a pair of side guesses by the
+    smaller sum of hi, and a concrete pair by pair_bound.  Each key bounds
+    every pair beneath it, so a pair is yielded only when nothing left in
+    the heap can beat it, and a consumer that stops early leaves the rest of
+    the search unexpanded.  Each skeleton's side guesses are built at most
+    once.
     """
-    sides2: dict[int, list[SideGuess]] = {}
-    for s2 in enumerate_side_guesses(g2, tc2):
-        sides2.setdefault(s2.stars, []).append(s2)
-    bounded: list[tuple[int, GuessPair]] = []
-    for s1 in enumerate_side_guesses(g1, tc1):
-        for s2 in sides2.get(s1.stars, ()):
+    skeletons = (list(enumerate_skeletons(g1, tc1)), list(enumerate_skeletons(g2, tc2)))
+    by_stars: dict[int, list[int]] = {}
+    for i2, sk2 in enumerate(skeletons[1]):
+        by_stars.setdefault(sk2.stars, []).append(i2)
+    seq = count()  # breaks ties within a kind, so payloads are never compared
+    # (-key, kind, seq, payload): the heap pops the largest key first
+    heap: list[tuple] = [
+        (-min(sk1.bound, skeletons[1][i2].bound), _SKELETONS, next(seq), (i1, i2))
+        for i1, sk1 in enumerate(skeletons[0])
+        for i2 in by_stars.get(sk1.stars, ())
+    ]
+    heapq.heapify(heap)
+    # per side and skeleton: its side guesses with their sums of hi, once built
+    sides: tuple[list, list] = ([None] * len(skeletons[0]), [None] * len(skeletons[1]))
+    while heap:
+        _, kind, _, item = heapq.heappop(heap)
+        if kind == _PAIR:
+            yield item
+        elif kind == _SIDES:
+            s1, s2 = item
             for pi in permutations(range(s1.stars)):
                 pair = GuessPair(s1, s2, pi)
                 bound = pair_bound(pair)
                 if bound is not None:
-                    bounded.append((bound, pair))
-    bounded.sort(key=itemgetter(0), reverse=True)  # stable
-    for _, pair in bounded:
-        yield pair
+                    heapq.heappush(heap, (-bound, _PAIR, next(seq), pair))
+        else:
+            for side, i, g, sks in zip(sides, item, (g1, g2), skeletons):
+                if side[i] is None:
+                    side[i] = [
+                        (sum(hi for _, hi in s.ranges), s)
+                        for s in _assign_cover_roles(g, sks[i])
+                    ]
+            i1, i2 = item
+            for u1, s1 in sides[0][i1]:
+                for u2, s2 in sides[1][i2]:
+                    heapq.heappush(heap, (-min(u1, u2), _SIDES, next(seq), (s1, s2)))
 
 
 def _capacities(type2_stars: tuple, tc: TwinClasses) -> dict[frozenset[int], int]:

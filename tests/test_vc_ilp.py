@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from starforest import bip
+from starforest import bip, vc_ilp
 from starforest.errors import PreconditionError, ResourceLimitError
 from starforest.graph import Graph, min_vertex_cover
 from starforest.oracle import opt_common_vector
@@ -14,6 +14,7 @@ from starforest.vc_ilp import (
     build_vc_model,
     enumerate_guesses,
     enumerate_side_guesses,
+    enumerate_skeletons,
     pair_bound,
     solve_vc,
     twin_classes,
@@ -129,6 +130,53 @@ class TestEnumeration:
         assert keys.count(((1,), (), (2,))) == 1
 
 
+def _cover3_pairs(seed: int, count: int):
+    """Seeded cover_path_graph pairs whose minimum covers have 3 vertices each."""
+    rng = random.Random(seed)
+    while count:
+        g1 = cover_path_graph(rng, 3, rng.randint(3, 5))
+        g2 = cover_path_graph(rng, 3, rng.randint(3, 5))
+        cover1, cover2 = min_vertex_cover(g1, 3), min_vertex_cover(g2, 3)
+        if len(cover1) == len(cover2) == 3:
+            count -= 1
+            yield g1, g2, twin_classes(g1, cover1), twin_classes(g2, cover2)
+
+
+class TestLazySearch:
+    def test_same_pairs_as_eager_reference(self):
+        for g1, g2, tc1, tc2 in _cover3_pairs(29, 6):
+            eager = [
+                GuessPair(s1, s2, pi)
+                for s1 in enumerate_side_guesses(g1, tc1)
+                for s2 in enumerate_side_guesses(g2, tc2)
+                if s1.stars == s2.stars
+                for pi in permutations(range(s1.stars))
+            ]
+            eager = [pair for pair in eager if pair_bound(pair) is not None]
+            lazy = list(enumerate_guesses(g1, g2, tc1, tc2))
+            assert len(eager) == len(set(eager))
+            assert Counter(lazy) == Counter(eager)
+            bounds = [pair_bound(pair) for pair in lazy]
+            assert bounds == sorted(bounds, reverse=True)
+
+    def test_first_pair_builds_fewer_side_guesses(self, monkeypatch):
+        g1, g2, tc1, tc2 = next(_cover3_pairs(31, 1))
+        total = len(list(enumerate_side_guesses(g1, tc1))) + len(
+            list(enumerate_side_guesses(g2, tc2))
+        )
+        built = []
+        real = vc_ilp._assign_cover_roles
+
+        def counted(*args):
+            for side in real(*args):
+                built.append(side)
+                yield side
+
+        monkeypatch.setattr(vc_ilp, "_assign_cover_roles", counted)
+        next(enumerate_guesses(g1, g2, tc1, tc2))
+        assert 0 < len(built) < total
+
+
 class TestModelStructure:
     def test_displayed_program_shape(self):
         # one type-I star centred at the hub of K1,3, on both sides
@@ -221,16 +269,8 @@ class TestPairBound:
         with a bound, by decreasing bound, and each one's program finds the
         brute-force best.
         """
-        rng = random.Random(83)
-        done = optimal = infeasible = 0
-        while done < 12:
-            g1 = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.3]))
-            g2 = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.3]))
-            cover1, cover2 = min_vertex_cover(g1, 3), min_vertex_cover(g2, 3)
-            if cover1 is None or cover2 is None:
-                continue
-            done += 1
-            tc1, tc2 = twin_classes(g1, cover1), twin_classes(g2, cover2)
+        optimal = infeasible = 0
+        for g1, g2, tc1, tc2 in _bound_cases():
             sides1 = {s: _realised_sizes(s, tc1) for s in enumerate_side_guesses(g1, tc1)}
             sides2 = {s: _realised_sizes(s, tc2) for s in enumerate_side_guesses(g2, tc2)}
             for sides in (sides1, sides2):
@@ -268,6 +308,60 @@ class TestPairBound:
                 else:
                     assert best[pair] == -1
         assert optimal and infeasible
+
+    def test_skeleton_bound_is_tight(self):
+        """A skeleton's bound is the largest sum of hi over its side guesses.
+
+        Beside the random pairs, two graphs with covers of 4 let a skeleton
+        hold a type-II star and a leftover cover vertex at once.
+        """
+        rng = random.Random(37)
+        graphs = [cover_path_graph(rng, 4, 4), cover_path_graph(rng, 4, 5)]
+        for g1, g2, _, _ in _bound_cases():
+            graphs += [g1, g2]
+        for g in graphs:
+            tc = twin_classes(g, min_vertex_cover(g, 4))
+            skeletons = {
+                (sk.centres, sk.type2_stars): sk.bound for sk in enumerate_skeletons(g, tc)
+            }
+            assert len(skeletons) == len(list(enumerate_skeletons(g, tc)))
+            reached: dict[tuple, int] = {}
+            for side in enumerate_side_guesses(g, tc):
+                # a type-I star's hi: its beta plus every independent vertex
+                # of its classes that anchors no type-II star
+                anchors = Counter(key for key, _ in side.type2_stars)
+                for c, b, (_, hi) in zip(side.type1_centres, side.beta, side.ranges):
+                    room = sum(
+                        len(members) - anchors[key]
+                        for key, members in tc.classes.items()
+                        if c in key
+                    )
+                    assert hi == b + room
+                key = (side.type1_centres, side.type2_stars)
+                total = sum(hi for _, hi in side.ranges)
+                assert total <= skeletons[key]
+                reached[key] = max(reached.get(key, total), total)
+            assert reached == skeletons
+        # a type-II star beside a leftover cover vertex that can join a centre
+        g = graphs[0]
+        assert any(
+            sk.type2_stars and any(set(g.adjacency[w]) & set(sk.centres) for w in sk.rest)
+            for sk in enumerate_skeletons(g, twin_classes(g, min_vertex_cover(g, 4)))
+        )
+
+
+def _bound_cases():
+    """Twelve seeded random pairs whose covers both have at most 3 vertices."""
+    rng = random.Random(83)
+    done = 0
+    while done < 12:
+        g1 = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.3]))
+        g2 = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.3]))
+        cover1, cover2 = min_vertex_cover(g1, 3), min_vertex_cover(g2, 3)
+        if cover1 is None or cover2 is None:
+            continue
+        done += 1
+        yield g1, g2, twin_classes(g1, cover1), twin_classes(g2, cover2)
 
 
 def _path_cover_graph(neighbourhoods) -> Graph:
