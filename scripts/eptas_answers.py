@@ -30,7 +30,8 @@ def every_shift_prunes(g, k):
     return all(len(prune_levels(g, r, k)[1]) < g.n for r in range(k))
 
 
-def main(count):
+def pairs(count):
+    """The seeded (idx, eps, g1, g2) sequence whose answers main prints."""
     rng = random.Random(12)
     for idx in range(count):
         if idx % 4 == 3:
@@ -44,6 +45,11 @@ def main(count):
             g1 = random_graph(rng, rng.randint(2, 14), p)
             g2 = random_graph(rng, rng.randint(2, 14), p)
             eps = rng.choice([0.2, 0.3, 0.5, 0.8])
+        yield idx, eps, g1, g2
+
+
+def main(count):
+    for idx, eps, g1, g2 in pairs(count):
         cfg = EptasConfig(eps)
         size, forest, shifts = solve_eptas(g1, g2, cfg)
         deep = every_shift_prunes(g1, cfg.k) and every_shift_prunes(g2, cfg.k)

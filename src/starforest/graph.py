@@ -81,15 +81,17 @@ class Graph:
         return comps
 
     def induced(self, keep: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph on `keep`; also returns new-index -> old-index map."""
+        """Induced subgraph on `keep`; also returns new-index -> old-index map.
+
+        `pos` increases with the old index, so each kept vertex's neighbour
+        tuple, read in order and renumbered, is already sorted.
+        """
         kept = sorted(set(keep))
+        if kept and (kept[0] < 0 or kept[-1] >= self.n):
+            raise PreconditionError(f"kept vertices must lie in [0, {self.n})")
         pos = {v: i for i, v in enumerate(kept)}
-        edges = [
-            (pos[u], pos[v])
-            for u, v in self.edges()
-            if u in pos and v in pos
-        ]
-        return Graph.from_edges(len(kept), edges), kept
+        adjacency = tuple(tuple(pos[w] for w in self.adjacency[v] if w in pos) for v in kept)
+        return Graph(len(kept), adjacency), kept
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ set is the family as it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import PreconditionError
@@ -166,12 +167,35 @@ def enum_star_vectors_dp(
     delta: int,
     decomposition: TreeDecomposition | None = None,
 ) -> VectorFamily:
-    """All star-count vectors of star forests in g with sizes <= delta+1."""
+    """All star-count vectors of star forests in g with sizes <= delta+1.
+
+    Without a decomposition the DP runs on g's min-fill decomposition, and
+    the families of the two most recent (g, delta) keys are remembered, so
+    at most two families stay held after a call returns
+    (`_remembered_family.cache_clear()` drops them).  `Graph` is frozen
+    and compared by value, so an equal graph gets the remembered family
+    without min-fill or the DP.  Two is one instance's pair: the EPTAS run
+    right after `solve_tw` on the same pair reuses both whole-graph
+    families.  A supplied decomposition is always validated, and the DP then
+    runs on it without touching the memo.  The family's members are a
+    frozenset, so no caller can change a remembered one.
+    """
     if delta < 1:
         raise PreconditionError("delta must be >= 1")
-    td = decomposition if decomposition is not None else heuristic_decomposition(g)
-    if decomposition is not None and not verify_decomposition(g, td):
+    if decomposition is None:
+        return _remembered_family(g, delta)
+    if not verify_decomposition(g, decomposition):
         raise PreconditionError("supplied decomposition is invalid for this graph")
+    return _family(g, delta, decomposition)
+
+
+@lru_cache(maxsize=2)
+def _remembered_family(g: Graph, delta: int) -> VectorFamily:
+    return _family(g, delta, heuristic_decomposition(g))
+
+
+def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:
+    """The DP itself, bottom-up over a decomposition already known to be valid."""
     base = g.n + 1
     # star[d] packs one star of size d; a lone vertex (d < 2) is not counted
     star = [0, 0] + [base**j for j in range(delta)]
@@ -212,7 +236,7 @@ def enum_star_vectors_dp(
         p = parent[t]
         table = move(table, bags[t], bags[p])
         tables[p] = _join(base, star, tables[p], table) if p in tables else table
-    return VectorFamily(delta, base, tables[-1][()])
+    return VectorFamily(delta, base, frozenset(tables[-1][()]))
 
 
 def _forget(

@@ -7,6 +7,7 @@ import random
 import signal
 from itertools import combinations
 
+from starforest import treewidth
 from starforest.graph import Graph
 
 
@@ -102,6 +103,19 @@ def deep_planar(rng: random.Random) -> Graph:
     if kind == 2:
         return cycle_graph(rng.randint(24, 40))
     return deep_tree(rng, rng.randint(24, 40))
+
+
+def counted_min_fill(monkeypatch):
+    """Route the DP's min-fill through a wrapper; returns the list of graphs it was given."""
+    calls = []
+    real = treewidth.heuristic_decomposition
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(treewidth, "heuristic_decomposition", counted)
+    return calls
 
 
 @contextlib.contextmanager

@@ -1,9 +1,11 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from starforest import eptas
+from starforest import eptas, treewidth
 from starforest.eptas import EptasConfig, prune_levels, solve_eptas
 from starforest.errors import PreconditionError
 from starforest.graph import Graph, StarForest, bfs_levels
@@ -13,6 +15,8 @@ from starforest.vectors import best_common, counts_to_sizes
 
 from conftest import (
     complete_graph,
+    counted_min_fill,
+    cycle_graph,
     deep_planar,
     ladder_graph,
     path_graph,
@@ -262,3 +266,37 @@ class TestBestBoundFirst:
         assert (size, forest.star_sizes, shifts) == (4, (2, 2), (1, 1))
         assert (size, forest, shifts) == every_shift_pair(g1, g2, cfg)
         assert [(g.n, g.edge_count) for g in calls] == [(4, 3), (4, 4), (7, 8)]
+
+
+def eptas_answer_pairs(count):
+    """The first `count` seeded pairs that scripts/eptas_answers.py prints answers for."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "eptas_answers.py"
+    spec = importlib.util.spec_from_file_location("eptas_answers", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return list(script.pairs(count))
+
+
+class TestAfterSolveTw:
+    def test_whole_graphs_reuse_the_families_solve_tw_left(self, monkeypatch):
+        # both graphs have BFS depth 3, so at k = 4 shift 1 keeps every vertex
+        g1, g2 = ladder_graph(3), cycle_graph(6)
+        cfg = EptasConfig(0.5)
+        assert all(len(prune_levels(g, 1, cfg.k)[1]) == g.n for g in (g1, g2))
+        treewidth._remembered_family.cache_clear()
+        cold = solve_eptas(g1, g2, cfg)
+        min_fill = counted_min_fill(monkeypatch)
+        treewidth._remembered_family.cache_clear()
+        solve_tw(g1, g2)
+        assert min_fill == [g1, g2]
+        assert solve_eptas(g1, g2, cfg) == cold
+        assert min_fill == [g1, g2]
+
+    def test_same_answers_cold_and_after_solve_tw(self):
+        for idx, eps, g1, g2 in eptas_answer_pairs(100):
+            cfg = EptasConfig(eps)
+            treewidth._remembered_family.cache_clear()
+            cold = solve_eptas(g1, g2, cfg)
+            treewidth._remembered_family.cache_clear()
+            solve_tw(g1, g2)
+            assert solve_eptas(g1, g2, cfg) == cold, idx

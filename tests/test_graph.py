@@ -183,6 +183,35 @@ class TestVertexCover:
                 assert not ok
 
 
+def induced_by_edge_walk(g, keep):
+    """Reference: renumber every edge with both ends kept and rebuild from the edge list."""
+    kept = sorted(set(keep))
+    pos = {v: i for i, v in enumerate(kept)}
+    edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+    return Graph.from_edges(len(kept), edges), kept
+
+
+class TestInduced:
+    def test_matches_edge_walk_reference(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 12), rng.choice([0.2, 0.4, 0.7]))
+            keeps = [
+                [],
+                list(range(g.n)),
+                rng.sample(range(g.n), rng.randint(0, g.n)),
+                # unsorted, with repeats
+                [rng.randrange(g.n) for _ in range(g.n + 3)] if g.n else [],
+            ]
+            for keep in keeps:
+                assert g.induced(keep) == induced_by_edge_walk(g, keep)
+
+    def test_out_of_range_rejected(self):
+        for keep in ([0, 5], [-1, 2]):
+            with pytest.raises(PreconditionError):
+                cycle_graph(5).induced(keep)
+
+
 class TestBfsLevels:
     def test_examples(self):
         assert bfs_levels(path_graph(4)) == [0, 1, 2, 3]

@@ -18,6 +18,7 @@ from starforest.vectors import common_forest, counts_to_sizes
 
 from conftest import (
     complete_graph,
+    counted_min_fill,
     cycle_graph,
     path_graph,
     random_graph,
@@ -249,6 +250,43 @@ class TestEnumDP:
         # 1199 bags in a path: the walk must not recurse once per node
         fam = enum_star_vectors_dp(path_graph(1200), 1)
         assert fam.vectors == {(c,) for c in range(601)}
+
+
+class TestMemo:
+    def test_family_is_frozen_and_reused_for_an_equal_graph(self, monkeypatch):
+        treewidth._remembered_family.cache_clear()
+        calls = counted_min_fill(monkeypatch)
+        first = enum_star_vectors_dp(cycle_graph(6), 2)
+        assert isinstance(first.members, frozenset)
+        again = enum_star_vectors_dp(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 2)
+        assert again == first
+        assert calls == [cycle_graph(6)]
+        # another delta is another key
+        enum_star_vectors_dp(cycle_graph(6), 1)
+        assert len(calls) == 2
+
+    def test_supplied_decomposition_is_validated_when_remembered(self):
+        treewidth._remembered_family.cache_clear()
+        g = path_graph(3)
+        enum_star_vectors_dp(g, 2)
+        with pytest.raises(PreconditionError):
+            enum_star_vectors_dp(g, 2, TreeDecomposition((frozenset({0}),), ()))
+        # a valid one runs the DP on it and gives the same family
+        assert enum_star_vectors_dp(g, 2, heuristic_decomposition(g)) == enum_star_vectors_dp(g, 2)
+
+    def test_a_third_graph_evicts_the_oldest(self, monkeypatch):
+        treewidth._remembered_family.cache_clear()
+        calls = counted_min_fill(monkeypatch)
+        graphs = [path_graph(4), star_graph(3), cycle_graph(4)]
+        for g in graphs:
+            enum_star_vectors_dp(g, 2)
+            assert treewidth._remembered_family.cache_info().currsize <= 2
+        assert treewidth._remembered_family.cache_info().currsize == 2
+        enum_star_vectors_dp(graphs[2], 2)
+        enum_star_vectors_dp(graphs[1], 2)
+        assert calls == graphs
+        enum_star_vectors_dp(graphs[0], 2)
+        assert calls == graphs + [graphs[0]]
 
 
 class TestSolveTw:
