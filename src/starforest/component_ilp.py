@@ -3,23 +3,26 @@
 A disjoint union realises exactly the sums of its components' star-count
 vectors, so each graph's family is the sumset of its components' families,
 folded in one component at a time; no integer program is solved.  Each
-component's own family comes from the oracle's star-packing backtracking,
-which stays cheap because no component has more than MAX_COMPONENT
-vertices.  The optimum is the best vector the two families share.  Bounded
-treedepth plus maximum degree bounds the component size, so with k read off
-the input this is also the paper's FPT route for that parameter pair.
+component's own family comes from `component_family`, a search over star
+packings inside the component that branches on its lowest free vertex (left
+out, a centre, or a leaf of a larger star) and is memoised on the set of used
+vertices, so a component of k vertices has at most 2^k states.  No component
+has more than MAX_COMPONENT vertices.  The optimum is the best vector the two
+families share.  Bounded treedepth plus maximum degree bounds the component
+size, so with k read off the input this is also the paper's FPT route for
+that parameter pair.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph
-from .oracle import enum_star_vectors_brute
+from .oracle import enum_star_vectors_brute  # unused; only perfbench/tracing.py looks it up
 from .vectors import VectorFamily, best_common, sumset
 
-MAX_COMPONENT = 8  # bounds the brute-force family of each component
+MAX_COMPONENT = 8  # bounds the 2^k search states of each component's family
 # a family can grow like n^(k-1); at about 10M sumset pairs/s this stops a
 # solve within a few seconds
 DEFAULT_PAIR_BUDGET = 50_000_000
@@ -62,7 +65,7 @@ def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGE
         raise PreconditionError("k must be >= 1")
     if k > MAX_COMPONENT:
         raise ResourceLimitError(f"component bound {k} exceeds the limit {MAX_COMPONENT}")
-    parts = []
+    hosts = []
     for which, g in enumerate((g1, g2), 1):
         comps = g.components()
         for comp in comps:
@@ -70,41 +73,98 @@ def solve_cc(g1: Graph, g2: Graph, k: int, pair_budget: int = DEFAULT_PAIR_BUDGE
                 raise PreconditionError(
                     f"graph {which} has a component of {len(comp)} vertices (> k={k}): {comp}"
                 )
-        parts.append([g.induced(comp)[0] for comp in comps])
+        hosts.append((g, comps))
     if k < 2:
         return 0  # every component is a single vertex
-    fam1, fam2 = build_cc_model(realisation_table(parts, k), k, max(g1.n, g2.n), pair_budget)
+    # every partial sum of the fold is a star packing of one graph, so no
+    # coordinate exceeds n // 2 for n = max(n1, n2)
+    base = max(2, max(g1.n, g2.n) // 2 + 1)
+    fam1, fam2 = build_cc_model(realisation_table(hosts, k, base), k, base, pair_budget)
     return best_common(fam1, fam2)[0]
 
 
-def realisation_table(parts: list[list[Graph]], k: int) -> list[list[VectorFamily]]:
-    """Per graph, per component (k >= 2), the family of star-count vectors
-    (sizes 2..k) realisable inside that component, packed at the oracle's base.
+def component_family(g: Graph, comp: list[int], delta: int, base: int) -> VectorFamily:
+    """Every star-count vector (sizes 2..delta+1) realisable by vertex-disjoint
+    stars in the subgraph of g induced on `comp`, packed at `base`.
+
+    Branches on the lowest free vertex v: v stays out of every star; v
+    centres a star of 1..delta free neighbours; or v is a leaf of a free
+    neighbour u that takes 1..delta-1 other free neighbours (the lone edge
+    {v, u} is already a star centred at v).  Memoised on the bitmask of used
+    vertices, so at most 2^len(comp) states.
     """
-    return [[enum_star_vectors_brute(comp, k - 1) for comp in comps] for comps in parts]
+    if delta < 1:
+        raise PreconditionError("delta must be >= 1")
+    if len(comp) > MAX_COMPONENT:
+        raise ResourceLimitError(
+            f"component has {len(comp)} vertices, above the limit {MAX_COMPONENT}"
+        )
+    if base <= len(comp) // 2:
+        raise PreconditionError(f"base {base} does not exceed every count of {len(comp)} vertices")
+    local = {v: i for i, v in enumerate(comp)}
+    adjacency = [[local[w] for w in g.adjacency[v] if w in local] for v in comp]
+    weights = [base**j for j in range(delta)]  # one star of size j + 2
+    full = (1 << len(comp)) - 1
+    memo: dict[int, set[int]] = {full: {0}}
+
+    def with_star(result: set[int], used: int, leaves: list[int], bump: int, most: int) -> None:
+        """Add the packings left once a star also takes 1..most of `leaves`;
+        a star with `take` of them has size index bump + take - 1."""
+        for take in range(1, min(most, len(leaves)) + 1):
+            weight = weights[bump + take - 1]
+            for chosen in combinations(leaves, take):
+                mask = used
+                for w in chosen:
+                    mask |= 1 << w
+                result.update(code + weight for code in packings(mask))
+
+    def packings(used: int) -> set[int]:
+        cached = memo.get(used)
+        if cached is not None:
+            return cached
+        v = (~used & (used + 1)).bit_length() - 1  # the lowest free vertex
+        rest = used | 1 << v
+        result = set(packings(rest))  # v stays out
+        free = [w for w in adjacency[v] if not rest >> w & 1]
+        with_star(result, rest, free, 0, delta)  # v centres a star
+        for u in free:  # v is a leaf of u, which takes other leaves too
+            taken = rest | 1 << u
+            with_star(result, taken, [w for w in adjacency[u] if not taken >> w & 1], 1, delta - 1)
+        memo[used] = result
+        return result
+
+    return VectorFamily(delta, base, packings(0))
+
+
+def realisation_table(
+    hosts: list[tuple[Graph, list[list[int]]]], k: int, base: int
+) -> list[list[VectorFamily]]:
+    """Per host graph, per listed component (k >= 2), the family of
+    star-count vectors (sizes 2..k) realisable inside that component,
+    packed at `base`.
+    """
+    return [[component_family(g, comp, k - 1, base) for comp in comps] for g, comps in hosts]
 
 
 def build_cc_model(
-    tables: list[list[VectorFamily]], k: int, n: int, pair_budget: int
+    tables: list[list[VectorFamily]], k: int, base: int, pair_budget: int
 ) -> tuple[VectorFamily, VectorFamily]:
     """The (VectorFamily, VectorFamily) of g1 and g2, each folded as the
     sumset of its components' families, one component at a time.
 
-    Every partial sum is the vector of a star packing inside one graph, so
-    no coordinate exceeds n // 2 for n = max(n1, n2) and the packed sums stay
-    exact.  Before each sumset its |A| * |B| pairs are added to a running
-    count; one that would take the count past `pair_budget` raises
-    ResourceLimitError instead of running.
+    Every family is packed at `base`, which must exceed every coordinate of
+    a folded sum, so the packed sums stay exact.  Before each sumset its
+    |A| * |B| pairs are added to a running count; one that would take the
+    count past `pair_budget` raises ResourceLimitError instead of running.
     """
-    base = max(2, n // 2 + 1)
     pairs = 0
     families = []
     for table in tables:
-        folded = VectorFamily.of([(0,) * (k - 1)], k - 1, base)
+        folded = VectorFamily(k - 1, base, {0})
         for family in table:
             pairs += len(folded.members) * len(family.members)
             if pairs > pair_budget:
                 raise ResourceLimitError(f"component fold pair budget {pair_budget} exceeded")
-            folded = sumset(folded, family.rebase(base))
+            folded = sumset(folded, family)
         families.append(folded)
     return families[0], families[1]

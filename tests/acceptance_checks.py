@@ -16,7 +16,7 @@ from pathlib import Path
 
 from starforest import cli
 from starforest.combinatorics import dominating_matching, enum_partitions
-from starforest.component_ilp import solve_cc
+from starforest.component_ilp import MAX_COMPONENT, solve_cc
 from starforest.eptas import EptasConfig, prune_levels, solve_eptas
 from starforest.generators import (
     KwayInstance,
@@ -62,9 +62,11 @@ def check_1_oracle_equivalence(count: int = 300, per_solver: int = 100):
     """All applicable exact solvers agree with the brute-force oracle.
 
     Sampling continues past `count` until the component-size and vertex-cover
-    solvers have each seen at least `per_solver` qualifying instances.
+    solvers have each seen at least `per_solver` qualifying instances.  The
+    component-size solver also runs with k equal to the largest component
+    whenever the route accepts that size (counted as cc_k).
     """
-    stats = {"cc": 0, "vc": 0, "total": 0}
+    stats = {"cc": 0, "cc_k": 0, "vc": 0, "total": 0}
     rng = random.Random(1001)
     while stats["total"] < count or min(stats["cc"], stats["vc"]) < per_solver:
         p = rng.choice([0.2, 0.4, 0.6])
@@ -79,6 +81,11 @@ def check_1_oracle_equivalence(count: int = 300, per_solver: int = 100):
             stats["cc"] += 1
             if solve_cc(g1, g2, 5) != opt:
                 return False, f"solve_cc disagrees on {list(g1.edges())} vs {list(g2.edges())}"
+        if comp <= MAX_COMPONENT:
+            stats["cc_k"] += 1
+            if solve_cc(g1, g2, comp) != opt:
+                edges = f"{list(g1.edges())} vs {list(g2.edges())}"
+                return False, f"solve_cc(k={comp}) disagrees on {edges}"
         if (
             stats["vc"] < 2 * per_solver
             and min_vertex_cover(g1, 3) is not None
@@ -91,7 +98,10 @@ def check_1_oracle_equivalence(count: int = 300, per_solver: int = 100):
             yes, _ = solve_h(Instance(g1, g2, h), mode="exact")
             if yes != (opt >= h):
                 return False, f"solve_h({h}) disagrees (opt={opt})"
-    return True, f"{stats['total']} instances (cc on {stats['cc']}, vc on {stats['vc']})"
+    return True, (
+        f"{stats['total']} instances (cc on {stats['cc']}, cc at k = largest component"
+        f" on {stats['cc_k']}, vc on {stats['vc']})"
+    )
 
 
 def check_2_dp_vs_brute(count: int = 200):

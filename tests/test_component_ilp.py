@@ -7,6 +7,7 @@ from starforest.component_ilp import (
     DEFAULT_PAIR_BUDGET,
     build_cc_model,
     canonical_form,
+    component_family,
     realisation_table,
     solve_cc,
 )
@@ -49,10 +50,20 @@ def random_union(rng: random.Random) -> Graph:
     return disjoint_union(*parts)
 
 
+Q3 = Graph.from_edges(8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1])
+K44 = Graph.from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
+
+
+def fold_base(*graphs: Graph) -> int:
+    """The base solve_cc packs at: above any count of a packing in the larger graph."""
+    return max(2, max(g.n for g in graphs) // 2 + 1)
+
+
 def folded_families(g1: Graph, g2: Graph, k: int):
     """Both graphs' families, folded from their components' families as solve_cc does."""
-    parts = [[g.induced(comp)[0] for comp in g.components()] for g in (g1, g2)]
-    return build_cc_model(realisation_table(parts, k), k, max(g1.n, g2.n), DEFAULT_PAIR_BUDGET)
+    base = fold_base(g1, g2)
+    tables = realisation_table([(g, g.components()) for g in (g1, g2)], k, base)
+    return build_cc_model(tables, k, base, DEFAULT_PAIR_BUDGET)
 
 
 def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:
@@ -137,7 +148,8 @@ class TestRealisations:
         ],
     )
     def test_small_shapes(self, graph, k, expected):
-        assert realisation_table([[graph]], k)[0][0].vectors == expected
+        family = realisation_table([(graph, graph.components())], k, graph.n + 1)[0][0]
+        assert family.vectors == expected
 
     def test_matches_edge_subset_oracle(self):
         rng = random.Random(72)
@@ -147,10 +159,12 @@ class TestRealisations:
             comp0 = g.components()[0]
             sub, _ = g.induced(comp0)
             k = max(2, sub.n)
-            assert realisation_table([[sub]], k)[0][0].vectors == signatures_by_edge_subsets(sub, k)
+            family = realisation_table([(g, [comp0])], k, fold_base(g))[0][0]
+            assert family.vectors == signatures_by_edge_subsets(sub, k)
 
     def test_downward_closure(self):
-        sigs = realisation_table([[cycle_graph(5)]], 5)[0][0].vectors
+        c5 = cycle_graph(5)
+        sigs = realisation_table([(c5, c5.components())], 5, fold_base(c5))[0][0].vectors
         assert (0,) * 4 in sigs
         for sig in sigs:
             for j in range(4):
@@ -164,6 +178,50 @@ class TestRealisations:
                     shrunk[j] -= 1
                     shrunk[j - 1] += 1
                     assert tuple(shrunk) in sigs
+
+
+class TestComponentFamily:
+    """component_family against the oracle's family, re-packed at the same base."""
+
+    @pytest.mark.parametrize("p", [0.2, 0.4, 0.7])
+    def test_matches_oracle(self, p):
+        rng = random.Random(int(p * 10) + 76)
+        for _ in range(25):
+            g = random_graph(rng, rng.randint(1, 8), p)
+            comp = list(range(g.n))
+            for delta in range(1, 8):
+                brute = enum_star_vectors_brute(g, delta)
+                for base in (fold_base(g), g.n + 1):
+                    assert component_family(g, comp, delta, base) == brute.rebase(base)
+
+    def test_scattered_labels_in_larger_host(self):
+        # {2, 5, 9, 11} is a paw (a triangle with a pendant) among other
+        # components of a 12-vertex host; the family is the induced graph's
+        comp = [2, 5, 9, 11]
+        host = Graph.from_edges(
+            12, [(2, 5), (5, 9), (2, 9), (9, 11), (0, 1), (1, 3), (4, 6), (7, 8), (8, 10)]
+        )
+        assert [c for c in host.components() if 2 in c] == [comp]
+        sub, _ = host.induced(comp)
+        for delta in range(1, 4):
+            want = enum_star_vectors_brute(sub, delta).rebase(fold_base(host))
+            assert component_family(host, comp, delta, fold_base(host)) == want
+
+    @pytest.mark.parametrize("name", ["K8", "K44", "Q3", "C8"])
+    def test_dense_eight_vertex_components(self, name):
+        g = {"K8": complete_graph(8), "K44": K44, "Q3": Q3, "C8": cycle_graph(8)}[name]
+        want = enum_star_vectors_brute(g, 7).rebase(fold_base(g))
+        with time_limit(0.3):
+            got = component_family(g, list(range(8)), 7, fold_base(g))
+        assert got == want
+
+    def test_refusals(self):
+        with pytest.raises(PreconditionError):
+            component_family(path_graph(3), [0, 1, 2], 0, 3)
+        with pytest.raises(PreconditionError):
+            component_family(path_graph(4), [0, 1, 2, 3], 2, 2)
+        with pytest.raises(ResourceLimitError):
+            component_family(path_graph(9), list(range(9)), 2, 5)
 
 
 class TestSolve:
@@ -242,14 +300,7 @@ class TestSolve:
     def test_regular_components(self, parts1, parts2):
         # regular components of 6-8 vertices: every vertex has one degree,
         # where a canonical labeling would try up to 8! orders per component
-        shapes = {
-            "C6": cycle_graph(6),
-            "C8": cycle_graph(8),
-            "Q3": Graph.from_edges(
-                8, [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1]
-            ),
-            "K44": Graph.from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)]),
-        }
+        shapes = {"C6": cycle_graph(6), "C8": cycle_graph(8), "Q3": Q3, "K44": K44}
         g1 = disjoint_union(*[shapes[name] for name in parts1.split()])
         g2 = disjoint_union(*[shapes[name] for name in parts2.split()])
         with time_limit(0.3):
