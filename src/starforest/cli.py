@@ -188,12 +188,12 @@ def cmd_gen(args) -> int:
             raise ParseError(f"gen {kind} needs --graph")
         g = parse_graph(_read_text(args.graph))
         labeled = (
-            generators.gen_domset(g, args.k or 1) if kind == "domset" else generators.gen_p3(g)
+            generators.gen_domset(g, args.k) if kind == "domset" else generators.gen_p3(g)
         )
     else:
         if args.items is None or args.C is None:
             raise PreconditionError("kway generators need --items and --C")
-        kw = generators.KwayInstance(_parse_items(args.items), args.k or 1, args.C)
+        kw = generators.KwayInstance(_parse_items(args.items), args.k, args.C)
         if args.rescale:
             kw = generators.rescale(kw)
         labeled = (
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a hardness-construction instance")
     gen.add_argument("kind", choices=("domset", "p3", "kway-td5", "kway-pw4"))
     gen.add_argument("--graph", help="input graph file (domset, p3)")
-    gen.add_argument("--k", type=int, default=None)
+    gen.add_argument("--k", type=int, default=1)
     gen.add_argument("--items", help="comma-separated item values (kway)")
     gen.add_argument("--C", type=int, default=None, help="bin capacity (kway)")
     gen.add_argument("--rescale", action="store_true", help="normalize items first")

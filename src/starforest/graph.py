@@ -150,8 +150,17 @@ class Instance:
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: first line "n m", then m lines "u v"."""
-    graph, _ = _parse_graph_lines(text.splitlines(), offset=0)
+    lines = text.splitlines()
+    graph, used = _parse_graph_lines(lines, offset=0)
+    _expect_end(lines, used)
     return graph
+
+
+def _expect_end(lines: list[str], idx: int) -> None:
+    """Refuse any non-blank line after the last graph, such as an edge beyond m."""
+    for line_no in range(idx, len(lines)):
+        if lines[line_no].strip():
+            raise ParseError(f"unexpected line after the graph: {lines[line_no]!r}", line_no + 1)
 
 
 def _parse_graph_lines(lines: list[str], offset: int) -> tuple[Graph, int]:
@@ -224,7 +233,8 @@ def parse_instance(text: str) -> Instance:
     if idx >= len(lines) or lines[idx].strip() != "---":
         raise ParseError("expected '---' separator between graphs", idx + 1)
     idx += 1
-    g2, _ = _parse_graph_lines(lines[idx:], offset=idx)
+    g2, used = _parse_graph_lines(lines[idx:], offset=idx)
+    _expect_end(lines, idx + used)
     return Instance(g1, g2, h)
 
 

@@ -3,42 +3,45 @@
 For each graph: fix a minimum vertex cover, bucket the independent-set
 vertices into twin classes by exact neighbourhood, then guess the shape of
 the solution's stars anchored on the cover: which cover vertices centre
-type-I stars, how many leftover cover vertices each of them takes as
-leaves, and the (class, leaf-set) description of type-II stars, those
-centred outside the cover.  A guess pair plus a star-matching bijection
-yields one small integer program; the answer is the best optimum over all
-guesses.
+type-I stars, and the (class, leaf-set) description of type-II stars, those
+centred outside the cover.  This skeleton is one graph's half of a guess.  A
+guess pair plus a star-matching bijection yields one small integer program;
+the answer is the best optimum over all guesses.
 
 A guess guesses only what the program cannot decide.  A type-II star has at
 least two cover leaves: a one-leaf type-II star is an edge {v, c} with v
 independent and c in the cover, and the guess that makes c a type-I centre
-taking no cover vertex and one leaf from v's class reaches the same forests
-with the same class capacities and the same leftover cover vertices.  The
-program reads only how many leftover cover vertices each centre takes
-(beta), so a guess fixes those counts and not which vertices they are.
+with one leaf from v's class reaches the same forests with the same class
+capacities and the same leftover cover vertices.  A leftover cover vertex,
+neither a centre nor a type-II leaf, that neighbours a centre is one more
+leaf class to the program: capacity 1, keyed by the centres it neighbours.
+The program picks which centre, if any, takes it, just as it picks leaves
+from the twin classes.
 
-Each side guess carries a size range [lo, hi] per star; a type-II star's
-range is its one size.  Matched stars have equal sizes, so a pair that
-matches two disjoint ranges has no solution, and any other pair gives at
-most the sum over matched stars of min(hi1, hi2).  A skeleton is a side
-guess without its beta; its bound, p plus the leftover cover vertices
-adjacent to some centre plus the centres' rooms plus the type-II sizes, is
-the largest sum of hi over its betas.  One heap holds pairs of skeletons
-of one star count, keyed by the smaller skeleton bound, pairs of side
-guesses, keyed by the smaller sum of hi, and concrete pairs, keyed by
-their bound; each key bounds every pair beneath it, so pairs come out in
-non-increasing bound order and only the part of the search that can still
-win is expanded.  The search stops at the first pair whose bound, capped
-at the smaller graph's order, does not beat the best answer so far.  The
-program bounds each matched star's size by the intersection of its two
-ranges, so only two matched type-I stars need an equality row.
+Each skeleton carries a size range [lo, hi] per star: a type-I star's is
+[2, 1 + room + adjacent leftover vertices], a type-II star's is its one
+size.  Matched stars have equal sizes, so a pair that matches two disjoint
+ranges has no solution, and any other pair gives at most the sum over
+matched stars of min(hi1, hi2), capped at both skeletons' bounds.  A
+skeleton's bound, p plus the leftover cover vertices adjacent to some
+centre plus the centres' rooms plus the type-II sizes, bounds every forest
+it can give.  One heap holds pairs of skeletons of one star count, keyed by
+the smaller skeleton bound, and concrete pairs, keyed by their bound; each
+key bounds every pair beneath it, so pairs come out in non-increasing bound
+order and only the part of the search that can still win is expanded, and
+a skeleton's ranges are built only when a pair of it is.  The search stops
+at the first pair whose bound, capped at the smaller graph's order, does
+not beat the best answer so far.  The program bounds each matched star's
+size by the intersection of its two ranges, so only two matched type-I
+stars need an equality row.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations, count, permutations, product
+from functools import cached_property
+from itertools import combinations, count, permutations
 from typing import Iterator
 
 from . import bip
@@ -54,13 +57,6 @@ MAX_COVER = 3
 class TwinClasses:
     cover: tuple[int, ...]
     classes: dict[frozenset[int], tuple[int, ...]]  # exact neighbourhood -> members
-
-    @property
-    def n(self) -> int:
-        return len(self.cover) + sum(len(m) for m in self.classes.values())
-
-    def class_size(self, key: frozenset[int]) -> int:
-        return len(self.classes.get(key, ()))
 
 
 def twin_classes(g: Graph, cover) -> TwinClasses:
@@ -81,21 +77,24 @@ def twin_classes(g: Graph, cover) -> TwinClasses:
 
 
 @dataclass(frozen=True)
-class SideGuess:
+class Skeleton:
     """One graph's half of a guess; star indices run type-I first, then type-II."""
 
-    type1_centres: tuple[int, ...]
+    centres: tuple[int, ...]  # type-I centres
     # (class key, cover leaves), at least two leaves: one leaf is a type-I star
     type2_stars: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    # per type-I star: cover vertices it contains, centre included; which
-    # leftover cover vertices make up the count is not part of the guess
-    beta: tuple[int, ...]
-    # per star: attainable [lo, hi] size; a type-II star's is its fixed size
-    ranges: tuple[tuple[int, int], ...]
+    # per leftover cover vertex next to a centre (no centre, no type-II leaf):
+    # the centres it neighbours, the key of its capacity-1 class
+    leftover: tuple[frozenset[int], ...]
+    # per centre, every usable vertex of the classes around it (ignoring
+    # that other stars share them): the most leaves it can take from them
+    rooms: tuple[int, ...]
+    # the most vertices its stars can cover: each leftover vertex joins one
+    bound: int
 
     @property
     def p(self) -> int:
-        return len(self.type1_centres)
+        return len(self.centres)
 
     @property
     def q(self) -> int:
@@ -105,35 +104,27 @@ class SideGuess:
     def stars(self) -> int:
         return self.p + self.q
 
+    @cached_property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        """Per star, its attainable [lo, hi] size; a type-II star's is its fixed size.
+
+        Built on first use: when the search first expands a pair of this skeleton.
+        """
+        return tuple(
+            (2, 1 + room + sum(c in key for key in self.leftover))
+            for c, room in zip(self.centres, self.rooms)
+        ) + tuple((1 + len(leaves),) * 2 for _, leaves in self.type2_stars)
+
 
 @dataclass(frozen=True)
 class GuessPair:
-    side1: SideGuess
-    side2: SideGuess
+    side1: Skeleton
+    side2: Skeleton
     pi: tuple[int, ...]  # star i on side 1 pairs with star pi[i] on side 2
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """A side guess without its beta: its type-I centres and type-II stars."""
-
-    centres: tuple[int, ...]
-    type2_stars: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    rest: tuple[int, ...]  # leftover cover vertices: no centre, no type-II leaf
-    # per centre, every usable vertex of the classes around it (ignoring
-    # that other stars share them): the most leaves it can take from them
-    rooms: tuple[int, ...]
-    # the largest sum of hi over the skeleton's betas: every leftover cover
-    # vertex adjacent to some centre joins one
-    bound: int
-
-    @property
-    def stars(self) -> int:
-        return len(self.centres) + len(self.type2_stars)
-
-
 def enumerate_skeletons(g: Graph, tc: TwinClasses) -> Iterator[Skeleton]:
-    """Every skeleton a side guess can have, each once."""
+    """Every skeleton one graph's half of a guess can have, each once."""
     cover = tc.cover
     a = len(cover)
     # a centre's room before any type-II star anchors in its classes
@@ -143,9 +134,9 @@ def enumerate_skeletons(g: Graph, tc: TwinClasses) -> Iterator[Skeleton]:
             cset = set(centres)
             others = tuple(w for w in cover if w not in cset)
             rooms0 = tuple(room[c] for c in centres)
-            # the non-centres that can hang off a centre as leftover vertices
-            near = {w for w in others if not cset.isdisjoint(g.adjacency[w])}
-            yield Skeleton(centres, (), others, rooms0, p + len(near) + sum(rooms0))
+            # the non-centres that can hang off a centre, with the centres they neighbour
+            near = {w: key for w in others if (key := frozenset(g.adjacency[w]) & cset)}
+            yield Skeleton(centres, (), tuple(near.values()), rooms0, p + len(near) + sum(rooms0))
             if a - p < 2:
                 continue  # each type-II star takes two or more of the non-centres
             # all possible type-II stars: a twin class to anchor the centre in,
@@ -159,55 +150,27 @@ def enumerate_skeletons(g: Graph, tc: TwinClasses) -> Iterator[Skeleton]:
             for q in range(1, (a - p) // 2 + 1):
                 for stars in combinations(cands, q):
                     taken: set[int] = set()
-                    per_key: dict[frozenset[int], int] = {}
-                    ok = True
+                    keys: list[frozenset[int]] = []
                     for key, leaves in stars:
-                        if leaves & taken:
-                            ok = False
+                        # no two stars share a leaf, and each class holds its stars' centres
+                        if leaves & taken or keys.count(key) == len(tc.classes[key]):
                             break
                         taken |= leaves
-                        per_key[key] = per_key.get(key, 0) + 1
-                        if per_key[key] > tc.class_size(key):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    # a type-II star's centre leaves its class to no type-I star
-                    rooms = tuple(
-                        room - sum(c in key for key, _ in stars)
-                        for c, room in zip(centres, rooms0)
-                    )
-                    rest = tuple(w for w in others if w not in taken)
-                    sizes = sum(1 + len(leaves) for _, leaves in stars)
-                    bound = p + len(near - taken) + sum(rooms) + sizes
-                    yield Skeleton(centres, stars, rest, rooms, bound)
+                        keys.append(key)
+                    else:
+                        # a type-II star's centre leaves its class to no type-I star
+                        rooms = tuple(
+                            room - sum(c in key for key in keys)
+                            for c, room in zip(centres, rooms0)
+                        )
+                        leftover = tuple(key for w, key in near.items() if w not in taken)
+                        bound = p + len(leftover) + sum(rooms) + q + len(taken)
+                        yield Skeleton(centres, stars, leftover, rooms, bound)
 
 
-def enumerate_side_guesses(g: Graph, tc: TwinClasses) -> Iterator[SideGuess]:
-    for sk in enumerate_skeletons(g, tc):
-        yield from _assign_cover_roles(g, sk)
-
-
-def _assign_cover_roles(g: Graph, sk: Skeleton) -> Iterator[SideGuess]:
-    """One guess per distinct beta the leftover cover vertices can give."""
-    centres = sk.centres
-    # a leftover cover vertex may hang off an adjacent type-I centre, or sit out (-1)
-    choice_lists = [
-        [-1] + [i for i, c in enumerate(centres) if g.has_edge(w, c)] for w in sk.rest
-    ]
-    betas = dict.fromkeys(
-        tuple(1 + picks.count(i) for i in range(len(centres)))
-        for picks in product(*choice_lists)
-    )
-    fixed = tuple((1 + len(leaves),) * 2 for _, leaves in sk.type2_stars)
-    for beta in betas:
-        ranges = tuple((max(2, b), b + room) for b, room in zip(beta, sk.rooms)) + fixed
-        yield SideGuess(centres, sk.type2_stars, beta, ranges)
-
-
-# heap entry kinds; at equal keys a concrete pair pops before anything that
-# might still produce another pair of that bound
-_PAIR, _SIDES, _SKELETONS = range(3)
+# heap entry kinds; at equal keys a concrete pair pops before a skeleton pair
+# that might still produce another pair of that bound
+_PAIR, _SKELETONS = range(2)
 
 
 def enumerate_guesses(
@@ -215,68 +178,46 @@ def enumerate_guesses(
 ) -> Iterator[GuessPair]:
     """Every guess pair whose program can be feasible, once, by non-increasing bound.
 
-    A pair matches the stars of two side guesses of one star count in any
+    A pair matches the stars of two skeletons of one star count in any
     order; it is kept when pair_bound finds its matched ranges meet, which
     also rules out two type-II stars of different sizes.  The search is lazy
-    and best first over one heap: a pair of skeletons of one star count is
-    keyed by the smaller skeleton bound, a pair of side guesses by the
-    smaller sum of hi, and a concrete pair by pair_bound.  Each key bounds
-    every pair beneath it, so a pair is yielded only when nothing left in
-    the heap can beat it, and a consumer that stops early leaves the rest of
-    the search unexpanded.  Each skeleton's side guesses are built at most
-    once.
+    and best first over one heap: a pair of skeletons is keyed by the
+    smaller skeleton bound, and a concrete pair by pair_bound, which is
+    capped at both.  Each key bounds every pair beneath it, so a pair is
+    yielded only when nothing left in the heap can beat it, and a consumer
+    that stops early leaves the rest of the search unexpanded.
     """
-    skeletons = (list(enumerate_skeletons(g1, tc1)), list(enumerate_skeletons(g2, tc2)))
-    by_stars: dict[int, list[int]] = {}
-    for i2, sk2 in enumerate(skeletons[1]):
-        by_stars.setdefault(sk2.stars, []).append(i2)
+    by_stars: dict[int, list[Skeleton]] = {}
+    for sk2 in enumerate_skeletons(g2, tc2):
+        by_stars.setdefault(sk2.stars, []).append(sk2)
     seq = count()  # breaks ties within a kind, so payloads are never compared
     # (-key, kind, seq, payload): the heap pops the largest key first
     heap: list[tuple] = [
-        (-min(sk1.bound, skeletons[1][i2].bound), _SKELETONS, next(seq), (i1, i2))
-        for i1, sk1 in enumerate(skeletons[0])
-        for i2 in by_stars.get(sk1.stars, ())
+        (-min(sk1.bound, sk2.bound), _SKELETONS, next(seq), (sk1, sk2))
+        for sk1 in enumerate_skeletons(g1, tc1)
+        for sk2 in by_stars.get(sk1.stars, ())
     ]
     heapq.heapify(heap)
-    # per side and skeleton: its side guesses with their sums of hi, once built
-    sides: tuple[list, list] = ([None] * len(skeletons[0]), [None] * len(skeletons[1]))
     while heap:
         _, kind, _, item = heapq.heappop(heap)
         if kind == _PAIR:
             yield item
-        elif kind == _SIDES:
-            s1, s2 = item
-            for pi in permutations(range(s1.stars)):
-                pair = GuessPair(s1, s2, pi)
-                bound = pair_bound(pair)
-                if bound is not None:
-                    heapq.heappush(heap, (-bound, _PAIR, next(seq), pair))
-        else:
-            for side, i, g, sks in zip(sides, item, (g1, g2), skeletons):
-                if side[i] is None:
-                    side[i] = [
-                        (sum(hi for _, hi in s.ranges), s)
-                        for s in _assign_cover_roles(g, sks[i])
-                    ]
-            i1, i2 = item
-            for u1, s1 in sides[0][i1]:
-                for u2, s2 in sides[1][i2]:
-                    heapq.heappush(heap, (-min(u1, u2), _SIDES, next(seq), (s1, s2)))
-
-
-def _capacities(type2_stars: tuple, tc: TwinClasses) -> dict[frozenset[int], int]:
-    """Per-class budget of independent-set vertices usable as type-I leaves."""
-    anchored: dict[frozenset[int], int] = {}
-    for key, _ in type2_stars:
-        anchored[key] = anchored.get(key, 0) + 1
-    return {key: tc.class_size(key) - anchored.get(key, 0) for key in tc.classes}
+            continue
+        s1, s2 = item
+        for pi in permutations(range(s1.stars)):
+            pair = GuessPair(s1, s2, pi)
+            bound = pair_bound(pair)
+            if bound is not None:
+                heapq.heappush(heap, (-bound, _PAIR, next(seq), pair))
 
 
 def pair_bound(pair: GuessPair) -> int | None:
     """Upper bound on the forest size of the pair's program, or None if it is infeasible.
 
     Matched stars have equal sizes, so each is at most min(hi1, hi2) and the
-    program is infeasible when two matched ranges are disjoint.
+    program is infeasible when two matched ranges are disjoint.  A leftover
+    vertex counts in the hi of every centre it neighbours, so the sum is
+    capped at both skeletons' bounds.
     """
     ranges2 = pair.side2.ranges
     total = 0
@@ -286,7 +227,7 @@ def pair_bound(pair: GuessPair) -> int | None:
         if max(lo1, lo2) > hi:
             return None
         total += hi
-    return total
+    return min(total, pair.side1.bound, pair.side2.bound)
 
 
 def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.BipModel:
@@ -299,19 +240,20 @@ def build_vc_model(pair: GuessPair, tc1: TwinClasses, tc2: TwinClasses) -> bip.B
         meet["alpha", i] = meet["gamma", j] = (max(lo1, lo2), min(hi1, hi2))
     model = bip.BipModel()
     for size, leaf, side, tc in (("alpha", "x", s1, tc1), ("gamma", "y", s2, tc2)):
-        caps = list(_capacities(side.type2_stars, tc).items())
-        # a class can give leaves only to the centres in its neighbourhood key
-        takes = [
-            [idx for idx, (key, _) in enumerate(caps) if c in key]
-            for c in side.type1_centres
-        ]
+        # the twin classes less their type-II centres, then one capacity-1
+        # class per leftover cover vertex
+        anchored = [key for key, _ in side.type2_stars]
+        caps = [(key, len(m) - anchored.count(key)) for key, m in tc.classes.items()]
+        caps += [(key, 1) for key in side.leftover]
+        # a class can give leaves only to the centres in its key
+        takes = [[idx for idx, (key, _) in enumerate(caps) if c in key] for c in side.centres]
         for i, idxs in enumerate(takes):
             model.add_var(f"{size}_{i}", *meet[size, i])
             for idx in idxs:
-                model.add_var(f"{leaf}_{i}_c{idx}", 0, max(caps[idx][1], 0))
+                model.add_var(f"{leaf}_{i}_c{idx}", 0, caps[idx][1])
             coeffs = {f"{size}_{i}": 1}
             coeffs.update({f"{leaf}_{i}_c{idx}": -1 for idx in idxs})
-            model.add_constraint(coeffs, bip.EQ, side.beta[i])
+            model.add_constraint(coeffs, bip.EQ, 1)
         for idx, (_, cap) in enumerate(caps):
             row = {f"{leaf}_{i}_c{idx}": 1 for i, idxs in enumerate(takes) if idx in idxs}
             if row:

@@ -215,6 +215,13 @@ class TestUnreadableInput:
         assert main(self.args(command, inst, tmp_path)) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_edge_beyond_header_count(self, command, tmp_path, capsys):
+        inst = tmp_path / "extra.txt"
+        inst.write_text(P4_VS_STAR + "1 2\n")  # a fourth edge line on a 3-edge star
+        assert main(self.args(command, inst, tmp_path)) == 2
+        assert "line 11" in capsys.readouterr().err
+
 
 class TestGen:
     def test_p3_writes_files(self, tmp_path, capsys):
@@ -236,6 +243,20 @@ class TestGen:
         assert main(["gen", kind, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--graph" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["domset", "--graph", "GRAPH"], ["kway-td5", "--items", "2,2", "--C", "4"]],
+        ids=["domset", "kway-td5"],
+    )
+    def test_k_zero_exit_3(self, tmp_path, capsys, args):
+        graph = tmp_path / "k3.txt"
+        graph.write_text("3 3\n0 1\n1 2\n0 2\n")
+        out = tmp_path / "x.txt"
+        args = [str(graph) if a == "GRAPH" else a for a in args]
+        assert main(["gen", *args, "--k", "0", "--out", str(out)]) == 3
+        assert "k" in capsys.readouterr().err
         assert not out.exists()
 
     def test_kway_td5_odd_items_exit_3(self, tmp_path, capsys):

@@ -68,12 +68,31 @@ class TestParsing:
             ("3 1\n0 5", 2),
             ("3 1\n1 1", 2),
             ("2 2\n0 1", 3),
+            ("3 1\n0 1\n1 2\n", 3),  # an edge line beyond the header's m
+            ("3 1\n0 1\n\n1 2\n\n", 4),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(ParseError) as err:
             parse_graph(text)
         assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("2\n3 1\n0 1\n1 2\n---\n2 1\n0 1\n", 4),
+            ("2\n2 1\n0 1\n---\n3 1\n0 1\n1 2\n", 7),
+        ],
+        ids=["first", "second"],
+    )
+    def test_instance_edge_beyond_header_count(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line == line
+
+    def test_trailing_blank_lines_accepted(self):
+        assert parse_graph("2 1\n0 1\n\n  \n").edge_count == 1
+        assert parse_instance("1\n1 0\n---\n1 0\n\n").g2.n == 1
 
     def test_instance_round_trip(self):
         inst = parse_instance("3\n2 1\n0 1\n---\n3 2\n0 1\n1 2\n")

@@ -13,7 +13,6 @@ from starforest.vc_ilp import (
     GuessPair,
     build_vc_model,
     enumerate_guesses,
-    enumerate_side_guesses,
     enumerate_skeletons,
     pair_bound,
     solve_vc,
@@ -66,7 +65,7 @@ class TestEnumeration:
         tc = twin_classes(g, [0])
         pairs = list(enumerate_guesses(g, g, tc, tc))
         assert any(
-            gp.side1.type1_centres == (0,) and gp.side2.type1_centres == (0,)
+            gp.side1.centres == (0,) and gp.side2.centres == (0,)
             for gp in pairs
         )
 
@@ -84,12 +83,12 @@ class TestEnumeration:
         tc1, tc2 = twin_classes(g1, [0]), twin_classes(g2, [1, 2])
         for gp in enumerate_guesses(g1, g2, tc1, tc2):
             key = (
-                gp.side1.type1_centres,
+                gp.side1.centres,
                 gp.side1.type2_stars,
-                gp.side1.beta,
-                gp.side2.type1_centres,
+                gp.side1.leftover,
+                gp.side2.centres,
                 gp.side2.type2_stars,
-                gp.side2.beta,
+                gp.side2.leftover,
                 gp.pi,
             )
             assert key not in seen
@@ -98,36 +97,25 @@ class TestEnumeration:
     def test_type2_leaves_inside_class_key(self):
         g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (0, 4), (1, 4)])
         tc = twin_classes(g, [0, 1, 2])
-        for side in enumerate_side_guesses(g, tc):
+        for side in enumerate_skeletons(g, tc):
             for key, leaves in side.type2_stars:
                 assert leaves and leaves <= key
-            # beta counts leftover cover vertices: neither centres nor type-II leaves
-            leftover = set(tc.cover) - set(side.type1_centres)
+            # one leftover class per cover vertex that is neither a centre nor
+            # a type-II leaf and neighbours a centre, keyed by those centres
+            leftover = set(tc.cover) - set(side.centres)
             for _, leaves in side.type2_stars:
                 leftover -= leaves
-            for c, b in zip(side.type1_centres, side.beta):
-                assert 1 <= b <= 1 + sum(g.has_edge(w, c) for w in leftover)
-            assert sum(b - 1 for b in side.beta) <= len(leftover)
+            keys = [frozenset(c for c in side.centres if g.has_edge(w, c)) for w in leftover]
+            assert Counter(side.leftover) == Counter(key for key in keys if key)
 
     def test_type2_stars_have_two_leaves(self):
         g = _path_cover_graph([(0, 1, 2), (1,), (0, 2), (0, 1)])
         tc = twin_classes(g, [0, 1, 2])
-        sides = list(enumerate_side_guesses(g, tc))
+        sides = list(enumerate_skeletons(g, tc))
         assert any(side.q for side in sides)
         for side in sides:
             for _, leaves in side.type2_stars:
                 assert len(leaves) >= 2
-
-    def test_each_beta_guessed_once(self):
-        # centre 1 takes one leftover cover vertex as 0 or as 2: one guess
-        g = _path_cover_graph([(0, 1, 2), (1,), (0, 2), (0, 1)])
-        tc = twin_classes(g, [0, 1, 2])
-        keys = [
-            (side.type1_centres, side.type2_stars, side.beta)
-            for side in enumerate_side_guesses(g, tc)
-        ]
-        assert len(keys) == len(set(keys))
-        assert keys.count(((1,), (), (2,))) == 1
 
 
 def _cover3_pairs(seed: int, count: int):
@@ -147,8 +135,8 @@ class TestLazySearch:
         for g1, g2, tc1, tc2 in _cover3_pairs(29, 6):
             eager = [
                 GuessPair(s1, s2, pi)
-                for s1 in enumerate_side_guesses(g1, tc1)
-                for s2 in enumerate_side_guesses(g2, tc2)
+                for s1 in enumerate_skeletons(g1, tc1)
+                for s2 in enumerate_skeletons(g2, tc2)
                 if s1.stars == s2.stars
                 for pi in permutations(range(s1.stars))
             ]
@@ -160,21 +148,20 @@ class TestLazySearch:
             assert bounds == sorted(bounds, reverse=True)
 
     def test_first_pair_builds_fewer_side_guesses(self, monkeypatch):
+        # a skeleton's ranges are built when a pair of it is first expanded
         g1, g2, tc1, tc2 = next(_cover3_pairs(31, 1))
-        total = len(list(enumerate_side_guesses(g1, tc1))) + len(
-            list(enumerate_side_guesses(g2, tc2))
-        )
-        built = []
-        real = vc_ilp._assign_cover_roles
+        made = []
+        real = vc_ilp.enumerate_skeletons
 
-        def counted(*args):
-            for side in real(*args):
-                built.append(side)
-                yield side
+        def recorded(*args):
+            for sk in real(*args):
+                made.append(sk)
+                yield sk
 
-        monkeypatch.setattr(vc_ilp, "_assign_cover_roles", counted)
+        monkeypatch.setattr(vc_ilp, "enumerate_skeletons", recorded)
         next(enumerate_guesses(g1, g2, tc1, tc2))
-        assert 0 < len(built) < total
+        expanded = [sk for sk in made if "ranges" in vars(sk)]
+        assert 0 < 4 * len(expanded) < len(made)
 
 
 class TestModelStructure:
@@ -182,7 +169,6 @@ class TestModelStructure:
         # one type-I star centred at the hub of K1,3, on both sides
         k13 = star_graph(3)
         tc = twin_classes(k13, [0])
-        cap = {frozenset({0}): 3}
         pair = next(
             gp
             for gp in enumerate_guesses(k13, k13, tc, tc)
@@ -193,10 +179,7 @@ class TestModelStructure:
         assert names == {"alpha_0", "gamma_0", "x_0_c0", "y_0_c0"}
         bounds = {v: (lo, hi) for v, lo, hi in model.variables}
         assert bounds["alpha_0"] == (2, 4) and bounds["x_0_c0"] == (0, 3)
-        rows = {
-            (tuple(sorted(c.coeffs.items())), c.relation, c.rhs) for c in model.constraints
-        }
-        assert rows == {
+        assert _rows(model) == {
             ((("x_0_c0", 1),), bip.LE, 3),
             ((("y_0_c0", 1),), bip.LE, 3),
             ((("alpha_0", 1), ("x_0_c0", -1)), bip.EQ, 1),
@@ -207,49 +190,97 @@ class TestModelStructure:
         sol = bip.solve(model)
         assert sol.objective_value == 4  # the whole star on both sides
 
-    def test_unreachable_star_infeasible(self):
-        # a centre with an independent neighbour reaches size 2 from beta=1
-        g = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
-        tc = twin_classes(g, [0])
-        pairs = [
+    def test_leftover_vertex_class_rows(self):
+        # cover path 0-1-2 with one private leaf each; centres 0 and 2 leave
+        # cover vertex 1 over, a capacity-1 class keyed by both centres
+        g = _path_cover_graph([(0,), (1,), (2,)])
+        tc = twin_classes(g, [0, 1, 2])
+        pair = next(
             gp
             for gp in enumerate_guesses(g, g, tc, tc)
-            if gp.side1.p == 1 and gp.side1.beta == (1,)
-        ]
+            if gp.side1.centres == gp.side2.centres == (0, 2)
+            and not gp.side1.type2_stars
+            and not gp.side2.type2_stars
+            and gp.pi == (0, 1)
+        )
+        assert pair.side1.leftover == (frozenset({0, 2}),)
+        assert pair.side1.ranges == ((2, 3), (2, 3)) and pair_bound(pair) == 5
+        model = build_vc_model(pair, tc, tc)
+        # classes {0}, {1}, {2} are c0, c1, c2; the leftover vertex is c3
+        rows = set()
+        for size, leaf in (("alpha", "x"), ("gamma", "y")):
+            rows |= {
+                (((f"{leaf}_0_c0", 1),), bip.LE, 1),
+                (((f"{leaf}_1_c2", 1),), bip.LE, 1),
+                (((f"{leaf}_0_c3", 1), (f"{leaf}_1_c3", 1)), bip.LE, 1),
+                (((f"{size}_0", 1), (f"{leaf}_0_c0", -1), (f"{leaf}_0_c3", -1)), bip.EQ, 1),
+                (((f"{size}_1", 1), (f"{leaf}_1_c2", -1), (f"{leaf}_1_c3", -1)), bip.EQ, 1),
+            }
+        rows |= {
+            ((("alpha_0", 1), ("gamma_0", -1)), bip.EQ, 0),
+            ((("alpha_1", 1), ("gamma_1", -1)), bip.EQ, 0),
+        }
+        assert _rows(model) == rows
+        bounds = {v: (lo, hi) for v, lo, hi in model.variables}
+        assert bounds["x_0_c3"] == bounds["x_1_c3"] == (0, 1)
+        # one centre takes vertex 1: stars of 3 and 2, and vertex 4 stays out
+        assert bip.solve(model).objective_value == 5
+
+    def test_unreachable_star_infeasible(self):
+        # a centre with an independent neighbour reaches size 2
+        g = Graph.from_edges(3, [(0, 1)])  # vertex 2 isolated
+        tc = twin_classes(g, [0])
+        pairs = [gp for gp in enumerate_guesses(g, g, tc, tc) if gp.side1.p == 1]
         assert pairs
         for gp in pairs:
             assert bip.solve(build_vc_model(gp, tc, tc)).status == "optimal"
-        # a cover vertex with no independent neighbour: beta=1 leaves it alone
+        # both ends of K2 in the cover: a centre reaches size 2 only through
+        # the other end as a leftover vertex, so two centres never do
         g2 = Graph.from_edges(2, [(0, 1)])
-        tc2 = twin_classes(g2, [0, 1])  # both vertices covered, no classes
-        lonely = [s for s in enumerate_side_guesses(g2, tc2) if s.p == 1 and s.beta == (1,)]
+        tc2 = twin_classes(g2, [0, 1])  # no classes
+        lonely = [s for s in enumerate_skeletons(g2, tc2) if s.p == 2]
         assert lonely
         for side in lonely:
-            assert not _realised_sizes(side, tc2)
+            assert not _realised_sizes(side, g2, tc2)
+        single = [gp for gp in enumerate_guesses(g2, g2, tc2, tc2) if gp.side1.p == 1]
+        assert single
+        for gp in single:
+            assert bip.solve(build_vc_model(gp, tc2, tc2)).objective_value == 2
         for gp in enumerate_guesses(g2, g2, tc2, tc2):
             assert gp.side1 not in lonely and gp.side2 not in lonely
 
 
-def _realised_sizes(side, tc) -> set[tuple[int, ...]]:
-    """Every tuple of star sizes a side guess can realise, by brute force.
+def _rows(model) -> set[tuple]:
+    return {(tuple(sorted(c.coeffs.items())), c.relation, c.rhs) for c in model.constraints}
 
-    Each independent vertex that anchors no type-II star joins at most one
-    type-I star whose centre it neighbours.  A type-I star is its beta cover
-    vertices plus those leaves, two vertices at least; a type-II star is its
-    centre plus its cover leaves.
+
+def _realised_sizes(side, g, tc) -> set[tuple[int, ...]]:
+    """Every tuple of star sizes a skeleton can realise, by brute force.
+
+    Each independent vertex that anchors no type-II star, and each cover
+    vertex that is neither a centre nor a type-II leaf, joins at most one
+    type-I star whose centre it neighbours.  A type-I star is its centre
+    plus those leaves, two vertices at least; a type-II star is its centre
+    plus its cover leaves.
     """
     anchors = Counter(key for key, _ in side.type2_stars)
     spreads = [
         combinations_with_replacement(
-            [None] + [i for i, c in enumerate(side.type1_centres) if c in key],
+            [None] + [i for i, c in enumerate(side.centres) if c in key],
             len(members) - anchors[key],
         )
         for key, members in tc.classes.items()
     ]
+    taken = set(side.centres).union(*(leaves for _, leaves in side.type2_stars))
+    spreads += [
+        [(None,)] + [(i,) for i, c in enumerate(side.centres) if g.has_edge(w, c)]
+        for w in tc.cover
+        if w not in taken
+    ]
     type2 = tuple(1 + len(leaves) for _, leaves in side.type2_stars)
     out = set()
     for picks in product(*spreads):
-        sizes = list(side.beta)
+        sizes = [1] * side.p
         for pick in picks:
             for i in pick:
                 if i is not None:
@@ -261,7 +292,7 @@ def _realised_sizes(side, tc) -> set[tuple[int, ...]]:
 
 class TestPairBound:
     def test_bound_is_sound(self):
-        """Brute force over every side-guess pair and matching, not the ranges.
+        """Brute force over every skeleton pair and matching, not the ranges.
 
         Every realisable star size lies in its range, so a pair whose matched
         sizes can agree has a bound at least its best total, and a pair with
@@ -271,8 +302,8 @@ class TestPairBound:
         """
         optimal = infeasible = 0
         for g1, g2, tc1, tc2 in _bound_cases():
-            sides1 = {s: _realised_sizes(s, tc1) for s in enumerate_side_guesses(g1, tc1)}
-            sides2 = {s: _realised_sizes(s, tc2) for s in enumerate_side_guesses(g2, tc2)}
+            sides1 = {s: _realised_sizes(s, g1, tc1) for s in enumerate_skeletons(g1, tc1)}
+            sides2 = {s: _realised_sizes(s, g2, tc2) for s in enumerate_skeletons(g2, tc2)}
             for sides in (sides1, sides2):
                 for side, realised in sides.items():
                     for sizes in realised:
@@ -310,42 +341,56 @@ class TestPairBound:
         assert optimal and infeasible
 
     def test_skeleton_bound_is_tight(self):
-        """A skeleton's bound is the largest sum of hi over its side guesses.
+        """A skeleton's bound caps every total it realises, and is reached.
 
-        Beside the random pairs, two graphs with covers of 4 let a skeleton
-        hold a type-II star and a leftover cover vertex at once.
+        It is reached when no class and no leftover cover vertex neighbours
+        two centres and every centre can take a leaf: then every such vertex
+        can join its one centre.  Beside the random pairs, two graphs with
+        covers of 4 let a skeleton hold a type-II star and a leftover cover
+        vertex at once.
         """
         rng = random.Random(37)
         graphs = [cover_path_graph(rng, 4, 4), cover_path_graph(rng, 4, 5)]
         for g1, g2, _, _ in _bound_cases():
             graphs += [g1, g2]
+        reached = 0
         for g in graphs:
             tc = twin_classes(g, min_vertex_cover(g, 4))
-            skeletons = {
-                (sk.centres, sk.type2_stars): sk.bound for sk in enumerate_skeletons(g, tc)
-            }
-            assert len(skeletons) == len(list(enumerate_skeletons(g, tc)))
-            reached: dict[tuple, int] = {}
-            for side in enumerate_side_guesses(g, tc):
-                # a type-I star's hi: its beta plus every independent vertex
-                # of its classes that anchors no type-II star
-                anchors = Counter(key for key, _ in side.type2_stars)
-                for c, b, (_, hi) in zip(side.type1_centres, side.beta, side.ranges):
+            for sk in enumerate_skeletons(g, tc):
+                # a type-I star's hi: its centre, every independent vertex of
+                # its classes that anchors no type-II star, and every leftover
+                # cover vertex it neighbours
+                anchors = Counter(key for key, _ in sk.type2_stars)
+                taken = set(sk.centres).union(*(leaves for _, leaves in sk.type2_stars))
+                rest = [w for w in tc.cover if w not in taken]
+                his = []
+                for c in sk.centres:
                     room = sum(
                         len(members) - anchors[key]
                         for key, members in tc.classes.items()
                         if c in key
                     )
-                    assert hi == b + room
-                key = (side.type1_centres, side.type2_stars)
-                total = sum(hi for _, hi in side.ranges)
-                assert total <= skeletons[key]
-                reached[key] = max(reached.get(key, total), total)
-            assert reached == skeletons
+                    his.append(1 + room + sum(g.has_edge(w, c) for w in rest))
+                type2 = [1 + len(leaves) for _, leaves in sk.type2_stars]
+                assert [hi for _, hi in sk.ranges] == his + type2
+                near = [w for w in rest if any(g.has_edge(w, c) for c in sk.centres)]
+                assert sk.bound == sum(his) - sum(
+                    sum(g.has_edge(w, c) for c in sk.centres) - 1 for w in near
+                ) + sum(type2)
+                totals = [sum(sizes) for sizes in _realised_sizes(sk, g, tc)]
+                assert max(totals, default=0) <= sk.bound
+                shared = any(
+                    len(set(key) & set(sk.centres)) > 1
+                    for key in list(tc.classes) + list(sk.leftover)
+                )
+                if not shared and all(hi >= 2 for hi in his):
+                    assert max(totals) == sk.bound
+                    reached += bool(sk.leftover)
+        assert reached
         # a type-II star beside a leftover cover vertex that can join a centre
         g = graphs[0]
         assert any(
-            sk.type2_stars and any(set(g.adjacency[w]) & set(sk.centres) for w in sk.rest)
+            sk.type2_stars and sk.leftover
             for sk in enumerate_skeletons(g, twin_classes(g, min_vertex_cover(g, 4)))
         )
 
@@ -443,3 +488,28 @@ class TestSolveVc:
         monkeypatch.setattr(bip, "solve", counted)
         assert solve_vc(g1, g2, 3) == solve_tw(g1, g2)[0]
         assert len(calls) <= 100  # thousands without the bound
+
+    def test_cover3_pairs_beyond_oracle(self):
+        # covers 0-1-2: with centres 0 and 2, cover vertex 1 is a leftover
+        # vertex either centre may take; up to 15 vertices, past the oracle
+        rng = random.Random(41)
+        done = 0
+        while done < 16:
+            g1 = cover_path_graph(rng, 3, rng.randint(6, 12))
+            g2 = cover_path_graph(rng, 3, rng.randint(2, 12))
+            if not min_vertex_cover(g1, 3) == min_vertex_cover(g2, 3) == [0, 1, 2]:
+                continue
+            done += 1
+            for g in (g1, g2):
+                sks = enumerate_skeletons(g, twin_classes(g, [0, 1, 2]))
+                assert any(frozenset({0, 2}) in sk.leftover for sk in sks)
+            assert solve_vc(g1, g2, 3) == solve_tw(g1, g2)[0]
+
+    def test_leftover_vertex_joins_a_centre(self):
+        # stars of 5 and 4 on both sides: on the first graph, centres 0 and 2
+        # take their private leaves and one of them takes cover vertex 1;
+        # without it the best common forest has 8 vertices
+        g1 = _path_cover_graph([(0,), (0,), (0,), (2,), (2,), (2,), (1,)])
+        g2 = Graph.from_edges(9, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (5, 7), (5, 8)])
+        assert min_vertex_cover(g1, 3) == [0, 1, 2]
+        assert solve_vc(g1, g2, 3) == solve_vc(g2, g1, 3) == opt_common_vector(g1, g2)[0] == 9
