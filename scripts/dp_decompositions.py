@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Time the treewidth DP on min-fill's decomposition, the greedy path's and the pick.
+
+    python scripts/dp_decompositions.py [--check] [--repeat N]
+
+For a fixed seeded set of graphs (grids, random and complete binary trees,
+G(n, p) graphs, a caterpillar and a long path) it prints one row per graph:
+the widths of min-fill's and of the greedy path decomposition, which one
+`treewidth.dp_decomposition` picks, and the decomposition + DP time of
+min-fill, of the path and of the pick, each the best of N runs (default 3).
+With --check it exits 1 if the three families of any graph are not equal.
+"""
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "src"))
+
+from starforest.treewidth import (  # noqa: E402
+    dp_decomposition,
+    enum_star_vectors_dp,
+    heuristic_decomposition,
+    path_decomposition,
+)
+
+from conftest import (  # noqa: E402
+    caterpillar,
+    complete_binary_tree,
+    grid_graph,
+    path_graph,
+    random_graph,
+    random_tree,
+)
+
+
+def graphs():
+    """(name, graph, delta): delta is the maximum degree, but 1 on the long
+    path, whose family at delta 2 would hold about 10^5 vectors."""
+    rng = random.Random(20)
+    out = [(f"grid {r}x{c}", grid_graph(r, c)) for r, c in ((3, 8), (4, 6), (5, 5))]
+    for i in range(3):
+        out.append((f"random tree {i}", random_tree(rng, rng.randint(30, 40))))
+    out.append(("binary tree 63", complete_binary_tree(63)))
+    out += [(f"G(20, 0.2) {i}", random_graph(rng, 20, 0.2)) for i in range(2)]
+    out += [(f"G(16, 0.3) {i}", random_graph(rng, 16, 0.3)) for i in range(3)]
+    out.append(("caterpillar 60", caterpillar(20, 2)))
+    rows = [(name, g, max(1, g.max_degree())) for name, g in out]
+    return rows + [("path 1200", path_graph(1200), 1)]
+
+
+def timed(decompose, g, delta, repeat):
+    """Best wall time of decomposition + DP, and the family of the last run."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        family = enum_star_vectors_dp(g, delta, decompose(g))
+        best = min(best, time.perf_counter() - start)
+    return best, family
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help="exit 1 if any family differs")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per timing (best kept)")
+    args = parser.parse_args(argv)
+    differ = []
+    header = ("graph", "n", "delta", "min-fill w", "path w", "picked") + (
+        "min-fill ms", "path ms", "picked ms")
+    print("{:<16} {:>5} {:>5} {:>10} {:>6} {:>8} {:>11} {:>9} {:>9}".format(*header))
+    for name, g, delta in graphs():
+        tree, path, picked = heuristic_decomposition(g), path_decomposition(g), dp_decomposition(g)
+        kind = "path" if picked == path else "min-fill"
+        tree_s, tree_family = timed(heuristic_decomposition, g, delta, args.repeat)
+        path_s, path_family = timed(path_decomposition, g, delta, args.repeat)
+        picked_s, picked_family = timed(dp_decomposition, g, delta, args.repeat)
+        if not tree_family == path_family == picked_family:
+            differ.append(name)
+        print(
+            f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} {kind:>8}"
+            f" {tree_s * 1e3:>11.1f} {path_s * 1e3:>9.1f} {picked_s * 1e3:>9.1f}"
+        )
+    if differ:
+        print("families differ on: " + ", ".join(differ))
+    return 1 if args.check and differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

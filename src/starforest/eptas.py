@@ -15,7 +15,9 @@ Pairs are visited by decreasing bound, then by (r1, r2), and the visit stops
 at the first pair that cannot win: its bound is below the best size so far,
 or equal to it with shifts not before the incumbent's.  A pruned graph's DP runs
 when the first pair that needs it is visited, so a pruned graph whose pairs
-cannot win is never solved.
+cannot win is never solved.  Only whole graphs use the DP's two-family
+memo, so the EPTAS run right after `solve_tw` on the same pair finds both
+whole families there.
 """
 
 from __future__ import annotations
@@ -93,9 +95,11 @@ def solve_eptas(
     for bound, shifts, p1, p2 in pairs:
         if bound < best[0] or (bound == best[0] and shifts >= best[2]):
             break
-        for p in (p1, p2):
+        for p, g in ((p1, g1), (p2, g2)):
             if p.family is None:
-                p.family = enum_star_vectors_dp(p.graph, delta)
+                # only whole graphs enter the DP's memo, so no pruned graph
+                # evicts a family solve_tw left
+                p.family = enum_star_vectors_dp(p.graph, delta, remember=p.graph is g)
         size, vec = best_common(p1.family, p2.family)
         if size > best[0] or (size == best[0] and shifts < best[2]):
             best = (size, StarForest(counts_to_sizes(vec)), shifts)

@@ -21,6 +21,13 @@ mask with every right mask, drops a pair at once when per-mask bitmasks show
 a leaf of a forgotten centre on one side facing a covered vertex on the
 other, and lets `_merge_masks` refuse a merged centre larger than delta+1.
 
+Without a supplied decomposition the DP walks `dp_decomposition`'s pick: a
+greedy path decomposition whenever it is at most one vertex wider than
+min-fill's, and min-fill's otherwise.  The family does not depend on the
+decomposition, and in a path every node has at most one child, so a path
+walk has no join and makes no sumset call; trees of high pathwidth keep
+min-fill.
+
 Each table maps a mask to a set of vectors packed into ints base n+1 (see
 `vectors.pack`).  No count exceeds n, not even the sum of two
 children's counts at a join before its correction, so packing is injective
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .errors import PreconditionError
@@ -117,6 +125,91 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
     return td
 
 
+def path_decomposition(g: Graph) -> TreeDecomposition:
+    """Greedy frontier-growing path decomposition; its bags form a path, so it has no join.
+
+    Vertices are placed one at a time.  The frontier is the placed vertices
+    that still have an unplaced neighbour; each step places the frontier
+    neighbour that leaves the smallest frontier, ties to the most placed
+    neighbours, then to the lowest index.  A new component starts at its
+    minimum-degree vertex.  Bag i is the frontier plus the i-th vertex, and
+    the bags form a path rooted at the last one.
+    """
+    if g.n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    adj = g.adjacency
+    unplaced_nbrs = [len(a) for a in adj]
+    unplaced = set(range(g.n))
+    frontier: set[int] = set()
+    reachable: set[int] = set()  # unplaced vertices with a placed neighbour
+    bags: list[frozenset[int]] = []
+
+    def grown(v: int) -> tuple[int, int, int]:
+        """Sort key of placing v: the frontier it leaves, then most placed neighbours, then v."""
+        size = len(frontier) + (unplaced_nbrs[v] > 0)
+        size -= sum(1 for u in adj[v] if unplaced_nbrs[u] == 1 and u in frontier)
+        return size, unplaced_nbrs[v] - len(adj[v]), v
+
+    while unplaced:
+        if reachable:
+            v = min(reachable, key=grown)
+            reachable.discard(v)
+        else:
+            v = min(unplaced, key=lambda x: (len(adj[x]), x))
+        bags.append(frozenset(frontier | {v}))
+        unplaced.discard(v)
+        for u in adj[v]:
+            unplaced_nbrs[u] -= 1
+            if u in unplaced:
+                reachable.add(u)
+            elif unplaced_nbrs[u] == 0:
+                frontier.discard(u)
+        if unplaced_nbrs[v]:
+            frontier.add(v)
+    td = TreeDecomposition(
+        tuple(bags), tuple((i, i + 1) for i in range(len(bags) - 1)), root=len(bags) - 1
+    )
+    assert verify_decomposition(g, td), "greedy path ordering produced an invalid decomposition"
+    return td
+
+
+def degeneracy(g: Graph) -> int:
+    """Largest minimum degree over g's subgraphs, a lower bound on its treewidth."""
+    deg = [len(a) for a in g.adjacency]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapify(heap)
+    gone = [False] * g.n
+    best = 0
+    while heap:
+        d, v = heappop(heap)
+        if gone[v] or d != deg[v]:
+            continue  # a stale entry: v was removed or lost a neighbour since
+        gone[v] = True
+        best = max(best, d)
+        for u in g.adjacency[v]:
+            if not gone[u]:
+                deg[u] -= 1
+                heappush(heap, (deg[u], u))
+    return best
+
+
+def dp_decomposition(g: Graph) -> TreeDecomposition:
+    """The decomposition the DP walks when none is supplied.
+
+    The path decomposition wins whenever it is at most one vertex wider than
+    min-fill's, since it has no join.  Two wider it can lose: a tree of
+    min-fill width 1 and path width 3 walks its path 2-3 times slower
+    (`scripts/dp_decompositions.py`).  At most the degeneracy + 1 wide, it
+    wins without running min-fill: min-fill is never narrower than the
+    treewidth, which the degeneracy bounds from below.
+    """
+    path = path_decomposition(g)
+    if path.width <= degeneracy(g) + 1:
+        return path
+    tree = heuristic_decomposition(g)
+    return path if path.width <= tree.width + 1 else tree
+
+
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
     """The three decomposition properties, plus tree-ness of the node graph."""
     nodes = len(td.bags)
@@ -166,32 +259,39 @@ def enum_star_vectors_dp(
     g: Graph,
     delta: int,
     decomposition: TreeDecomposition | None = None,
+    *,
+    remember: bool = True,
 ) -> VectorFamily:
     """All star-count vectors of star forests in g with sizes <= delta+1.
 
-    Without a decomposition the DP runs on g's min-fill decomposition, and
-    the families of the two most recent (g, delta) keys are remembered, so
-    at most two families stay held after a call returns
-    (`_remembered_family.cache_clear()` drops them).  `Graph` is frozen
-    and compared by value, so an equal graph gets the remembered family
-    without min-fill or the DP.  Two is one instance's pair: the EPTAS run
+    Without a decomposition the DP runs on `dp_decomposition(g)`, and the
+    families of the two most recent (g, delta) keys are remembered, so at
+    most two families stay held after a call returns
+    (`_remembered_family.cache_clear()` drops them).  `Graph` is frozen and
+    compared by value, so an equal graph gets the remembered family without
+    a decomposition or the DP.  Two is one instance's pair: the EPTAS run
     right after `solve_tw` on the same pair reuses both whole-graph
-    families.  A supplied decomposition is always validated, and the DP then
-    runs on it without touching the memo.  The family's members are a
-    frozenset, so no caller can change a remembered one.
+    families, since it solves each pruned graph with `remember=False`,
+    which runs the DP on `dp_decomposition(g)` without touching the memo.
+    A supplied decomposition is always validated, and the DP then runs on
+    it without touching the memo.  The family's members are a frozenset,
+    so no caller can change a remembered one.
     """
     if delta < 1:
         raise PreconditionError("delta must be >= 1")
     if decomposition is None:
-        return _remembered_family(g, delta)
+        return _remembered_family(g, delta) if remember else _picked_family(g, delta)
     if not verify_decomposition(g, decomposition):
         raise PreconditionError("supplied decomposition is invalid for this graph")
     return _family(g, delta, decomposition)
 
 
-@lru_cache(maxsize=2)
-def _remembered_family(g: Graph, delta: int) -> VectorFamily:
-    return _family(g, delta, heuristic_decomposition(g))
+def _picked_family(g: Graph, delta: int) -> VectorFamily:
+    """The DP on `dp_decomposition(g)`, which checks its own pick."""
+    return _family(g, delta, dp_decomposition(g))
+
+
+_remembered_family = lru_cache(maxsize=2)(_picked_family)
 
 
 def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:

@@ -56,6 +56,23 @@ def cover_path_graph(rng: random.Random, cover: int, independent: int) -> Graph:
     return Graph.from_edges(cover + independent, edges)
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    right = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
+    down = [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, right + down)
+
+
+def caterpillar(spine: int, legs: int) -> Graph:
+    """A path of `spine` vertices, each with `legs` pendant leaves."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine) for j in range(legs)]
+    return Graph.from_edges(spine * (legs + 1), edges)
+
+
+def complete_binary_tree(n: int) -> Graph:
+    return Graph.from_edges(n, [((i - 1) // 2, i) for i in range(1, n)])
+
+
 def ladder_graph(rungs: int) -> Graph:
     """2 x rungs grid; planar with maximum degree 3."""
     edges = []
@@ -105,16 +122,17 @@ def deep_planar(rng: random.Random) -> Graph:
     return deep_tree(rng, rng.randint(24, 40))
 
 
-def counted_min_fill(monkeypatch):
-    """Route the DP's min-fill through a wrapper; returns the list of graphs it was given."""
+def counted_decompositions(monkeypatch):
+    """Route the DP's choice of decomposition through a wrapper; returns the
+    list of graphs it was given."""
     calls = []
-    real = treewidth.heuristic_decomposition
+    real = treewidth.dp_decomposition
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(treewidth, "heuristic_decomposition", counted)
+    monkeypatch.setattr(treewidth, "dp_decomposition", counted)
     return calls
 
 

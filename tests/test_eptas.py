@@ -15,7 +15,7 @@ from starforest.vectors import best_common, counts_to_sizes
 
 from conftest import (
     complete_graph,
-    counted_min_fill,
+    counted_decompositions,
     cycle_graph,
     deep_planar,
     ladder_graph,
@@ -157,9 +157,9 @@ def counted_dp(monkeypatch):
     """Route eptas's DP through a wrapper; returns the list of graphs it was given."""
     calls = []
 
-    def counted(g, delta):
+    def counted(g, delta, **kwargs):
         calls.append(g)
-        return enum_star_vectors_dp(g, delta)
+        return enum_star_vectors_dp(g, delta, **kwargs)
 
     monkeypatch.setattr(eptas, "enum_star_vectors_dp", counted)
     return calls
@@ -285,12 +285,38 @@ class TestAfterSolveTw:
         assert all(len(prune_levels(g, 1, cfg.k)[1]) == g.n for g in (g1, g2))
         treewidth._remembered_family.cache_clear()
         cold = solve_eptas(g1, g2, cfg)
-        min_fill = counted_min_fill(monkeypatch)
+        decompositions = counted_decompositions(monkeypatch)
         treewidth._remembered_family.cache_clear()
         solve_tw(g1, g2)
-        assert min_fill == [g1, g2]
+        assert decompositions == [g1, g2]
         assert solve_eptas(g1, g2, cfg) == cold
-        assert min_fill == [g1, g2]
+        assert decompositions == [g1, g2]
+
+    def test_pruned_graphs_leave_the_whole_families_in_the_memo(self, monkeypatch):
+        # a tree14-tree16 pair of the planar_tw benchmark pool: at k = 4 a
+        # pruned pair ties the whole pair's bound with earlier shifts, so its
+        # DPs run before the whole pair is visited; through the memo they
+        # would evict a whole family that solve_tw left
+        g1 = Graph.from_edges(16, [
+            (0, 14), (1, 5), (1, 11), (2, 12), (3, 12), (4, 12), (5, 9), (6, 10),
+            (6, 12), (7, 12), (8, 12), (11, 12), (12, 13), (12, 14), (12, 15),
+        ])
+        g2 = Graph.from_edges(14, [
+            (0, 3), (1, 2), (1, 3), (1, 12), (2, 7), (3, 4), (3, 5), (3, 6),
+            (3, 8), (3, 9), (3, 13), (7, 11), (8, 10),
+        ])
+        cfg = EptasConfig(0.5)
+        treewidth._remembered_family.cache_clear()
+        cold = solve_eptas(g1, g2, cfg)
+        decompositions = counted_decompositions(monkeypatch)
+        treewidth._remembered_family.cache_clear()
+        solve_tw(g1, g2)
+        assert solve_eptas(g1, g2, cfg) == cold
+        assert (decompositions.count(g1), decompositions.count(g2)) == (1, 1)
+        # pruned graphs were solved, and the memo still holds only the whole pair
+        assert len(decompositions) > 2
+        assert treewidth._remembered_family.cache_info().currsize == 2
+        assert treewidth._remembered_family.cache_info().misses == 2
 
     def test_same_answers_cold_and_after_solve_tw(self):
         for idx, eps, g1, g2 in eptas_answer_pairs(100):

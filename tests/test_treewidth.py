@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -9,17 +11,24 @@ from starforest import treewidth
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.treewidth import (
     TreeDecomposition,
+    degeneracy,
+    dp_decomposition,
     enum_star_vectors_dp,
     heuristic_decomposition,
+    path_decomposition,
     solve_tw,
     verify_decomposition,
 )
 from starforest.vectors import common_forest, counts_to_sizes
 
 from conftest import (
+    caterpillar,
+    complete_binary_tree,
     complete_graph,
-    counted_min_fill,
+    counted_decompositions,
     cycle_graph,
+    disjoint_union,
+    grid_graph,
     path_graph,
     random_graph,
     random_tree,
@@ -125,6 +134,163 @@ class TestHeuristicDecomposition:
             for v, bag in zip(order, td.bags):
                 assert bag == frozenset(adj[v] | {v})
                 eliminate(adj, v)
+
+
+def frontier(g, placed):
+    """The placed vertices that still have an unplaced neighbour."""
+    return {u for u in placed if any(w not in placed for w in g.adjacency[u])}
+
+
+def naive_path_bags(g):
+    """The greedy path's bags, every frontier recomputed from scratch at every step."""
+    placed = set()
+    bags = []
+    while len(placed) < g.n:
+        reach = {w for u in placed for w in g.adjacency[u] if w not in placed}
+        if reach:
+            v = min(
+                reach,
+                key=lambda x: (
+                    len(frontier(g, placed | {x})),
+                    -sum(1 for w in g.adjacency[x] if w in placed),
+                    x,
+                ),
+            )
+        else:
+            v = min(set(range(g.n)) - placed, key=lambda x: (g.degree(x), x))
+        bags.append(frozenset(frontier(g, placed) | {v}))
+        placed.add(v)
+    return bags
+
+
+def chosen_by_both(g):
+    """The choice of decomposition with min-fill always computed."""
+    path, tree = path_decomposition(g), heuristic_decomposition(g)
+    return path if path.width <= tree.width + 1 else tree
+
+
+def mixed_graphs(rng, count):
+    """Random graphs with n from 0 to 14, some with isolated vertices and
+    several components."""
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(0, 14)
+        g = random_graph(rng, n, rng.random())
+        if n <= 7 and rng.random() < 0.5:
+            g = disjoint_union(g, Graph.from_edges(rng.randint(0, 3), []), random_tree(rng, 4))
+        graphs.append(g)
+    return graphs
+
+
+class TestPathDecomposition:
+    def test_valid_on_random_graphs(self):
+        rng = random.Random(89)
+        graphs = mixed_graphs(rng, 300)
+        assert any(len(g.components()) > 2 and g.isolated_vertices() for g in graphs)
+        for g in graphs:
+            td = path_decomposition(g)
+            assert verify_decomposition(g, td) and is_decomposition(g, td)
+            assert td.tree_edges == tuple((i, i + 1) for i in range(len(td.bags) - 1))
+            assert td.root == len(td.bags) - 1
+
+    def test_greedy_order(self):
+        rng = random.Random(90)
+        for g in mixed_graphs(rng, 200):
+            assert list(path_decomposition(g).bags) == (naive_path_bags(g) or [frozenset()])
+
+    def test_widths(self):
+        assert path_decomposition(path_graph(9)).width == 1
+        assert path_decomposition(cycle_graph(9)).width == 2
+        assert path_decomposition(caterpillar(12, 3)).width == 1
+        assert path_decomposition(Graph.from_edges(5, [])).width == 0
+
+    def test_complete_binary_tree_keeps_min_fill(self):
+        # six levels: pathwidth 3, and the greedy path is wider still
+        g = complete_binary_tree(63)
+        assert path_decomposition(g).width > 2
+        td = dp_decomposition(g)
+        assert td == heuristic_decomposition(g) and td.width == 1
+
+    def test_degeneracy(self):
+        assert degeneracy(complete_graph(5)) == 4
+        assert degeneracy(grid_graph(4, 5)) == 2
+        assert degeneracy(complete_binary_tree(15)) == 1
+        assert degeneracy(Graph.from_edges(3, [])) == 0
+        rng = random.Random(91)
+        for g in mixed_graphs(rng, 100):
+            if g.n:
+                assert degeneracy(g) <= heuristic_decomposition(g).width
+
+    def test_degeneracy_shortcut_keeps_the_choice(self, monkeypatch):
+        rng = random.Random(92)
+        graphs = mixed_graphs(rng, 150) + [random_tree(rng, rng.randint(20, 40)) for _ in range(30)]
+        graphs += [complete_binary_tree(63), grid_graph(4, 6), caterpillar(15, 3)]
+        min_fill = []
+        real = treewidth.heuristic_decomposition
+
+        def counted(g):
+            min_fill.append(g)
+            return real(g)
+
+        monkeypatch.setattr(treewidth, "heuristic_decomposition", counted)
+        for g in graphs:
+            assert dp_decomposition(g) == chosen_by_both(g)
+        # the shortcut skips min-fill on some graphs and not on others
+        assert 0 < sum(1 for g in graphs if g not in min_fill) < len(graphs)
+
+    def test_families_equal_min_fills(self):
+        rng = random.Random(93)
+        graphs = [
+            random_graph(rng, rng.randint(2, 11), rng.choice([0.2, 0.4, 0.6])) for _ in range(40)
+        ]
+        graphs += [grid_graph(5, 5)] + [random_graph(rng, 16, 0.3) for _ in range(3)]
+        for g in graphs:
+            delta = max(1, g.max_degree())
+            td = dp_decomposition(g)
+            assert td.width <= heuristic_decomposition(g).width + 1
+            want = enum_star_vectors_dp(g, delta, heuristic_decomposition(g))
+            assert enum_star_vectors_dp(g, delta, td) == want
+
+    def test_path_walk_makes_no_sumset_call(self, monkeypatch):
+        calls = []
+        real = treewidth.sumset
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(treewidth, "sumset", counted)
+        g = grid_graph(3, 4)
+        assert dp_decomposition(g).tree_edges == tuple((i, i + 1) for i in range(11))
+        treewidth._remembered_family.cache_clear()
+        fam = enum_star_vectors_dp(g, 4)
+        assert fam.vectors == enum_star_vectors_brute(g, 4).vectors
+        assert calls == []
+        enum_star_vectors_dp(g, 4, heuristic_decomposition(g))
+        assert calls
+
+
+class TestDecompositionScript:
+    def test_check_exit_status(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "dp_decompositions.py"
+        spec = importlib.util.spec_from_file_location("dp_decompositions", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        small = [("grid 2x3", grid_graph(2, 3), 3), ("binary tree 15", complete_binary_tree(15), 3)]
+        monkeypatch.setattr(script, "graphs", lambda: small)
+        assert script.main(["--check", "--repeat", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "grid 2x3" in out and "binary tree 15" in out and "differ" not in out
+        # a path decomposition whose DP loses the largest star size fails the check
+        real = script.enum_star_vectors_dp
+
+        def lossy(g, delta, td):
+            return real(g, delta - 1 if td == path_decomposition(g) else delta, td)
+
+        monkeypatch.setattr(script, "enum_star_vectors_dp", lossy)
+        assert script.main(["--repeat", "1"]) == 0
+        assert script.main(["--check", "--repeat", "1"]) == 1
+        assert "families differ on: grid 2x3" in capsys.readouterr().out
 
 
 class TestVerifyDecomposition:
@@ -255,7 +421,7 @@ class TestEnumDP:
 class TestMemo:
     def test_family_is_frozen_and_reused_for_an_equal_graph(self, monkeypatch):
         treewidth._remembered_family.cache_clear()
-        calls = counted_min_fill(monkeypatch)
+        calls = counted_decompositions(monkeypatch)
         first = enum_star_vectors_dp(cycle_graph(6), 2)
         assert isinstance(first.members, frozenset)
         again = enum_star_vectors_dp(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 2)
@@ -276,7 +442,7 @@ class TestMemo:
 
     def test_a_third_graph_evicts_the_oldest(self, monkeypatch):
         treewidth._remembered_family.cache_clear()
-        calls = counted_min_fill(monkeypatch)
+        calls = counted_decompositions(monkeypatch)
         graphs = [path_graph(4), star_graph(3), cycle_graph(4)]
         for g in graphs:
             enum_star_vectors_dp(g, 2)
