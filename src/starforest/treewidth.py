@@ -6,10 +6,16 @@ star-count vector): the mask gives each bag vertex one of three roles
 of known size whose leaves are all forgotten), and the vector counts stars of
 each size formed so far (bag-resident partial stars included).  A child's
 table reaches its parent's bag by forgetting one vertex at a time in sorted
-order, then introducing the new vertices as uncovered, and the children's
-tables are then joined.  Leaves start at the empty bag and the root ends at
-it, where the surviving vectors are exactly the star forests of the graph,
-up to isomorphism.
+order, and the children's tables are then joined.  Leaves start at the empty
+bag and the root ends at it, where the surviving vectors are exactly the star
+forests of the graph, up to isomorphism.
+
+A mask is one int with a field of w = bit_length(delta + 1) bits per slot.
+Each vertex holds one slot for its whole life in the bags (`_top_down`): no two
+vertices of a bag share one, at most width + 1 are used, and both children of
+a join use their parent's.  Forgetting a vertex reads and clears its field.
+Introducing one costs nothing: its field is already clear, which reads
+uncovered.
 
 Each edge is decided once, when its first endpoint is forgotten: the other
 endpoint is still in the bag then, and no vertex is forgotten twice.  A
@@ -17,9 +23,9 @@ forgotten vertex may stay out of any star, become the leaf of one bag
 neighbour, or take uncovered bag neighbours as its own leaves.  A join
 therefore never sees an edge on both sides; it merges a centre held on both
 sides into one star whose two leaf sets are disjoint.  It pairs every left
-mask with every right mask, drops a pair at once when per-mask bitmasks show
-a leaf of a forgotten centre on one side facing a covered vertex on the
-other, and lets `_merge_masks` refuse a merged centre larger than delta+1.
+mask with every right mask, drops a pair at once when the fields show a leaf
+of a forgotten centre on one side facing a covered vertex on the other, and
+lets `_merge_masks` refuse a merged centre larger than delta+1.
 
 Without a supplied decomposition the DP walks `dp_decomposition`'s pick: a
 greedy path decomposition whenever it is at most one vertex wider than
@@ -38,10 +44,11 @@ set is the family as it stands.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, count
 
 from .errors import PreconditionError
 from .graph import Graph, StarForest
@@ -211,11 +218,9 @@ def dp_decomposition(g: Graph) -> TreeDecomposition:
 
 
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
-    """The three decomposition properties, plus tree-ness of the node graph."""
+    """The three decomposition properties, plus tree-ness of the node graph and a root in it."""
     nodes = len(td.bags)
-    if nodes == 0:
-        return g.n == 0
-    if len(td.tree_edges) != nodes - 1:
+    if not 0 <= td.root < nodes or len(td.tree_edges) != nodes - 1:
         return False
     adj = td.neighbours()
     seen = {0}
@@ -252,7 +257,7 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 # the enumeration DP
 
-Table = dict[tuple[int, ...], set[int]]  # mask -> packed count vectors
+Table = dict[int, set[int]]  # mask (a role field per slot) -> packed count vectors
 
 
 def enum_star_vectors_dp(
@@ -299,109 +304,101 @@ def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:
     base = g.n + 1
     # star[d] packs one star of size d; a lone vertex (d < 2) is not counted
     star = [0, 0] + [base**j for j in range(delta)]
+    w = (delta + 1).bit_length()
+    field = (1 << w) - 1
+    order, parent, slot = _top_down(td)
+    # node -> its finished children, carried to its bag and joined; only the
+    # ancestors of the node in hand hold one
+    tables: dict[int, Table] = {}
+    for t in reversed(order):
+        table = tables.pop(t) if t in tables else {0: {0}}
+        p = parent[t]
+        bag = td.bags[p] if p >= 0 else frozenset()  # the root is carried to an empty bag
+        held = set(td.bags[t])
+        for v in sorted(held - bag):
+            held.discard(v)
+            nbrs = [w * slot[u] for u in g.adjacency[v] if u in held]
+            table = _forget(star, field, w * slot[v], nbrs, table)
+        if p in tables:
+            table = _join(base, star, field, [w * slot[u] for u in bag], tables[p], table)
+        tables[p] = table
+    return VectorFamily(delta, base, frozenset(tables[-1][0]))
 
-    def move(table: Table, src: frozenset[int], dst: frozenset[int]) -> Table:
-        """Carry a table from bag src to bag dst: forget in sorted order, then introduce as uncovered."""
-        bag = tuple(sorted(src))
-        for v in sorted(src - dst):
-            child, bag = bag, tuple(u for u in bag if u != v)
-            table = _forget(g, star, bag, child, v, table)
-        if dst <= src:
-            return table
-        where = [bag.index(u) if u in src else -1 for u in sorted(dst)]
-        return {
-            tuple(mask[i] if i >= 0 else UNCOVERED for i in where): vecs
-            for mask, vecs in table.items()
-        }
 
-    # explicit-stack DFS preorder; reversed, every node comes after its subtree
+def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """The nodes from the root down, their parents (-1 at the root), and each vertex's slot.
+
+    A vertex is first met at its topmost bag and takes the lowest slot no
+    other vertex there holds.  Of two vertices sharing a bag, the one met
+    lower meets the other there, already slotted, so they never share a slot.
+    """
     parent = {td.root: -1}
     order: list[int] = []
+    slot: dict[int, int] = {}
     stack = [td.root]
     adj = td.neighbours()
     while stack:
         t = stack.pop()
         order.append(t)
+        taken = {slot[v] for v in td.bags[t] if v in slot}
+        free = (s for s in count() if s not in taken)
+        for v in td.bags[t]:
+            if v not in slot:
+                slot[v] = next(free)
         for s in adj[t]:
             if s not in parent:
                 parent[s] = t
                 stack.append(s)
-    bags = dict(enumerate(td.bags))
-    bags[-1] = frozenset()  # the root is carried to the empty bag above it
-    # node -> its finished children, carried to its bag and joined; only the
-    # ancestors of the node in hand hold one
-    tables: dict[int, Table] = {}
-    for t in reversed(order):
-        table = tables.pop(t) if t in tables else move({(): {0}}, frozenset(), bags[t])
-        p = parent[t]
-        table = move(table, bags[t], bags[p])
-        tables[p] = _join(base, star, tables[p], table) if p in tables else table
-    return VectorFamily(delta, base, frozenset(tables[-1][()]))
+    return order, parent, slot
 
 
-def _forget(
-    g: Graph,
-    star: list[int],
-    bag: tuple[int, ...],
-    child_bag: tuple[int, ...],
-    v: int,
-    child: Table,
-) -> Table:
-    """Drop v from the bag, deciding every edge from v to the vertices left in it."""
+def _forget(star: list[int], field: int, s: int, nbrs: list[int], child: Table) -> Table:
+    """Clear the field at shift s, deciding every edge from its vertex to the fields at nbrs."""
     top = len(star) - 1  # largest star size
-    pos_v = child_bag.index(v)
-    nbr = [i for i, u in enumerate(bag) if g.has_edge(u, v)]
-    out: Table = {}
-
-    def put(mask: tuple[int, ...], vecs):
-        if mask in out:
-            out[mask].update(vecs)
-        else:
-            out[mask] = set(vecs)
-
+    out: Table = defaultdict(set)
     for mask, vecs in child.items():
-        code = mask[pos_v]
-        rest = mask[:pos_v] + mask[pos_v + 1 :]
-        put(rest, vecs)
-        if code == LEAF_OUTSIDE:
+        code = (mask >> s) & field
+        rest = mask - (code << s)
+        out[rest] |= vecs
+        if code == LEAF_OUTSIDE or not nbrs:
             continue
-        if code == UNCOVERED:
-            # v becomes a leaf of one bag neighbour, which starts or grows a star
-            for i in nbr:
-                c = rest[i]
-                if c == LEAF_OUTSIDE or c == top:
-                    continue
-                d = max(c, 1) + 1
+        spots = []  # the uncovered neighbours' lowest field bits
+        for sh in nbrs:
+            c = (rest >> sh) & field
+            if c == UNCOVERED:
+                spots.append(1 << sh)
+            if code == UNCOVERED and c != LEAF_OUTSIDE and c != top:
+                # v becomes a leaf of this neighbour, which starts or grows a star
+                d = c + 1 if c else 2
                 step = star[d] - star[c]
-                put(rest[:i] + (d,) + rest[i + 1 :], {vec + step for vec in vecs})
+                out[rest + ((d - c) << sh)] |= {vec + step for vec in vecs}
         # v becomes, or stays, a centre and takes uncovered bag neighbours as leaves
-        size = max(code, 1)
-        spots = [i for i in nbr if rest[i] == UNCOVERED]
+        size = code or 1
         for take in range(1, min(top - size, len(spots)) + 1):
             step = star[size + take] - star[code]
-            for chosen in combinations(spots, take):
-                new = list(rest)
-                for i in chosen:
-                    new[i] = LEAF_OUTSIDE
-                put(tuple(new), {vec + step for vec in vecs})
+            stepped = {vec + step for vec in vecs}
+            for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
+                out[rest + chosen] |= stepped
     return out
 
 
-def _join(base: int, star: list[int], t1: Table, t2: Table) -> Table:
+def _join(base: int, star: list[int], field: int, shifts: list[int], t1: Table, t2: Table) -> Table:
     delta = len(star) - 2
     # the tables' own sets serve as family members: nothing mutates them here
     right = [
-        (mask, *_cover_bits(mask), VectorFamily(delta, base, vecs)) for mask, vecs in t2.items()
+        (mask, *_cover_bits(field, shifts, mask), VectorFamily(delta, base, vecs))
+        for mask, vecs in t2.items()
     ]
     out: Table = {}
     for mask1, vecs1 in t1.items():
-        covered1, leaves1 = _cover_bits(mask1)
+        covered1, leaves1 = _cover_bits(field, shifts, mask1)
         fam1 = VectorFamily(delta, base, vecs1)
         for mask2, covered2, leaves2, fam2 in right:
             # the forgotten centre of a leaf lives in exactly one child's subtree
             if leaves1 & covered2 or leaves2 & covered1:
                 continue
-            merged = _merge_masks(star, mask1, mask2)
+            both = covered1 & covered2
+            merged = _merge_masks(star, field, mask1, mask2, both) if both else (mask1 + mask2, 0)
             if merged is None:
                 continue
             mask_out, shift = merged
@@ -412,36 +409,39 @@ def _join(base: int, star: list[int], t1: Table, t2: Table) -> Table:
     return out
 
 
-def _cover_bits(mask: tuple[int, ...]) -> tuple[int, int]:
-    """Bitmasks of the bag positions that are covered and of those that are LEAF_OUTSIDE."""
+def _cover_bits(field: int, shifts: list[int], mask: int) -> tuple[int, int]:
+    """The lowest bit of each field at shifts that is covered, and of each that is LEAF_OUTSIDE."""
     covered = leaves = 0
-    for i, c in enumerate(mask):
+    for sh in shifts:
+        c = (mask >> sh) & field
         if c != UNCOVERED:
-            covered |= 1 << i
+            covered |= 1 << sh
             if c == LEAF_OUTSIDE:
-                leaves |= 1 << i
+                leaves |= 1 << sh
     return covered, leaves
 
 
 def _merge_masks(
-    star: list[int], mask1: tuple[int, ...], mask2: tuple[int, ...]
-) -> tuple[tuple[int, ...], int] | None:
-    """Merged mask and the packed additive correction m - a - b, or None if incompatible."""
-    merged: list[int] = []
-    shift = 0
-    for c1, c2 in zip(mask1, mask2):
-        if c1 == UNCOVERED or c2 == UNCOVERED:
-            merged.append(c1 or c2)  # the covered side wins
-        elif c1 == LEAF_OUTSIDE or c2 == LEAF_OUTSIDE:
+    star: list[int], field: int, mask1: int, mask2: int, both: int
+) -> tuple[int, int] | None:
+    """Merged mask and the packed additive correction m - a - b, or None past delta+1.
+
+    `both` holds the lowest bit of each field covered on both sides.  The
+    join has refused a leaf facing a covered vertex, so each is a centre on
+    both sides, and its two sets of forgotten leaves are disjoint.
+    """
+    merged, shift = mask1 + mask2, 0
+    while both:
+        low = both & -both
+        both -= low
+        sh = low.bit_length() - 1
+        c1, c2 = (mask1 >> sh) & field, (mask2 >> sh) & field
+        d = c1 + c2 - 1
+        if d >= len(star):
             return None
-        else:
-            # a centre on both sides: its two sets of forgotten leaves are disjoint
-            d = c1 + c2 - 1
-            if d >= len(star):
-                return None
-            shift += star[d] - star[c1] - star[c2]
-            merged.append(d)
-    return tuple(merged), shift
+        shift += star[d] - star[c1] - star[c2]
+        merged -= low
+    return merged, shift
 
 
 def solve_tw(g1: Graph, g2: Graph) -> tuple[int, StarForest]:

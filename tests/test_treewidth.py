@@ -62,11 +62,11 @@ def naive_min_fill_order(g):
 
 
 def is_decomposition(g, td):
-    """The definition: a tree on the nodes, every vertex and edge in a bag,
-    and the nodes holding each vertex connected in the tree."""
+    """The definition: a tree on the nodes rooted at one of them, every vertex
+    and edge in a bag, and the nodes holding each vertex connected in the tree."""
     m = len(td.bags)
-    if m == 0:
-        return g.n == 0
+    if not 0 <= td.root < m:
+        return False
     if sorted(set().union(*td.bags)) != list(range(g.n)):
         return g.n == 0 and not set().union(*td.bags)
     if len(td.tree_edges) != m - 1 or not connected(range(m), td.tree_edges):
@@ -314,6 +314,20 @@ class TestVerifyDecomposition:
         td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (), root=0)
         assert not verify_decomposition(path_graph(3), td)
 
+    def test_rejects_root_outside_the_nodes(self):
+        bags, edges = (frozenset({0, 1}), frozenset({1, 2})), ((0, 1),)
+        for root in (5, 2, -1):
+            td = TreeDecomposition(bags, edges, root=root)
+            assert not verify_decomposition(path_graph(3), td)
+            assert not is_decomposition(path_graph(3), td)
+
+    def test_rejects_no_bags(self):
+        # the empty graph's decomposition is one empty bag, as both builders give
+        empty = Graph.from_edges(0, [])
+        assert not verify_decomposition(empty, TreeDecomposition((), ()))
+        assert verify_decomposition(empty, heuristic_decomposition(empty))
+        assert verify_decomposition(empty, path_decomposition(empty))
+
     def test_matches_definition_on_mutations(self):
         rng = random.Random(88)
         verdicts = set()
@@ -339,6 +353,21 @@ class TestVerifyDecomposition:
         assert verdicts == {True, False}
 
 
+class TestSlots:
+    def test_bag_vertices_hold_distinct_slots_below_width_plus_one(self):
+        rng = random.Random(94)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 14), rng.random() * 0.6)
+            for td in (heuristic_decomposition(g), path_decomposition(g)):
+                order, parent, slot = treewidth._top_down(td)
+                assert order[0] == td.root and sorted(order) == list(range(len(td.bags)))
+                assert all(order.index(parent[t]) < order.index(t) for t in order[1:])
+                assert sorted(slot) == list(range(g.n))
+                for bag in td.bags:
+                    held = {slot[v] for v in bag}
+                    assert len(held) == len(bag) and all(s <= td.width for s in held)
+
+
 class TestEnumDP:
     def sizes(self, fam):
         return sorted(counts_to_sizes(v) for v in fam.vectors)
@@ -352,6 +381,16 @@ class TestEnumDP:
         td = TreeDecomposition((frozenset({0}),), ())
         with pytest.raises(PreconditionError):
             enum_star_vectors_dp(path_graph(3), 2, td)
+
+    @pytest.mark.parametrize("root", [5, -1])
+    def test_root_outside_the_nodes_rejected(self, root):
+        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),), root=root)
+        with pytest.raises(PreconditionError):
+            enum_star_vectors_dp(path_graph(3), 2, td)
+
+    def test_no_bags_rejected(self):
+        with pytest.raises(PreconditionError):
+            enum_star_vectors_dp(Graph.from_edges(0, []), 1, TreeDecomposition((), ()))
 
     def test_matches_brute_force(self):
         rng = random.Random(84)
@@ -390,6 +429,22 @@ class TestEnumDP:
             c = enum_star_vectors_dp(g, delta, doubled)
             assert a.vectors == b.vectors == c.vectors
 
+    def test_every_root_gives_the_family(self):
+        # the root decides the walk and so every vertex's mask slot
+        rng = random.Random(95)
+        graphs = [random_graph(rng, rng.randint(2, 9), 0.4) for _ in range(20)]
+        graphs.append(grid_graph(3, 4))
+        slot_maps = set()
+        for g in graphs:
+            delta = max(1, g.max_degree())
+            td = heuristic_decomposition(g)
+            want = enum_star_vectors_brute(g, delta).vectors
+            for root in range(len(td.bags)):
+                rooted = TreeDecomposition(td.bags, td.tree_edges, root)
+                assert enum_star_vectors_dp(g, delta, rooted).vectors == want
+                slot_maps.add((g, tuple(sorted(treewidth._top_down(rooted)[2].items()))))
+        assert len(slot_maps) > len(graphs)
+
     @pytest.mark.parametrize("delta", [1, 2, 3, 4])
     def test_join_caps_merged_centre(self, monkeypatch, delta):
         # both children hold the hub 0 as a centre with two forgotten leaves;
@@ -409,7 +464,9 @@ class TestEnumDP:
         monkeypatch.setattr(treewidth, "_merge_masks", counted)
         fam = enum_star_vectors_dp(g, delta, td)
         assert fam.vectors == enum_star_vectors_brute(g, delta).vectors
-        # the join rejects leaf conflicts itself, so every refusal is the cap
+        # the join rejects leaf conflicts itself and merges only masks that
+        # cover a vertex on both sides, so every refusal is the cap
+        assert refused
         assert any(refused) == (delta < 4)
 
     def test_long_path_decomposition(self):
