@@ -6,9 +6,11 @@
 For a fixed seeded set of graphs (grids, random and complete binary trees,
 G(n, p) graphs, a caterpillar and a long path) it prints one row per graph:
 the widths of min-fill's and of the greedy path decomposition, which one
-`treewidth.dp_decomposition` picks, and the decomposition + DP time of
-min-fill, of the path and of the pick, each the best of N runs (default 3).
-With --check it exits 1 if the three families of any graph are not equal.
+`treewidth.dp_decomposition` picks, and for min-fill, the path and the pick
+the time to build the decomposition ("dec") apart from the DP's time on it
+("DP", which includes checking the supplied decomposition), each the best
+of N runs (default 3).  With --check it exits 1 if the three families of
+any graph are not equal.
 """
 
 import argparse
@@ -54,13 +56,16 @@ def graphs():
 
 
 def timed(decompose, g, delta, repeat):
-    """Best wall time of decomposition + DP, and the family of the last run."""
-    best = float("inf")
+    """Best wall times of the decomposition and of the DP on it, and the family of the last run."""
+    best_dec = best_dp = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        family = enum_star_vectors_dp(g, delta, decompose(g))
-        best = min(best, time.perf_counter() - start)
-    return best, family
+        td = decompose(g)
+        built = time.perf_counter()
+        family = enum_star_vectors_dp(g, delta, td)
+        best_dec = min(best_dec, built - start)
+        best_dp = min(best_dp, time.perf_counter() - built)
+    return best_dec, best_dp, family
 
 
 def main(argv=None):
@@ -69,20 +74,23 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=3, help="runs per timing (best kept)")
     args = parser.parse_args(argv)
     differ = []
-    header = ("graph", "n", "delta", "min-fill w", "path w", "picked") + (
-        "min-fill ms", "path ms", "picked ms")
-    print("{:<16} {:>5} {:>5} {:>10} {:>6} {:>8} {:>11} {:>9} {:>9}".format(*header))
+    header = ("graph", "n", "delta", "min-fill w", "path w", "picked")
+    kinds = ("min-fill", "path", "picked")
+    cols = [f"{kind} {part} ms" for kind in kinds for part in ("dec", "DP")]
+    print("{:<16} {:>5} {:>5} {:>10} {:>6} {:>8}".format(*header), *cols)
     for name, g, delta in graphs():
         tree, path, picked = heuristic_decomposition(g), path_decomposition(g), dp_decomposition(g)
         kind = "path" if picked == path else "min-fill"
-        tree_s, tree_family = timed(heuristic_decomposition, g, delta, args.repeat)
-        path_s, path_family = timed(path_decomposition, g, delta, args.repeat)
-        picked_s, picked_family = timed(dp_decomposition, g, delta, args.repeat)
-        if not tree_family == path_family == picked_family:
+        runs = [
+            timed(decompose, g, delta, args.repeat)
+            for decompose in (heuristic_decomposition, path_decomposition, dp_decomposition)
+        ]
+        if not runs[0][2] == runs[1][2] == runs[2][2]:
             differ.append(name)
+        times = [seconds for dec_s, dp_s, _ in runs for seconds in (dec_s, dp_s)]
         print(
-            f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} {kind:>8}"
-            f" {tree_s * 1e3:>11.1f} {path_s * 1e3:>9.1f} {picked_s * 1e3:>9.1f}"
+            f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} {kind:>8}",
+            *(f"{t * 1e3:>{len(col)}.2f}" for t, col in zip(times, cols)),
         )
     if differ:
         print("families differ on: " + ", ".join(differ))

@@ -39,12 +39,13 @@ Each table maps a mask to a set of vectors packed into ints base n+1 (see
 children's counts at a join before its correction, so packing is injective
 on every intermediate set.  Adding a star, growing one and the join's
 correction are then int additions of powers of the base, and the root's
-set is the family as it stands.
+set is the family as it stands.  The walk owns its tables' sets, so a
+forget hands a child's set on uncopied; a join wraps its children's sets
+in read-only `VectorFamily`s that live only during the join.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -146,16 +147,15 @@ def path_decomposition(g: Graph) -> TreeDecomposition:
         return TreeDecomposition((frozenset(),), ())
     adj = g.adjacency
     unplaced_nbrs = [len(a) for a in adj]
+    closing = [0] * g.n  # placed neighbours of x with no other unplaced neighbour
     unplaced = set(range(g.n))
     frontier: set[int] = set()
     reachable: set[int] = set()  # unplaced vertices with a placed neighbour
     bags: list[frozenset[int]] = []
 
     def grown(v: int) -> tuple[int, int, int]:
-        """Sort key of placing v: the frontier it leaves, then most placed neighbours, then v."""
-        size = len(frontier) + (unplaced_nbrs[v] > 0)
-        size -= sum(1 for u in adj[v] if unplaced_nbrs[u] == 1 and u in frontier)
-        return size, unplaced_nbrs[v] - len(adj[v]), v
+        """Sort key of placing v: the frontier it grows by, then most placed neighbours, then v."""
+        return (unplaced_nbrs[v] > 0) - closing[v], unplaced_nbrs[v] - len(adj[v]), v
 
     while unplaced:
         if reachable:
@@ -171,6 +171,9 @@ def path_decomposition(g: Graph) -> TreeDecomposition:
                 reachable.add(u)
             elif unplaced_nbrs[u] == 0:
                 frontier.discard(u)
+        for u in (v, *adj[v]):
+            if unplaced_nbrs[u] == 1 and u not in unplaced:  # it has just come down to 1
+                closing[next(x for x in adj[u] if x in unplaced)] += 1
         if unplaced_nbrs[v]:
             frontier.add(v)
     td = TreeDecomposition(
@@ -208,10 +211,11 @@ def dp_decomposition(g: Graph) -> TreeDecomposition:
     min-fill width 1 and path width 3 walks its path 2-3 times slower
     (`scripts/dp_decompositions.py`).  At most the degeneracy + 1 wide, it
     wins without running min-fill: min-fill is never narrower than the
-    treewidth, which the degeneracy bounds from below.
+    treewidth, which the degeneracy bounds from below.  At most 2 wide, it
+    wins without the degeneracy too: a graph with an edge has treewidth >= 1.
     """
     path = path_decomposition(g)
-    if path.width <= degeneracy(g) + 1:
+    if path.width <= 2 or path.width <= degeneracy(g) + 1:
         return path
     tree = heuristic_decomposition(g)
     return path if path.width <= tree.width + 1 else tree
@@ -355,13 +359,16 @@ def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[in
 def _forget(star: list[int], field: int, s: int, nbrs: list[int], child: Table) -> Table:
     """Clear the field at shift s, deciding every edge from its vertex to the fields at nbrs."""
     top = len(star) - 1  # largest star size
-    out: Table = defaultdict(set)
+    out: Table = {}
     for mask, vecs in child.items():
         code = (mask >> s) & field
         rest = mask - (code << s)
-        out[rest] |= vecs
+        got = out.setdefault(rest, vecs)  # the child table is consumed: hand its sets on
+        if got is not vecs:
+            got |= vecs
         if code == LEAF_OUTSIDE or not nbrs:
             continue
+        moves = []  # (output mask, packed step) of every way to cover v
         spots = []  # the uncovered neighbours' lowest field bits
         for sh in nbrs:
             c = (rest >> sh) & field
@@ -370,15 +377,24 @@ def _forget(star: list[int], field: int, s: int, nbrs: list[int], child: Table) 
             if code == UNCOVERED and c != LEAF_OUTSIDE and c != top:
                 # v becomes a leaf of this neighbour, which starts or grows a star
                 d = c + 1 if c else 2
-                step = star[d] - star[c]
-                out[rest + ((d - c) << sh)] |= {vec + step for vec in vecs}
+                moves.append((rest + ((d - c) << sh), star[d] - star[c]))
         # v becomes, or stays, a centre and takes uncovered bag neighbours as leaves
         size = code or 1
         for take in range(1, min(top - size, len(spots)) + 1):
             step = star[size + take] - star[code]
-            stepped = {vec + step for vec in vecs}
             for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
-                out[rest + chosen] |= stepped
+                moves.append((rest + chosen, step))
+        # one shifted set per step (a leaf onto an uncovered neighbour and a one-leaf
+        # centre share star[2]): handed on to its first move's mask if new, else copied
+        stepped: dict[int, set[int]] = {}
+        for key, step in moves:
+            fresh = step not in stepped
+            new = stepped[step] = {vec + step for vec in vecs} if fresh else stepped[step]
+            got = out.get(key)
+            if got is None:
+                out[key] = new if fresh else set(new)
+            else:
+                got |= new
     return out
 
 

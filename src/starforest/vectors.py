@@ -84,10 +84,21 @@ class VectorFamily:
         """The same vectors packed at `base`; a smaller base must still exceed every coordinate."""
         if base == self.base:
             return self
-        vectors = [unpack(m, self.delta, self.base) for m in self.members]
-        if base < self.base and any(c >= base for vec in vectors for c in vec):
+        digits = (c for m in self.members for c in unpack(m, self.delta, self.base))
+        if base < self.base and any(c >= base for c in digits):
             raise PreconditionError(f"a coordinate of the family does not fit base {base}")
-        return VectorFamily(self.delta, base, frozenset(pack(vec, base) for vec in vectors))
+        moved = _digit_sums(list(self.members), self.base, [base**j for j in range(self.delta)])
+        return VectorFamily(self.delta, base, frozenset(moved))
+
+
+def _digit_sums(codes: list[int], base: int, coefs: list[int]) -> list[int]:
+    """sum(coefs[j] * digit j) of each code of at most len(coefs) digits, without decoding:
+    digit j is q_j - base * q_(j+1) for q_j = code // base**j, so the sum is linear in the q_j."""
+    sums = [0] * len(codes)
+    for j, (coef, prev) in enumerate(zip(coefs, [0, *coefs])):
+        p, weight = base**j, coef - base * prev
+        sums = [s + code // p * weight for s, code in zip(sums, codes)]
+    return sums
 
 
 def sumset(a: VectorFamily, b: VectorFamily) -> VectorFamily:
@@ -112,15 +123,18 @@ def best_common(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, CountVecto
     """Largest total over the intersection; ties broken by the vector itself.
 
     Families of different bases are compared after re-packing the one with
-    the smaller base into the larger: its coordinates fit there too.
+    the smaller base into the larger: its coordinates fit there too.  Totals
+    are read off the packed members, and only the top ones are decoded.
     """
     if fam1.delta != fam2.delta:
         raise PreconditionError(f"families have different deltas {fam1.delta} and {fam2.delta}")
     small, large = sorted((fam1, fam2), key=lambda fam: fam.base)
-    common = large.members & small.rebase(large.base).members
+    common = list(large.members & small.rebase(large.base).members)
     if not common:
         raise PreconditionError("families share no vector, not even the empty one")
-    return max((vector_total(v), v) for v in (unpack(m, large.delta, large.base) for m in common))
+    totals = _digit_sums(common, large.base, list(range(2, large.delta + 2)))
+    top = max(totals)
+    return top, max(unpack(m, large.delta, large.base) for m, t in zip(common, totals) if t == top)
 
 
 def common_forest(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, StarForest]:

@@ -8,6 +8,7 @@ import pytest
 from starforest.errors import PreconditionError
 from starforest.graph import Graph
 from starforest import treewidth
+from starforest.eptas import EptasConfig, solve_eptas
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.treewidth import (
     TreeDecomposition,
@@ -29,6 +30,7 @@ from conftest import (
     cycle_graph,
     disjoint_union,
     grid_graph,
+    ladder_graph,
     path_graph,
     random_graph,
     random_tree,
@@ -163,6 +165,60 @@ def naive_path_bags(g):
     return bags
 
 
+def rescanning_path_decomposition(g):
+    """The greedy path with each candidate's key rescanning its neighbours
+    for the frontier vertices it would close, at every step."""
+    if g.n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    adj = g.adjacency
+    unplaced_nbrs = [len(a) for a in adj]
+    unplaced, front, reachable, bags = set(range(g.n)), set(), set(), []
+
+    def grown(v):
+        size = len(front) + (unplaced_nbrs[v] > 0)
+        size -= sum(1 for u in adj[v] if unplaced_nbrs[u] == 1 and u in front)
+        return size, unplaced_nbrs[v] - len(adj[v]), v
+
+    while unplaced:
+        if reachable:
+            v = min(reachable, key=grown)
+            reachable.discard(v)
+        else:
+            v = min(unplaced, key=lambda x: (len(adj[x]), x))
+        bags.append(frozenset(front | {v}))
+        unplaced.discard(v)
+        for u in adj[v]:
+            unplaced_nbrs[u] -= 1
+            if u in unplaced:
+                reachable.add(u)
+            elif unplaced_nbrs[u] == 0:
+                front.discard(u)
+        if unplaced_nbrs[v]:
+            front.add(v)
+    return TreeDecomposition(
+        tuple(bags), tuple((i, i + 1) for i in range(len(bags) - 1)), root=len(bags) - 1
+    )
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def chorded_cycle(rng, n):
+    """A cycle with a few chords from one vertex: outerplanar, treewidth 2."""
+    hub = rng.randrange(n)
+    chords = {(hub, (hub + d) % n) for d in rng.sample(range(2, n - 1), min(n - 3, n // 6 + 1))}
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + sorted(chords))
+
+
+def hub_tree(rng, n, hubs):
+    """A random tree where about half the vertices hang off the first few."""
+    edges = [(rng.randrange(min(v, hubs) if rng.random() < 0.5 else v), v) for v in range(1, n)]
+    return Graph.from_edges(n, edges)
+
+
 def chosen_by_both(g):
     """The choice of decomposition with min-fill always computed."""
     path, tree = path_decomposition(g), heuristic_decomposition(g)
@@ -197,6 +253,22 @@ class TestPathDecomposition:
         rng = random.Random(90)
         for g in mixed_graphs(rng, 200):
             assert list(path_decomposition(g).bags) == (naive_path_bags(g) or [frozenset()])
+
+    def test_counted_keys_pick_as_rescanned_keys(self):
+        # families do not depend on the decomposition, so no family check
+        # would see the kept frontier counts pick another vertex
+        rng = random.Random(97)
+        graphs = [random_graph(rng, rng.randint(0, 30), rng.random() * 0.3) for _ in range(300)]
+        graphs += [
+            disjoint_union(random_tree(rng, 8), random_graph(rng, 9, 0.3)) for _ in range(20)
+        ]
+        shapes = [grid_graph(3, 4), grid_graph(4, 6), ladder_graph(7), ladder_graph(8)]
+        shapes += [chorded_cycle(rng, n) for n in (12, 14, 16, 24)]
+        shapes += [hub_tree(rng, n, rng.randint(1, 3)) for n in (12, 14, 16, 30) for _ in range(3)]
+        graphs += shapes + [relabelled(g, rng) for g in shapes for _ in range(5)]
+        assert sum(1 for g in graphs if path_decomposition(g).width >= 3) > 50
+        for g in graphs:
+            assert path_decomposition(g) == rescanning_path_decomposition(g)
 
     def test_widths(self):
         assert path_decomposition(path_graph(9)).width == 1
@@ -281,6 +353,11 @@ class TestDecompositionScript:
         assert script.main(["--check", "--repeat", "1"]) == 0
         out = capsys.readouterr().out
         assert "grid 2x3" in out and "binary tree 15" in out and "differ" not in out
+        # each decomposition's build time is printed apart from its DP time
+        header, *rows = out.splitlines()
+        for kind in ("min-fill", "path", "picked"):
+            assert f"{kind} dec ms" in header and f"{kind} DP ms" in header
+        assert len(rows) == 2 and all(float(t) >= 0 for row in rows for t in row.split()[-6:])
         # a path decomposition whose DP loses the largest star size fails the check
         real = script.enum_star_vectors_dp
 
@@ -496,6 +573,35 @@ class TestMemo:
             enum_star_vectors_dp(g, 2, TreeDecomposition((frozenset({0}),), ()))
         # a valid one runs the DP on it and gives the same family
         assert enum_star_vectors_dp(g, 2, heuristic_decomposition(g)) == enum_star_vectors_dp(g, 2)
+
+    def test_sets_handed_on_inside_the_walk_never_reach_a_held_family(self):
+        # a forget hands its child's sets on and grows them; none of them may
+        # be a set that a family handed out earlier still holds
+        treewidth._remembered_family.cache_clear()
+        g = grid_graph(3, 4)
+        held = enum_star_vectors_dp(g, 3)
+        kept = set(held.members)
+        rng = random.Random(98)
+        for _ in range(20):
+            other = random_graph(rng, rng.randint(2, 12), 0.4)
+            enum_star_vectors_dp(other, 3)
+            enum_star_vectors_dp(other, 3, remember=False)
+            enum_star_vectors_dp(other, 3, heuristic_decomposition(other))
+        solve_eptas(g, cycle_graph(12), EptasConfig(0.5))
+        again = enum_star_vectors_dp(g, 3, heuristic_decomposition(g))
+        assert held.members == kept and again == held
+        assert held.vectors == enum_star_vectors_brute(g, 3).vectors
+        assert enum_star_vectors_dp(g, 3) == held
+
+    def test_two_runs_on_one_decomposition_with_joins_agree(self):
+        g = grid_graph(3, 4)
+        td = heuristic_decomposition(g)
+        _, parent, _ = treewidth._top_down(td)
+        children = [parent[t] for t in parent if parent[t] >= 0]
+        assert any(children.count(p) > 1 for p in children)  # the walk joins
+        first = enum_star_vectors_dp(g, 3, td)
+        assert enum_star_vectors_dp(g, 3, td) == first
+        assert first.vectors == enum_star_vectors_brute(g, 3).vectors
 
     def test_a_third_graph_evicts_the_oldest(self, monkeypatch):
         treewidth._remembered_family.cache_clear()

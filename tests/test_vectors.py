@@ -101,6 +101,33 @@ class TestFamily:
             assert best_common(fam1, fam2) == best_common(fam2, fam1) == want
         assert mixed > 25
 
+    def test_best_common_matches_the_tuple_reference(self):
+        # totals are read off the packed digits and only the top ties are
+        # decoded; coordinates up to base - 1 let a total pass the base, as
+        # in solve_cc's families.  The shared vectors are cut at a total that
+        # two of them reach, so the top of the intersection is a tie.
+        rng = random.Random(33)
+        tied = 0
+        for _ in range(400):
+            delta = rng.randint(0, 6)
+            base1, base2 = rng.randint(2, 9), rng.choice([2, 3, 5, 9, 17, 100])
+            drawn = [
+                tuple(rng.randrange(min(base1, base2)) for _ in range(delta)) for _ in range(40)
+            ]
+            totals = [vector_total(v) for v in drawn]
+            cap = rng.choice([t for t in totals if totals.count(t) > 1] or totals)
+            shared = [v for v in drawn if vector_total(v) <= cap] + [(0,) * delta]
+            extra = [tuple(rng.randrange(base1) for _ in range(delta)) for _ in range(10)]
+            fam1 = VectorFamily.of(shared + extra, delta, base1)
+            fam2 = VectorFamily.of(shared, delta, base2)
+            want = max((vector_total(v), v) for v in fam1.vectors & fam2.vectors)
+            tied += sum(1 for v in set(shared) if vector_total(v) == want[0]) > 1
+            assert best_common(fam1, fam2) == best_common(fam2, fam1) == want
+            for base in (base1, base2):
+                if base > max((c for v in fam1.vectors for c in v), default=0):
+                    assert fam1.rebase(base) == VectorFamily.of(fam1.vectors, delta, base)
+        assert tied > 150
+
     def test_rebase_keeps_the_vectors(self):
         fam = VectorFamily.of([(0, 0), (2, 1), (0, 3)], 2, 4)
         assert fam.rebase(4) is fam
