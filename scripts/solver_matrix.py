@@ -2,7 +2,8 @@
 """Cross-check every applicable solver on a small random corpus.
 
 Prints one row per instance with each solver's answer and timing; exits
-nonzero if any two solvers disagree.  Handy as a quick regression sweep:
+nonzero if any two solvers disagree, or if exact solve_h does not answer
+yes at h = opt and no at h = opt + 1.  Handy as a quick regression sweep:
 
     python scripts/solver_matrix.py --count 25 --seed 3
 """
@@ -37,7 +38,7 @@ def main():
 
     rng = random.Random(args.seed)
     disagreements = 0
-    print(f"{'instance':<12} {'oracle':>6} {'tw':>6} {'cc':>6} {'vc':>6} {'h@opt':>6} {'eptas.5':>8} {'ms':>8}")
+    print(f"{'instance':<12} {'oracle':>6} {'tw':>6} {'cc':>6} {'vc':>6} {'h@opt':>6} {'h@opt+1':>8} {'eptas.5':>8} {'ms':>8}")
     for idx in range(args.count):
         p = rng.choice([0.2, 0.4, 0.6])
         g1 = random_graph(rng, rng.randint(2, args.max_n), p)
@@ -54,20 +55,21 @@ def main():
             else None
         )
         yes, _ = solve_h(Instance(g1, g2, opt), mode="exact")
+        over, _ = solve_h(Instance(g1, g2, opt + 1), mode="exact")
         eptas_size, _, _ = solve_eptas(g1, g2, EptasConfig(0.5))
         elapsed = (time.perf_counter() - start) * 1000
         if cc is not None:
             answers["cc"] = cc
         if vc is not None:
             answers["vc"] = vc
-        exact_ok = len(set(answers.values())) == 1 and yes
+        exact_ok = len(set(answers.values())) == 1 and yes and not over
         approx_ok = eptas_size <= opt
         if not (exact_ok and approx_ok):
             disagreements += 1
         fmt = lambda v: "-" if v is None else str(v)
         print(
             f"{idx:<12} {opt:>6} {answers['tw']:>6} {fmt(cc):>6} {fmt(vc):>6}"
-            f" {str(yes):>6} {eptas_size:>8} {elapsed:>8.1f}"
+            f" {str(yes):>6} {str(over):>8} {eptas_size:>8} {elapsed:>8.1f}"
             + ("   <-- disagreement" if not (exact_ok and approx_ok) else "")
         )
     print(f"{args.count} instances, {disagreements} disagreements")

@@ -5,17 +5,17 @@ vectors, so each graph's family is the sumset of its components' families,
 folded in one component at a time; no integer program is solved.  Each
 component's own family comes from `component_family`, a search over star
 packings inside the component that branches on its lowest free vertex (left
-out, a centre, or a leaf of a larger star) and is memoised on the set of used
-vertices, so a component of k vertices has at most 2^k states.  No component
-has more than MAX_COMPONENT vertices.  The optimum is the best vector the two
-families share.  Bounded treedepth plus maximum degree bounds the component
-size, so with k read off the input this is also the paper's FPT route for
-that parameter pair.
+out, a centre, or a leaf of a larger star), takes each star's leaves as a
+submask of a neighbour bitmask, and is memoised on the used-vertex bitmask:
+at most 2^k states for k <= MAX_COMPONENT vertices.  The optimum is the best
+vector the two families share.  Bounded treedepth plus maximum degree bounds
+the component size, so with k read off the input this is also the paper's FPT
+route for that parameter pair.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Graph
@@ -90,33 +90,29 @@ def component_family(g: Graph, comp: list[int], delta: int, base: int) -> Vector
     Branches on the lowest free vertex v: v stays out of every star; v
     centres a star of 1..delta free neighbours; or v is a leaf of a free
     neighbour u that takes 1..delta-1 other free neighbours (the lone edge
-    {v, u} is already a star centred at v).  Memoised on the bitmask of used
-    vertices, so at most 2^len(comp) states.
+    {v, u} is already a star centred at v).  Leaves are submasks of a
+    neighbour bitmask; memoised on the used-vertex bitmask (<= 2^len(comp)).
     """
     if delta < 1:
         raise PreconditionError("delta must be >= 1")
     if len(comp) > MAX_COMPONENT:
-        raise ResourceLimitError(
-            f"component has {len(comp)} vertices, above the limit {MAX_COMPONENT}"
-        )
+        raise ResourceLimitError(f"component of {len(comp)} vertices exceeds {MAX_COMPONENT}")
     if base <= len(comp) // 2:
         raise PreconditionError(f"base {base} does not exceed every count of {len(comp)} vertices")
     local = {v: i for i, v in enumerate(comp)}
-    adjacency = [[local[w] for w in g.adjacency[v] if w in local] for v in comp]
+    neighbours = [sum(1 << local[w] for w in g.adjacency[v] if w in local) for v in comp]
     weights = [base**j for j in range(delta)]  # one star of size j + 2
-    full = (1 << len(comp)) - 1
-    memo: dict[int, set[int]] = {full: {0}}
+    memo: dict[int, set[int]] = {(1 << len(comp)) - 1: {0}}
 
-    def with_star(result: set[int], used: int, leaves: list[int], bump: int, most: int) -> None:
-        """Add the packings left once a star also takes 1..most of `leaves`;
-        a star with `take` of them has size index bump + take - 1."""
-        for take in range(1, min(most, len(leaves)) + 1):
-            weight = weights[bump + take - 1]
-            for chosen in combinations(leaves, take):
-                mask = used
-                for w in chosen:
-                    mask |= 1 << w
-                result.update(code + weight for code in packings(mask))
+    def with_star(result: set[int], used: int, leaves: int, bump: int, most: int) -> None:
+        """Add the packings left once a star also takes a nonempty submask of
+        `leaves` with take <= most bits; its size index is bump + take - 1."""
+        sub = leaves if most >= 1 else 0  # most < 1 walks no submask
+        while sub:
+            if (take := sub.bit_count()) <= most:
+                weight = weights[bump + take - 1]
+                result.update(code + weight for code in packings(used | sub))
+            sub = (sub - 1) & leaves
 
     def packings(used: int) -> set[int]:
         cached = memo.get(used)
@@ -125,11 +121,13 @@ def component_family(g: Graph, comp: list[int], delta: int, base: int) -> Vector
         v = (~used & (used + 1)).bit_length() - 1  # the lowest free vertex
         rest = used | 1 << v
         result = set(packings(rest))  # v stays out
-        free = [w for w in adjacency[v] if not rest >> w & 1]
+        free = neighbours[v] & ~rest
         with_star(result, rest, free, 0, delta)  # v centres a star
-        for u in free:  # v is a leaf of u, which takes other leaves too
-            taken = rest | 1 << u
-            with_star(result, taken, [w for w in adjacency[u] if not taken >> w & 1], 1, delta - 1)
+        while free:  # v is a leaf of a free u, which takes other leaves too
+            bit = free & -free
+            free ^= bit
+            taken = rest | bit
+            with_star(result, taken, neighbours[bit.bit_length() - 1] & ~taken, 1, delta - 1)
         memo[used] = result
         return result
 

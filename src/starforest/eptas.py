@@ -11,6 +11,9 @@ Each graph's BFS levels are computed once, and shifts that keep the same
 vertices share one pruned graph.  No star forest covers an isolated vertex,
 so a pruned graph's non-isolated vertices bound every answer it takes part
 in, and a pair of pruned graphs is bounded by the smaller of its two counts.
+The bounds are read off the levels (the kept vertices with a kept
+neighbour), and each pruned graph is built lazily, only when a visited
+pair first needs its family.
 Pairs are visited by decreasing bound, then by (r1, r2), and the visit stops
 at the first pair that cannot win: its bound is below the best size so far,
 or equal to it with shifts not before the incumbent's.  A pruned graph's DP runs
@@ -60,7 +63,7 @@ class _Pruned:
     """One distinct pruned graph, under the first shift that gives it."""
 
     shift: int
-    graph: Graph
+    kept: tuple[int, ...]
     bound: int  # non-isolated vertices: no star forest in the graph covers more
     family: VectorFamily | None = None  # the DP's, filled when a pair first needs it
 
@@ -99,7 +102,9 @@ def solve_eptas(
             if p.family is None:
                 # only whole graphs enter the DP's memo, so no pruned graph
                 # evicts a family solve_tw left
-                p.family = enum_star_vectors_dp(p.graph, delta, remember=p.graph is g)
+                whole = len(p.kept) == g.n
+                sub = g if whole else g.induced(p.kept)[0]
+                p.family = enum_star_vectors_dp(sub, delta, remember=whole)
         size, vec = best_common(p1.family, p2.family)
         if size > best[0] or (size == best[0] and shifts < best[2]):
             best = (size, StarForest(counts_to_sizes(vec)), shifts)
@@ -107,7 +112,7 @@ def solve_eptas(
 
 
 def _distinct_pruned(g: Graph, k: int) -> list[_Pruned]:
-    """One pruned graph per distinct kept-vertex list, with the first shift that keeps it.
+    """One kept-vertex list per distinct pruned graph, with the first shift that keeps it.
 
     A later shift keeping the same vertices only ties it, and ties go to the
     first.  Once 3r + 2 passes the deepest level, shift r and every later one
@@ -120,8 +125,9 @@ def _distinct_pruned(g: Graph, k: int) -> list[_Pruned]:
     for r in range(k):
         kept = _kept(levels, r, k)
         if kept not in firsts:
-            sub = g if len(kept) == g.n else g.induced(kept)[0]
-            firsts[kept] = _Pruned(r, sub, sub.n - len(sub.isolated_vertices()))
+            cut, period = 3 * r + 2, 3 * k
+            bound = sum(1 for v in kept if any(levels[w] % period != cut for w in g.adjacency[v]))
+            firsts[kept] = _Pruned(r, kept, bound)
         if 3 * r + 2 > deepest:
             break  # this shift and every later one delete no level
     return list(firsts.values())

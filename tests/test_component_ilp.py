@@ -12,7 +12,7 @@ from starforest.component_ilp import (
     solve_cc,
 )
 from starforest.errors import PreconditionError, ResourceLimitError
-from starforest.graph import Graph, StarForest
+from starforest.graph import Graph, StarForest, max_matching
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.solve_h import embeds_star_forest
 from starforest.treewidth import solve_tw
@@ -209,11 +209,23 @@ class TestComponentFamily:
 
     @pytest.mark.parametrize("name", ["K8", "K44", "Q3", "C8"])
     def test_dense_eight_vertex_components(self, name):
+        # low deltas skip the most leaf submasks, so check every delta
         g = {"K8": complete_graph(8), "K44": K44, "Q3": Q3, "C8": cycle_graph(8)}[name]
-        want = enum_star_vectors_brute(g, 7).rebase(fold_base(g))
-        with time_limit(0.3):
-            got = component_family(g, list(range(8)), 7, fold_base(g))
-        assert got == want
+        for delta in range(1, 8):
+            want = enum_star_vectors_brute(g, delta).rebase(fold_base(g))
+            with time_limit(0.3):
+                got = component_family(g, list(range(8)), delta, fold_base(g))
+            assert got == want, delta
+
+    def test_delta_one_is_every_matching_size(self):
+        # stars of size 2 are matching edges: the family is {0, ..., nu}
+        rng = random.Random(23)
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.8]))
+            comp = max(g.components(), key=len)
+            nu = len(max_matching(g.induced(comp)[0]))
+            family = component_family(g, comp, 1, fold_base(g))
+            assert family.members == set(range(nu + 1))
 
     def test_refusals(self):
         with pytest.raises(PreconditionError):
