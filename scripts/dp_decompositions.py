@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the treewidth DP on min-fill's decomposition, the greedy path's and the pick.
+"""Time the treewidth DP on min-fill's decomposition, the greedy path's, the pick, and by default.
 
     python scripts/dp_decompositions.py [--check] [--repeat N]
 
@@ -8,9 +8,11 @@ G(n, p) graphs, a caterpillar and a long path) it prints one row per graph:
 the widths of min-fill's and of the greedy path decomposition, which one
 `treewidth.dp_decomposition` picks, and for min-fill, the path and the pick
 the time to build the decomposition ("dec") apart from the DP's time on it
-("DP", which includes checking the supplied decomposition), each the best
-of N runs (default 3).  With --check it exits 1 if the three families of
-any graph are not equal.
+("DP", which includes checking the supplied decomposition), and the time of
+the DP with no decomposition supplied ("default", `remember=False`: the pick
+and then the walk along the path's vertex order or min-fill's DP, the route
+the solvers take), each the best of N runs (default 3).  With --check it
+exits 1 if the four families of any graph are not equal.
 """
 
 import argparse
@@ -55,17 +57,21 @@ def graphs():
     return rows + [("path 1200", path_graph(1200), 1)]
 
 
-def timed(decompose, g, delta, repeat):
-    """Best wall times of the decomposition and of the DP on it, and the family of the last run."""
-    best_dec = best_dp = float("inf")
+def best_time(run, repeat):
+    """Best wall time of `run()` over `repeat` runs, and the result of the last."""
+    best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        td = decompose(g)
-        built = time.perf_counter()
-        family = enum_star_vectors_dp(g, delta, td)
-        best_dec = min(best_dec, built - start)
-        best_dp = min(best_dp, time.perf_counter() - built)
-    return best_dec, best_dp, family
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def timed(decompose, g, delta, repeat):
+    """Best wall times of the decomposition and of the DP on it, and the family of the last run."""
+    dec_s, td = best_time(lambda: decompose(g), repeat)
+    dp_s, family = best_time(lambda: enum_star_vectors_dp(g, delta, td), repeat)
+    return dec_s, dp_s, family
 
 
 def main(argv=None):
@@ -76,7 +82,7 @@ def main(argv=None):
     differ = []
     header = ("graph", "n", "delta", "min-fill w", "path w", "picked")
     kinds = ("min-fill", "path", "picked")
-    cols = [f"{kind} {part} ms" for kind in kinds for part in ("dec", "DP")]
+    cols = [f"{kind} {part} ms" for kind in kinds for part in ("dec", "DP")] + ["default ms"]
     print("{:<16} {:>5} {:>5} {:>10} {:>6} {:>8}".format(*header), *cols)
     for name, g, delta in graphs():
         tree, path, picked = heuristic_decomposition(g), path_decomposition(g), dp_decomposition(g)
@@ -85,9 +91,12 @@ def main(argv=None):
             timed(decompose, g, delta, args.repeat)
             for decompose in (heuristic_decomposition, path_decomposition, dp_decomposition)
         ]
-        if not runs[0][2] == runs[1][2] == runs[2][2]:
+        default_s, default = best_time(
+            lambda: enum_star_vectors_dp(g, delta, remember=False), args.repeat
+        )
+        if not runs[0][2] == runs[1][2] == runs[2][2] == default:
             differ.append(name)
-        times = [seconds for dec_s, dp_s, _ in runs for seconds in (dec_s, dp_s)]
+        times = [seconds for dec_s, dp_s, _ in runs for seconds in (dec_s, dp_s)] + [default_s]
         print(
             f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} {kind:>8}",
             *(f"{t * 1e3:>{len(col)}.2f}" for t, col in zip(times, cols)),

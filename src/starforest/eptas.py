@@ -117,17 +117,24 @@ def _distinct_pruned(g: Graph, k: int) -> list[_Pruned]:
     A later shift keeping the same vertices only ties it, and ties go to the
     first.  Once 3r + 2 passes the deepest level, shift r and every later one
     keep all vertices, so the loop stops there and its length does not grow
-    with k.
+    with k.  Kept sets are bitmasks: a shift keeps every vertex but those of
+    one level residue, and a kept vertex counts towards the bound when its
+    neighbour mask meets the kept mask.
     """
     levels = bfs_levels(g)
     deepest = max(levels)
-    firsts: dict[tuple[int, ...], _Pruned] = {}
+    residue: dict[int, int] = {}  # the vertices of each level residue mod 3k met
+    for v, level in enumerate(levels):
+        at = level % (3 * k)
+        residue[at] = residue.get(at, 0) | 1 << v
+    nb = [sum(1 << w for w in a) for a in g.adjacency]  # each vertex's neighbours
+    everyone = (1 << g.n) - 1
+    firsts: dict[int, _Pruned] = {}
     for r in range(k):
-        kept = _kept(levels, r, k)
-        if kept not in firsts:
-            cut, period = 3 * r + 2, 3 * k
-            bound = sum(1 for v in kept if any(levels[w] % period != cut for w in g.adjacency[v]))
-            firsts[kept] = _Pruned(r, kept, bound)
+        keep = everyone & ~residue.get(3 * r + 2, 0)
+        if keep not in firsts:
+            kept = _kept(levels, r, k)
+            firsts[keep] = _Pruned(r, kept, sum(1 for v in kept if nb[v] & keep))
         if 3 * r + 2 > deepest:
             break  # this shift and every later one delete no level
     return list(firsts.values())

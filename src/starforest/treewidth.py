@@ -11,11 +11,10 @@ bag and the root ends at it, where the surviving vectors are exactly the star
 forests of the graph, up to isomorphism.
 
 A mask is one int with a field of w = bit_length(delta + 1) bits per slot.
-Each vertex holds one slot for its whole life in the bags (`_top_down`): no two
-vertices of a bag share one, at most width + 1 are used, and both children of
-a join use their parent's.  Forgetting a vertex reads and clears its field.
-Introducing one costs nothing: its field is already clear, which reads
-uncovered.
+Each vertex holds one slot for its whole life in the bags: no two vertices of
+a bag share one and at most width + 1 are used.  Forgetting a vertex reads
+and clears its field.  Introducing one costs nothing: its field is already
+clear, which reads uncovered.
 
 Each edge is decided once, when its first endpoint is forgotten: the other
 endpoint is still in the bag then, and no vertex is forgotten twice.  A
@@ -27,12 +26,16 @@ mask with every right mask, drops a pair at once when the fields show a leaf
 of a forgotten centre on one side facing a covered vertex on the other, and
 lets `_merge_masks` refuse a merged centre larger than delta+1.
 
-Without a supplied decomposition the DP walks `dp_decomposition`'s pick: a
-greedy path decomposition whenever it is at most one vertex wider than
-min-fill's, and min-fill's otherwise.  The family does not depend on the
-decomposition, and in a path every node has at most one child, so a path
-walk has no join and makes no sumset call; trees of high pathwidth keep
-min-fill.
+Without a supplied decomposition the DP walks `dp_pick`'s choice: the greedy
+path whenever it is at most one vertex wider than min-fill's decomposition,
+and min-fill's otherwise.  The family does not depend on the decomposition.
+A path is walked straight from its vertex order (`_order_family`), with no
+bag built: a vertex takes the lowest free slot when it is placed and frees
+it when it is forgotten, once it has no unplaced neighbour.  A path has no
+join and makes no sumset call; trees of high pathwidth keep min-fill.
+Min-fill's trees and supplied decompositions are walked from the root down
+(`_top_down`): a vertex takes its slot at its topmost bag, and both children
+of a join use their parent's slots.
 
 Each table maps a mask to a set of vectors packed into ints base n+1 (see
 `vectors.pack`).  No count exceeds n, not even the sum of two
@@ -133,25 +136,25 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
     return td
 
 
-def path_decomposition(g: Graph) -> TreeDecomposition:
-    """Greedy frontier-growing path decomposition; its bags form a path, so it has no join.
+def path_order(g: Graph) -> tuple[list[int], int]:
+    """The greedy frontier-growing placement order, and the width of its path decomposition.
 
     Vertices are placed one at a time.  The frontier is the placed vertices
     that still have an unplaced neighbour; each step places the frontier
     neighbour that leaves the smallest frontier, ties to the most placed
     neighbours, then to the lowest index.  A new component starts at its
-    minimum-degree vertex.  Bag i is the frontier plus the i-th vertex, and
-    the bags form a path rooted at the last one.
+    minimum-degree vertex.  Bag i of the path is the frontier plus the i-th
+    vertex (`path_decomposition`), so the width is the largest frontier met
+    by a placement; the empty graph's one empty bag has width -1.
     """
-    if g.n == 0:
-        return TreeDecomposition((frozenset(),), ())
     adj = g.adjacency
     unplaced_nbrs = [len(a) for a in adj]
     closing = [0] * g.n  # placed neighbours of x with no other unplaced neighbour
     unplaced = set(range(g.n))
-    frontier: set[int] = set()
     reachable: set[int] = set()  # unplaced vertices with a placed neighbour
-    bags: list[frozenset[int]] = []
+    order: list[int] = []
+    frontier = 0  # how many placed vertices have an unplaced neighbour
+    width = -1
 
     def grown(v: int) -> tuple[int, int, int]:
         """Sort key of placing v: the frontier it grows by, then most placed neighbours, then v."""
@@ -163,17 +166,41 @@ def path_decomposition(g: Graph) -> TreeDecomposition:
             reachable.discard(v)
         else:
             v = min(unplaced, key=lambda x: (len(adj[x]), x))
-        bags.append(frozenset(frontier | {v}))
+        width = max(width, frontier)
+        order.append(v)
         unplaced.discard(v)
         for u in adj[v]:
             unplaced_nbrs[u] -= 1
             if u in unplaced:
                 reachable.add(u)
             elif unplaced_nbrs[u] == 0:
-                frontier.discard(u)
+                frontier -= 1
         for u in (v, *adj[v]):
             if unplaced_nbrs[u] == 1 and u not in unplaced:  # it has just come down to 1
                 closing[next(x for x in adj[u] if x in unplaced)] += 1
+        if unplaced_nbrs[v]:
+            frontier += 1
+    return order, width
+
+
+def path_decomposition(g: Graph) -> TreeDecomposition:
+    """`path_order`'s path decomposition; its bags form a path rooted at the last one, so it has no join."""
+    return _path_bags(g, path_order(g)[0])
+
+
+def _path_bags(g: Graph, order: list[int]) -> TreeDecomposition:
+    """The path whose bag i is the frontier plus order[i], rooted at its last bag."""
+    if g.n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    unplaced_nbrs = [len(a) for a in g.adjacency]
+    frontier: set[int] = set()
+    bags: list[frozenset[int]] = []
+    for v in order:
+        bags.append(frozenset(frontier | {v}))
+        for u in g.adjacency[v]:
+            unplaced_nbrs[u] -= 1
+            if unplaced_nbrs[u] == 0:
+                frontier.discard(u)
         if unplaced_nbrs[v]:
             frontier.add(v)
     td = TreeDecomposition(
@@ -203,22 +230,28 @@ def degeneracy(g: Graph) -> int:
     return best
 
 
-def dp_decomposition(g: Graph) -> TreeDecomposition:
-    """The decomposition the DP walks when none is supplied.
+def dp_pick(g: Graph) -> list[int] | TreeDecomposition:
+    """What the DP walks when no decomposition is supplied: `path_order`'s order, or min-fill's.
 
-    The path decomposition wins whenever it is at most one vertex wider than
-    min-fill's, since it has no join.  Two wider it can lose: a tree of
+    The path wins whenever it is at most one vertex wider than min-fill's
+    decomposition, since it has no join.  Two wider it can lose: a tree of
     min-fill width 1 and path width 3 walks its path 2-3 times slower
     (`scripts/dp_decompositions.py`).  At most the degeneracy + 1 wide, it
     wins without running min-fill: min-fill is never narrower than the
     treewidth, which the degeneracy bounds from below.  At most 2 wide, it
     wins without the degeneracy too: a graph with an edge has treewidth >= 1.
     """
-    path = path_decomposition(g)
-    if path.width <= 2 or path.width <= degeneracy(g) + 1:
-        return path
+    order, width = path_order(g)
+    if width <= 2 or width <= degeneracy(g) + 1:
+        return order
     tree = heuristic_decomposition(g)
-    return path if path.width <= tree.width + 1 else tree
+    return order if width <= tree.width + 1 else tree
+
+
+def dp_decomposition(g: Graph) -> TreeDecomposition:
+    """`dp_pick`'s choice as a decomposition: the path's bags, or min-fill's tree."""
+    pick = dp_pick(g)
+    return pick if isinstance(pick, TreeDecomposition) else _path_bags(g, pick)
 
 
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
@@ -273,7 +306,7 @@ def enum_star_vectors_dp(
 ) -> VectorFamily:
     """All star-count vectors of star forests in g with sizes <= delta+1.
 
-    Without a decomposition the DP runs on `dp_decomposition(g)`, and the
+    Without a decomposition the DP runs on `dp_pick(g)`'s choice, and the
     families of the two most recent (g, delta) keys are remembered, so at
     most two families stay held after a call returns
     (`_remembered_family.cache_clear()` drops them).  `Graph` is frozen and
@@ -281,7 +314,7 @@ def enum_star_vectors_dp(
     a decomposition or the DP.  Two is one instance's pair: the EPTAS run
     right after `solve_tw` on the same pair reuses both whole-graph
     families, since it solves each pruned graph with `remember=False`,
-    which runs the DP on `dp_decomposition(g)` without touching the memo.
+    which runs the DP on `dp_pick(g)`'s choice without touching the memo.
     A supplied decomposition is always validated, and the DP then runs on
     it without touching the memo.  The family's members are a frozenset,
     so no caller can change a remembered one.
@@ -296,20 +329,26 @@ def enum_star_vectors_dp(
 
 
 def _picked_family(g: Graph, delta: int) -> VectorFamily:
-    """The DP on `dp_decomposition(g)`, which checks its own pick."""
-    return _family(g, delta, dp_decomposition(g))
+    """The DP on `dp_pick(g)`: the order walk on the path, `_family` on min-fill's tree."""
+    pick = dp_pick(g)
+    if isinstance(pick, TreeDecomposition):
+        return _family(g, delta, pick)
+    return _order_family(g, delta, pick)
 
 
 _remembered_family = lru_cache(maxsize=2)(_picked_family)
 
 
+def _layout(n: int, delta: int) -> tuple[int, list[int], int, int]:
+    """The packing base, star[d] (one packed star of size d, none below 2), field width and field."""
+    base = n + 1
+    w = (delta + 1).bit_length()
+    return base, [0, 0] + [base**j for j in range(delta)], w, (1 << w) - 1
+
+
 def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:
     """The DP itself, bottom-up over a decomposition already known to be valid."""
-    base = g.n + 1
-    # star[d] packs one star of size d; a lone vertex (d < 2) is not counted
-    star = [0, 0] + [base**j for j in range(delta)]
-    w = (delta + 1).bit_length()
-    field = (1 << w) - 1
+    base, star, w, field = _layout(g.n, delta)
     order, parent, slot = _top_down(td)
     # node -> its finished children, carried to its bag and joined; only the
     # ancestors of the node in hand hold one
@@ -327,6 +366,46 @@ def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:
             table = _join(base, star, field, [w * slot[u] for u in bag], tables[p], table)
         tables[p] = table
     return VectorFamily(delta, base, frozenset(tables[-1][0]))
+
+
+def _order_family(g: Graph, delta: int, order: list[int]) -> VectorFamily:
+    """The DP along `path_order`'s order: the path decomposition's walk, with no bag built.
+
+    Each placed vertex takes the lowest free slot.  Then every held vertex
+    left with no unplaced neighbour is forgotten, in sorted order, and frees
+    its slot: these are bag t minus bag t + 1 of the path, so at most
+    width + 1 slots are used and each edge is decided once.
+    """
+    base, star, w, field = _layout(g.n, delta)
+    adj = g.adjacency
+    unplaced_nbrs = [len(a) for a in adj]
+    shift = [-1] * g.n  # w times the slot of a held vertex, -1 before and after
+    free: list[int] = []  # the shifts of freed slots
+    unused = 0  # the shift of the lowest slot never taken
+    table: Table = {0: {0}}
+    forgotten = decided = 0
+    for v in order:
+        if free:
+            shift[v] = heappop(free)
+        else:
+            shift[v], unused = unused, unused + w
+        closed = [] if unplaced_nbrs[v] else [v]
+        for u in adj[v]:
+            unplaced_nbrs[u] -= 1
+            if not unplaced_nbrs[u] and shift[u] >= 0:
+                closed.append(u)
+        for x in sorted(closed):
+            s, shift[x] = shift[x], -1
+            heappush(free, s)
+            nbrs = [shift[u] for u in adj[x] if shift[u] >= 0]
+            table = _forget(star, field, s, nbrs, table)
+            forgotten += 1
+            decided += len(nbrs)
+    # a vertex forgotten before its last neighbour is placed leaves that edge undecided
+    assert forgotten == g.n and decided == g.edge_count and max(shift, default=-1) < 0, (
+        "the order walk left a vertex or an edge behind"
+    )
+    return VectorFamily(delta, base, frozenset(table[0]))
 
 
 def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[int, int]]:
@@ -360,26 +439,34 @@ def _forget(star: list[int], field: int, s: int, nbrs: list[int], child: Table) 
     """Clear the field at shift s, deciding every edge from its vertex to the fields at nbrs."""
     top = len(star) - 1  # largest star size
     out: Table = {}
+    get = out.get
     for mask, vecs in child.items():
         code = (mask >> s) & field
         rest = mask - (code << s)
-        got = out.setdefault(rest, vecs)  # the child table is consumed: hand its sets on
-        if got is not vecs:
+        got = get(rest)
+        if got is None:
+            out[rest] = vecs  # the child table is consumed: hand its sets on
+        else:
             got |= vecs
         if code == LEAF_OUTSIDE or not nbrs:
             continue
         moves = []  # (output mask, packed step) of every way to cover v
-        spots = []  # the uncovered neighbours' lowest field bits
-        for sh in nbrs:
-            c = (rest >> sh) & field
-            if c == UNCOVERED:
-                spots.append(1 << sh)
-            if code == UNCOVERED and c != LEAF_OUTSIDE and c != top:
-                # v becomes a leaf of this neighbour, which starts or grows a star
-                d = c + 1 if c else 2
-                moves.append((rest + ((d - c) << sh), star[d] - star[c]))
-        # v becomes, or stays, a centre and takes uncovered bag neighbours as leaves
-        size = code or 1
+        if code == UNCOVERED:
+            # v becomes a leaf of a neighbour, which starts or grows a star,
+            # or a centre of size 1 + leaves
+            spots = []  # the uncovered neighbours' lowest field bits
+            for sh in nbrs:
+                c = (rest >> sh) & field
+                if c == UNCOVERED:
+                    spots.append(1 << sh)
+                    moves.append((rest + (2 << sh), star[2]))
+                elif c != LEAF_OUTSIDE and c != top:
+                    moves.append((rest + (1 << sh), star[c + 1] - star[c]))
+            size = 1
+        else:
+            # v stays a centre and takes more leaves
+            spots = [1 << sh for sh in nbrs if not (rest >> sh) & field]
+            size = code
         for take in range(1, min(top - size, len(spots)) + 1):
             step = star[size + take] - star[code]
             for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
@@ -390,7 +477,7 @@ def _forget(star: list[int], field: int, s: int, nbrs: list[int], child: Table) 
         for key, step in moves:
             fresh = step not in stepped
             new = stepped[step] = {vec + step for vec in vecs} if fresh else stepped[step]
-            got = out.get(key)
+            got = get(key)
             if got is None:
                 out[key] = new if fresh else set(new)
             else:

@@ -122,17 +122,18 @@ def deep_planar(rng: random.Random) -> Graph:
     return deep_tree(rng, rng.randint(24, 40))
 
 
-def counted_decompositions(monkeypatch):
-    """Route the DP's choice of decomposition through a wrapper; returns the
-    list of graphs it was given."""
+def counted_picks(monkeypatch):
+    """Route the DP's pick between the path order and min-fill's tree through
+    a wrapper, called once per DP run without a supplied decomposition;
+    returns the list of graphs it was given."""
     calls = []
-    real = treewidth.dp_decomposition
+    real = treewidth.dp_pick
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(treewidth, "dp_decomposition", counted)
+    monkeypatch.setattr(treewidth, "dp_pick", counted)
     return calls
 
 

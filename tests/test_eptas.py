@@ -15,7 +15,7 @@ from starforest.vectors import best_common, counts_to_sizes
 
 from conftest import (
     complete_graph,
-    counted_decompositions,
+    counted_picks,
     cycle_graph,
     deep_planar,
     ladder_graph,
@@ -285,12 +285,12 @@ class TestAfterSolveTw:
         assert all(len(prune_levels(g, 1, cfg.k)[1]) == g.n for g in (g1, g2))
         treewidth._remembered_family.cache_clear()
         cold = solve_eptas(g1, g2, cfg)
-        decompositions = counted_decompositions(monkeypatch)
+        picks = counted_picks(monkeypatch)
         treewidth._remembered_family.cache_clear()
         solve_tw(g1, g2)
-        assert decompositions == [g1, g2]
+        assert picks == [g1, g2]
         assert solve_eptas(g1, g2, cfg) == cold
-        assert decompositions == [g1, g2]
+        assert picks == [g1, g2]
 
     def test_pruned_graphs_leave_the_whole_families_in_the_memo(self, monkeypatch):
         # a tree14-tree16 pair of the planar_tw benchmark pool: at k = 4 a
@@ -308,13 +308,13 @@ class TestAfterSolveTw:
         cfg = EptasConfig(0.5)
         treewidth._remembered_family.cache_clear()
         cold = solve_eptas(g1, g2, cfg)
-        decompositions = counted_decompositions(monkeypatch)
+        picks = counted_picks(monkeypatch)
         treewidth._remembered_family.cache_clear()
         solve_tw(g1, g2)
         assert solve_eptas(g1, g2, cfg) == cold
-        assert (decompositions.count(g1), decompositions.count(g2)) == (1, 1)
+        assert (picks.count(g1), picks.count(g2)) == (1, 1)
         # pruned graphs were solved, and the memo still holds only the whole pair
-        assert len(decompositions) > 2
+        assert len(picks) > 2
         assert treewidth._remembered_family.cache_info().currsize == 2
         assert treewidth._remembered_family.cache_info().misses == 2
 

@@ -17,6 +17,7 @@ from starforest.treewidth import (
     enum_star_vectors_dp,
     heuristic_decomposition,
     path_decomposition,
+    path_order,
     solve_tw,
     verify_decomposition,
 )
@@ -26,7 +27,7 @@ from conftest import (
     caterpillar,
     complete_binary_tree,
     complete_graph,
-    counted_decompositions,
+    counted_picks,
     cycle_graph,
     disjoint_union,
     grid_graph,
@@ -342,6 +343,72 @@ class TestPathDecomposition:
         assert calls
 
 
+def walked_graphs(rng):
+    """Mixed graphs, grids up to 5x5, random trees of 30-40 vertices and the
+    63-vertex binary tree, whose greedy path is far wider than min-fill's tree.  Mixed
+    graphs wider than 7 are left out: a dense 14-vertex graph's families take
+    seconds each."""
+    graphs = [g for g in mixed_graphs(rng, 150) if path_order(g)[1] <= 7]
+    graphs += [grid_graph(r, c) for r in range(1, 6) for c in range(r, 6)]
+    graphs += [random_tree(rng, rng.randint(30, 40)) for _ in range(6)]
+    return graphs + [complete_binary_tree(63)]
+
+
+class TestOrderWalk:
+    def test_family_equals_the_path_and_min_fill_walks(self):
+        rng = random.Random(99)
+        for g in walked_graphs(rng):
+            order, width = path_order(g)
+            path = path_decomposition(g)
+            assert width == path.width
+            for delta in sorted({2, max(1, g.max_degree())}):
+                walked = treewidth._order_family(g, delta, order)
+                assert walked == treewidth._family(g, delta, path)
+                assert walked == treewidth._family(g, delta, heuristic_decomposition(g))
+
+    def test_slots_stay_below_width_plus_one(self, monkeypatch):
+        forgets = []
+        real = treewidth._forget
+
+        def recorded(star, field, s, nbrs, child):
+            forgets.append((field.bit_length(), s, nbrs))
+            return real(star, field, s, nbrs, child)
+
+        monkeypatch.setattr(treewidth, "_forget", recorded)
+        rng = random.Random(100)
+        for g in walked_graphs(rng):
+            order, width = path_order(g)
+            forgets.clear()
+            treewidth._order_family(g, 2, order)
+            assert len(forgets) == g.n  # every vertex is forgotten, once
+            for w, s, nbrs in forgets:
+                # the forgotten vertex and its held neighbours hold distinct slots
+                slots = [sh // w for sh in (s, *nbrs)]
+                assert len(set(slots)) == len(slots) and max(slots) <= width
+
+    def test_a_vertex_left_out_of_the_order_is_caught(self):
+        g = grid_graph(3, 4)
+        order, _ = path_order(g)
+        with pytest.raises(AssertionError):
+            treewidth._order_family(g, 2, order[:-1])
+
+    def test_dp_walks_the_order_on_paths_only(self, monkeypatch):
+        walks = []
+        real = treewidth._top_down
+
+        def counted(td):
+            walks.append(td)
+            return real(td)
+
+        monkeypatch.setattr(treewidth, "_top_down", counted)
+        for g in (grid_graph(4, 5), caterpillar(12, 3), complete_binary_tree(63)):
+            want = enum_star_vectors_dp(g, 3, heuristic_decomposition(g))
+            walks.clear()
+            assert enum_star_vectors_dp(g, 3, remember=False) == want
+            # only min-fill's tree, which the binary tree keeps, walks a decomposition
+            assert walks == ([heuristic_decomposition(g)] if g.n == 63 else [])
+
+
 class TestDecompositionScript:
     def test_check_exit_status(self, monkeypatch, capsys):
         path = Path(__file__).resolve().parent.parent / "scripts" / "dp_decompositions.py"
@@ -357,15 +424,25 @@ class TestDecompositionScript:
         header, *rows = out.splitlines()
         for kind in ("min-fill", "path", "picked"):
             assert f"{kind} dec ms" in header and f"{kind} DP ms" in header
-        assert len(rows) == 2 and all(float(t) >= 0 for row in rows for t in row.split()[-6:])
+        # and so is the DP with no decomposition supplied, the solvers' route
+        assert header.endswith("default ms")
+        assert len(rows) == 2 and all(float(t) >= 0 for row in rows for t in row.split()[-7:])
         # a path decomposition whose DP loses the largest star size fails the check
         real = script.enum_star_vectors_dp
 
-        def lossy(g, delta, td):
-            return real(g, delta - 1 if td == path_decomposition(g) else delta, td)
+        def lossy(g, delta, td=None, **kw):
+            return real(g, delta - 1 if td == path_decomposition(g) else delta, td, **kw)
 
         monkeypatch.setattr(script, "enum_star_vectors_dp", lossy)
         assert script.main(["--repeat", "1"]) == 0
+        assert script.main(["--check", "--repeat", "1"]) == 1
+        assert "families differ on: grid 2x3" in capsys.readouterr().out
+
+        # so does a default route that loses it, though every decomposition's DP keeps it
+        def lossy_default(g, delta, td=None, **kw):
+            return real(g, delta if td else delta - 1, td, **kw)
+
+        monkeypatch.setattr(script, "enum_star_vectors_dp", lossy_default)
         assert script.main(["--check", "--repeat", "1"]) == 1
         assert "families differ on: grid 2x3" in capsys.readouterr().out
 
@@ -555,7 +632,7 @@ class TestEnumDP:
 class TestMemo:
     def test_family_is_frozen_and_reused_for_an_equal_graph(self, monkeypatch):
         treewidth._remembered_family.cache_clear()
-        calls = counted_decompositions(monkeypatch)
+        calls = counted_picks(monkeypatch)
         first = enum_star_vectors_dp(cycle_graph(6), 2)
         assert isinstance(first.members, frozenset)
         again = enum_star_vectors_dp(Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)]), 2)
@@ -605,7 +682,7 @@ class TestMemo:
 
     def test_a_third_graph_evicts_the_oldest(self, monkeypatch):
         treewidth._remembered_family.cache_clear()
-        calls = counted_decompositions(monkeypatch)
+        calls = counted_picks(monkeypatch)
         graphs = [path_graph(4), star_graph(3), cycle_graph(4)]
         for g in graphs:
             enum_star_vectors_dp(g, 2)
