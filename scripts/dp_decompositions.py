@@ -3,16 +3,19 @@
 
     python scripts/dp_decompositions.py [--check] [--repeat N]
 
-For a fixed seeded set of graphs (grids, random and complete binary trees,
-G(n, p) graphs, a caterpillar and a long path) it prints one row per graph:
+For a fixed seeded set of graphs (grids, random, hub and complete binary
+trees, G(n, p) graphs, a caterpillar, a star, a matching and a long path) it
+prints one row per graph:
 the widths of min-fill's and of the greedy path decomposition, which one
 `treewidth.dp_decomposition` picks, and for min-fill, the path and the pick
 the time to build the decomposition ("dec") apart from the DP's time on it
 ("DP", which includes checking the supplied decomposition), and the time of
-the DP with no decomposition supplied ("default", `remember=False`: the pick
-and then the walk along the path's vertex order or min-fill's DP, the route
-the solvers take), each the best of N runs (default 3).  With --check it
-exits 1 if the four families of any graph are not equal.
+the DP with no decomposition supplied ("default", `remember=False`: the
+pendant kernel, the pick on it and then the walk along the path's vertex
+order or min-fill's DP, the route the solvers take), each the best of N runs
+(default 3).  With --check it exits 1 if the four families of any graph are
+not equal; only the default route drops pendants, so the check compares
+families with and without the kernel.
 """
 
 import argparse
@@ -35,16 +38,20 @@ from starforest.treewidth import (  # noqa: E402
 from conftest import (  # noqa: E402
     caterpillar,
     complete_binary_tree,
+    disjoint_union,
     grid_graph,
+    hub_tree,
     path_graph,
     random_graph,
     random_tree,
+    star_graph,
 )
 
 
 def graphs():
-    """(name, graph, delta): delta is the maximum degree, but 1 on the long
-    path, whose family at delta 2 would hold about 10^5 vectors."""
+    """(name, graph, delta): delta is the maximum degree, but 3 on the star,
+    all of whose leaves are pendants, and 1 on the long path, whose family at
+    delta 2 would hold about 10^5 vectors."""
     rng = random.Random(20)
     out = [(f"grid {r}x{c}", grid_graph(r, c)) for r, c in ((3, 8), (4, 6), (5, 5))]
     for i in range(3):
@@ -53,8 +60,10 @@ def graphs():
     out += [(f"G(20, 0.2) {i}", random_graph(rng, 20, 0.2)) for i in range(2)]
     out += [(f"G(16, 0.3) {i}", random_graph(rng, 16, 0.3)) for i in range(3)]
     out.append(("caterpillar 60", caterpillar(20, 2)))
+    out.append(("hub tree 40", hub_tree(rng, 40, 3)))
+    out.append(("matching 20+3", disjoint_union(*[path_graph(2)] * 20, *[path_graph(1)] * 3)))
     rows = [(name, g, max(1, g.max_degree())) for name, g in out]
-    return rows + [("path 1200", path_graph(1200), 1)]
+    return rows + [("star K1,30", star_graph(30), 3), ("path 1200", path_graph(1200), 1)]
 
 
 def best_time(run, repeat):

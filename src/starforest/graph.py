@@ -94,7 +94,7 @@ class Graph:
         return Graph(len(kept), adjacency), kept
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarForest:
     """A star forest up to isomorphism: the multiset of its star sizes.
 
@@ -115,7 +115,7 @@ class StarForest:
         return sum(self.star_sizes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """An injective placement of a star forest into a host graph.
 

@@ -18,33 +18,51 @@ clear, which reads uncovered.
 
 Each edge is decided once, when its first endpoint is forgotten: the other
 endpoint is still in the bag then, and no vertex is forgotten twice.  A
-forgotten vertex may stay out of any star, become the leaf of one bag
-neighbour, or take uncovered bag neighbours as its own leaves.  A join
-therefore never sees an edge on both sides; it merges a centre held on both
-sides into one star whose two leaf sets are disjoint.  It pairs every left
-mask with every right mask, drops a pair at once when the fields show a leaf
-of a forgotten centre on one side facing a covered vertex on the other, and
+forgotten vertex v has these moves: stay as it is (a leaf or a centre keeps
+its star, an uncovered vertex stays out of any), or, unless it is a leaf,
+    - become the leaf of one bag neighbour, starting or growing its star
+      (only when v is uncovered);
+    - take uncovered bag neighbours as its own leaves, within delta+1.
+An uncovered v never centres a star whose one leaf is an uncovered bag
+neighbour u (the lone-leaf rule): v as u's leaf adds the same 2-star and
+leaves u a centre of 2, which can still stay one, so every completion of u
+as a leaf is also one of u as that centre.  At a join a leaf or a centre
+facing an uncovered vertex stays what it is, a leaf facing a covered vertex
+is refused and a centre may merge, so the rule holds there too.  A join
+never sees an edge on both sides; it merges a centre held on both sides
+into one star whose two leaf sets are disjoint.  It pairs every left mask
+with every right mask, drops a pair at once when the fields show a leaf of
+a forgotten centre on one side facing a covered vertex on the other, and
 lets `_merge_masks` refuse a merged centre larger than delta+1.
 
-Without a supplied decomposition the DP walks `dp_pick`'s choice: the greedy
-path whenever it is at most one vertex wider than min-fill's decomposition,
-and min-fill's otherwise.  The family does not depend on the decomposition.
-A path is walked straight from its vertex order (`_order_family`), with no
-bag built: a vertex takes the lowest free slot when it is placed and frees
-it when it is forgotten, once it has no unplaced neighbour.  A path has no
-join and makes no sumset call; trees of high pathwidth keep min-fill.
-Min-fill's trees and supplied decompositions are walked from the root down
-(`_top_down`): a vertex takes its slot at its topmost bag, and both children
-of a join use their parent's slots.
+Without a supplied decomposition the DP first sets g's pendants aside
+(`pendant_kernel`): a vertex of degree 1 whose neighbour has degree >= 2,
+and the higher end of a lone edge.  A pendant can only be a leaf of its
+neighbour's star (the lone edge's other orientation gives the same vector),
+so the DP walks the induced kernel, and a vertex that is forgotten may also
+take up to its pendant count as leaves within delta+1, unless it is a leaf
+itself.  It walks `dp_pick`'s choice for the kernel: the greedy path
+whenever it is at most one vertex wider than min-fill's decomposition, and
+min-fill's otherwise.  The family depends neither on the decomposition nor
+on the kernel.  A path is walked straight from its vertex order
+(`_order_family`), with no bag built: a vertex takes the lowest free slot
+when it is placed and frees it when it is forgotten, once it has no
+unplaced neighbour.  A path has no join and makes no sumset call; trees of
+high pathwidth keep min-fill.  Min-fill's trees and supplied decompositions
+are walked from the root down (`_top_down`): a vertex takes its slot at its
+topmost bag, and both children of a join use their parent's slots.
+Supplied decompositions are of g itself, with no pendants set aside.
 
-Each table maps a mask to a set of vectors packed into ints base n+1 (see
+Each table maps a mask to a set of vectors packed into ints base n+1, n the
+input graph's vertex count even when the DP walks its kernel (see
 `vectors.pack`).  No count exceeds n, not even the sum of two
 children's counts at a join before its correction, so packing is injective
 on every intermediate set.  Adding a star, growing one and the join's
 correction are then int additions of powers of the base, and the root's
 set is the family as it stands.  The walk owns its tables' sets, so a
-forget hands a child's set on uncopied; a join wraps its children's sets
-in read-only `VectorFamily`s that live only during the join.
+forget hands a child's set on uncopied once its moves have read it; a join
+wraps its children's sets in read-only `VectorFamily`s that live only
+during the join.
 """
 
 from __future__ import annotations
@@ -233,10 +251,13 @@ def degeneracy(g: Graph) -> int:
 def dp_pick(g: Graph) -> list[int] | TreeDecomposition:
     """What the DP walks when no decomposition is supplied: `path_order`'s order, or min-fill's.
 
-    The path wins whenever it is at most one vertex wider than min-fill's
-    decomposition, since it has no join.  Two wider it can lose: a tree of
-    min-fill width 1 and path width 3 walks its path 2-3 times slower
-    (`scripts/dp_decompositions.py`).  At most the degeneracy + 1 wide, it
+    g is the pendant kernel there.  The path wins whenever it is at most one
+    vertex wider than min-fill's decomposition, since it has no join.  Two
+    wider it can lose: on the kernels of the trees of
+    `scripts/dp_decompositions.py` (min-fill width 1), a path 3 wide walks
+    1.3 times slower and the binary tree's, 4 wide, 1.5 times slower than
+    min-fill's DP; 2 wide, about as fast, or 1.25 times slower on the hub
+    tree (best of 5, in-process).  At most the degeneracy + 1 wide, it
     wins without running min-fill: min-fill is never narrower than the
     treewidth, which the degeneracy bounds from below.  At most 2 wide, it
     wins without the degeneracy too: a graph with an edge has treewidth >= 1.
@@ -306,18 +327,18 @@ def enum_star_vectors_dp(
 ) -> VectorFamily:
     """All star-count vectors of star forests in g with sizes <= delta+1.
 
-    Without a decomposition the DP runs on `dp_pick(g)`'s choice, and the
-    families of the two most recent (g, delta) keys are remembered, so at
-    most two families stay held after a call returns
-    (`_remembered_family.cache_clear()` drops them).  `Graph` is frozen and
-    compared by value, so an equal graph gets the remembered family without
-    a decomposition or the DP.  Two is one instance's pair: the EPTAS run
-    right after `solve_tw` on the same pair reuses both whole-graph
-    families, since it solves each pruned graph with `remember=False`,
-    which runs the DP on `dp_pick(g)`'s choice without touching the memo.
+    Without a decomposition the DP runs on g's pendant kernel, along
+    `dp_pick`'s choice for it, and the families of the two most recent
+    (g, delta) keys are remembered, so at most two families stay held after
+    a call returns (`_remembered_family.cache_clear()` drops them).  `Graph`
+    is frozen and compared by value, so an equal graph gets the remembered
+    family without a decomposition or the DP.  Two is one instance's pair:
+    the EPTAS run right after `solve_tw` on the same pair reuses both
+    whole-graph families, since it solves each pruned graph with
+    `remember=False`, which runs the same route without touching the memo.
     A supplied decomposition is always validated, and the DP then runs on
-    it without touching the memo.  The family's members are a frozenset,
-    so no caller can change a remembered one.
+    it, with no kernel and without touching the memo.  The family's
+    members are a frozenset, so no caller can change a remembered one.
     """
     if delta < 1:
         raise PreconditionError("delta must be >= 1")
@@ -329,14 +350,42 @@ def enum_star_vectors_dp(
 
 
 def _picked_family(g: Graph, delta: int) -> VectorFamily:
-    """The DP on `dp_pick(g)`: the order walk on the path, `_family` on min-fill's tree."""
-    pick = dp_pick(g)
+    """The DP on g's pendant kernel: the order walk on `dp_pick`'s path, `_family` on its tree."""
+    kernel, pendants = pendant_kernel(g)
+    pick = dp_pick(kernel)
     if isinstance(pick, TreeDecomposition):
-        return _family(g, delta, pick)
-    return _order_family(g, delta, pick)
+        return _family(g, delta, pick, kernel, pendants)
+    return _order_family(g, delta, pick, kernel, pendants)
 
 
-_remembered_family = lru_cache(maxsize=2)(_picked_family)
+@lru_cache(maxsize=2)
+def _remembered_family(g: Graph, delta: int) -> VectorFamily:
+    """`_picked_family`, looked up at each miss, with its last two keys remembered."""
+    return _picked_family(g, delta)
+
+
+def pendant_kernel(g: Graph) -> tuple[Graph, list[int]]:
+    """g without its pendants, and how many pendants each kept vertex has.
+
+    A vertex of degree 1 is a pendant of its neighbour when that neighbour
+    has degree >= 2; of a lone edge, the higher end is the lower end's
+    pendant.  A pendant can only be a leaf of its neighbour's star (a lone
+    edge's other orientation gives the same vector), so the DP lets each
+    kept vertex take its pendants when it is forgotten.  The kernel is the
+    induced subgraph on the kept vertices, renumbered in order; g itself
+    when nothing is a pendant.
+    """
+    adj = g.adjacency
+    pendants = [0] * g.n
+    kept = []
+    for v, a in enumerate(adj):
+        if len(a) == 1 and (len(adj[a[0]]) > 1 or a[0] < v):
+            pendants[a[0]] += 1
+        else:
+            kept.append(v)
+    if len(kept) == g.n:
+        return g, pendants
+    return g.induced(kept)[0], [pendants[v] for v in kept]
 
 
 def _layout(n: int, delta: int) -> tuple[int, list[int], int, int]:
@@ -346,9 +395,23 @@ def _layout(n: int, delta: int) -> tuple[int, list[int], int, int]:
     return base, [0, 0] + [base**j for j in range(delta)], w, (1 << w) - 1
 
 
-def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:
-    """The DP itself, bottom-up over a decomposition already known to be valid."""
+def _family(
+    g: Graph,
+    delta: int,
+    td: TreeDecomposition,
+    kernel: Graph | None = None,
+    pendants: list[int] | None = None,
+) -> VectorFamily:
+    """The DP itself, bottom-up over a decomposition already known to be valid.
+
+    The decomposition is of `kernel`, whose vertex v takes up to pendants[v]
+    pendants when it is forgotten (`pendant_kernel(g)`); without a kernel it
+    is g's own, with no pendants.  Vectors are packed at g's base either way.
+    """
     base, star, w, field = _layout(g.n, delta)
+    if kernel is None:
+        kernel, pendants = g, [0] * g.n
+    adj = kernel.adjacency
     order, parent, slot = _top_down(td)
     # node -> its finished children, carried to its bag and joined; only the
     # ancestors of the node in hand hold one
@@ -360,30 +423,40 @@ def _family(g: Graph, delta: int, td: TreeDecomposition) -> VectorFamily:
         held = set(td.bags[t])
         for v in sorted(held - bag):
             held.discard(v)
-            nbrs = [w * slot[u] for u in g.adjacency[v] if u in held]
-            table = _forget(star, field, w * slot[v], nbrs, table)
+            nbrs = [w * slot[u] for u in adj[v] if u in held]
+            table = _forget(star, field, w * slot[v], nbrs, table, pendants[v])
         if p in tables:
             table = _join(base, star, field, [w * slot[u] for u in bag], tables[p], table)
         tables[p] = table
     return VectorFamily(delta, base, frozenset(tables[-1][0]))
 
 
-def _order_family(g: Graph, delta: int, order: list[int]) -> VectorFamily:
+def _order_family(
+    g: Graph,
+    delta: int,
+    order: list[int],
+    kernel: Graph | None = None,
+    pendants: list[int] | None = None,
+) -> VectorFamily:
     """The DP along `path_order`'s order: the path decomposition's walk, with no bag built.
 
     Each placed vertex takes the lowest free slot.  Then every held vertex
     left with no unplaced neighbour is forgotten, in sorted order, and frees
     its slot: these are bag t minus bag t + 1 of the path, so at most
-    width + 1 slots are used and each edge is decided once.
+    width + 1 slots are used and each edge is decided once.  As in
+    `_family`, the order is of `kernel`'s vertices (g's own without one),
+    and each takes its pendants when it is forgotten.
     """
     base, star, w, field = _layout(g.n, delta)
-    adj = g.adjacency
+    if kernel is None:
+        kernel, pendants = g, [0] * g.n
+    adj = kernel.adjacency
     unplaced_nbrs = [len(a) for a in adj]
-    shift = [-1] * g.n  # w times the slot of a held vertex, -1 before and after
+    shift = [-1] * kernel.n  # w times the slot of a held vertex, -1 before and after
     free: list[int] = []  # the shifts of freed slots
     unused = 0  # the shift of the lowest slot never taken
     table: Table = {0: {0}}
-    forgotten = decided = 0
+    forgotten = decided = 0  # of g's vertices and edges, pendants and their edges included
     for v in order:
         if free:
             shift[v] = heappop(free)
@@ -398,9 +471,9 @@ def _order_family(g: Graph, delta: int, order: list[int]) -> VectorFamily:
             s, shift[x] = shift[x], -1
             heappush(free, s)
             nbrs = [shift[u] for u in adj[x] if shift[u] >= 0]
-            table = _forget(star, field, s, nbrs, table)
-            forgotten += 1
-            decided += len(nbrs)
+            table = _forget(star, field, s, nbrs, table, pendants[x])
+            forgotten += 1 + pendants[x]
+            decided += len(nbrs) + pendants[x]
     # a vertex forgotten before its last neighbour is placed leaves that edge undecided
     assert forgotten == g.n and decided == g.edge_count and max(shift, default=-1) < 0, (
         "the order walk left a vertex or an edge behind"
@@ -435,54 +508,119 @@ def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[in
     return order, parent, slot
 
 
-def _forget(star: list[int], field: int, s: int, nbrs: list[int], child: Table) -> Table:
-    """Clear the field at shift s, deciding every edge from its vertex to the fields at nbrs."""
+def _forget(
+    star: list[int], field: int, s: int, nbrs: list[int], child: Table, pendants: int = 0
+) -> Table:
+    """Clear the field at shift s, deciding every edge from its vertex to the fields at nbrs.
+
+    The vertex also decides the edges to its `pendants` pendants, which lie
+    in no bag: unless it is a leaf, it may take any number of them as leaves.
+    """
     top = len(star) - 1  # largest star size
     out: Table = {}
     get = out.get
     for mask, vecs in child.items():
         code = (mask >> s) & field
         rest = mask - (code << s)
+        if code != LEAF_OUTSIDE and (nbrs or pendants):
+            moves = []  # (output mask, packed step) of every way to cover v with no pendant
+            if code == UNCOVERED:
+                # v becomes a leaf of a neighbour, which starts or grows a star,
+                # or a centre of size 1 + leaves.  A centre whose one leaf is an
+                # uncovered neighbour u is left out: v as u's leaf adds the same
+                # star[2], and u, a centre of 2, can still stay one or grow
+                spots = []  # the uncovered neighbours' lowest field bits
+                for sh in nbrs:
+                    c = (rest >> sh) & field
+                    if c == UNCOVERED:
+                        spots.append(1 << sh)
+                        moves.append((rest + (2 << sh), star[2]))
+                    elif c != LEAF_OUTSIDE and c != top:
+                        moves.append((rest + (1 << sh), star[c + 1] - star[c]))
+                size, least = 1, 2
+            else:
+                # v stays a centre and takes more leaves
+                spots = [1 << sh for sh in nbrs if not (rest >> sh) & field]
+                size, least = code, 1
+            if pendants:
+                _forget_with_pendants(star, code, pendants, spots, rest, vecs, moves, out)
+            else:
+                for take in range(least, min(top - size, len(spots)) + 1):
+                    step = star[size + take] - star[code]
+                    for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
+                        moves.append((rest + chosen, step))
+                # one shifted set per step (every leaf onto an uncovered
+                # neighbour adds star[2], and every centre of one new size the
+                # same step): handed on to its first move's mask if new, else
+                # copied; no two moves of one child mask reach one output mask
+                stepped: dict[int, set[int]] = {}
+                for key, step in moves:
+                    fresh = step not in stepped
+                    new = stepped[step] = {vec + step for vec in vecs} if fresh else stepped[step]
+                    got = get(key)
+                    if got is None:
+                        out[key] = new if fresh else set(new)
+                    else:
+                        got |= new
+        # the child table is consumed: hand its sets on, after every move has
+        # read them, since a move that takes only pendants lands on rest too
         got = get(rest)
         if got is None:
-            out[rest] = vecs  # the child table is consumed: hand its sets on
+            out[rest] = vecs
         else:
             got |= vecs
-        if code == LEAF_OUTSIDE or not nbrs:
-            continue
-        moves = []  # (output mask, packed step) of every way to cover v
-        if code == UNCOVERED:
-            # v becomes a leaf of a neighbour, which starts or grows a star,
-            # or a centre of size 1 + leaves
-            spots = []  # the uncovered neighbours' lowest field bits
-            for sh in nbrs:
-                c = (rest >> sh) & field
-                if c == UNCOVERED:
-                    spots.append(1 << sh)
-                    moves.append((rest + (2 << sh), star[2]))
-                elif c != LEAF_OUTSIDE and c != top:
-                    moves.append((rest + (1 << sh), star[c + 1] - star[c]))
-            size = 1
-        else:
-            # v stays a centre and takes more leaves
-            spots = [1 << sh for sh in nbrs if not (rest >> sh) & field]
-            size = code
-        for take in range(1, min(top - size, len(spots)) + 1):
-            step = star[size + take] - star[code]
-            for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
-                moves.append((rest + chosen, step))
-        # one shifted set per step (a leaf onto an uncovered neighbour and a one-leaf
-        # centre share star[2]): handed on to its first move's mask if new, else copied
-        stepped: dict[int, set[int]] = {}
-        for key, step in moves:
-            fresh = step not in stepped
-            new = stepped[step] = {vec + step for vec in vecs} if fresh else stepped[step]
-            got = get(key)
-            if got is None:
-                out[key] = new if fresh else set(new)
-            else:
-                got |= new
     return out
+
+
+def _forget_with_pendants(
+    star: list[int],
+    code: int,
+    pendants: int,
+    spots: list[int],
+    rest: int,
+    vecs: set[int],
+    moves: list[tuple[int, int]],
+    out: Table,
+) -> None:
+    """`_forget`'s moves for one child mask whose vertex is uncovered or a centre and has pendants.
+
+    `moves` holds the moves that make the vertex a leaf; they are added to
+    out with the rest.  Taking `take` of the spots and j <= pendants
+    pendants grows the vertex's star to size + take + j, where size is 1
+    when it is uncovered; j may be 0 only when take >= 2 (the lone-leaf
+    rule) or the vertex is a centre and take >= 1.  Every j of one set of
+    spots reaches one mask, so that mask gets the union of their shifted
+    sets at once: a set handed on is never grown while another move still
+    reads it.
+    """
+    top = len(star) - 1
+    size, least = (1, 2) if code == UNCOVERED else (code, 1)
+    get = out.get
+    ranged = [(key, (step,)) for key, step in moves]
+    for take in range(min(top - size, len(spots)) + 1):
+        low = size + take + (take < least)
+        high = min(size + take + pendants, top)
+        if low <= high:
+            steps = [star[d] - star[code] for d in range(low, high + 1)]
+            for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
+                ranged.append((rest + chosen, steps))
+    stepped: dict[int, set[int]] = {}
+    for key, steps in ranged:
+        fresh = False
+        parts = []
+        for step in steps:
+            part = stepped.get(step)
+            if part is None:
+                part = stepped[step] = {vec + step for vec in vecs}
+                fresh = True
+            parts.append(part)
+        got = get(key)
+        if got is not None:
+            got.update(*parts)
+        elif fresh and len(parts) == 1:
+            out[key] = part
+        else:
+            out[key] = part.union(*parts[:-1])
 
 
 def _join(base: int, star: list[int], field: int, shifts: list[int], t1: Table, t2: Table) -> Table:

@@ -69,6 +69,12 @@ def caterpillar(spine: int, legs: int) -> Graph:
     return Graph.from_edges(spine * (legs + 1), edges)
 
 
+def hub_tree(rng: random.Random, n: int, hubs: int) -> Graph:
+    """A random tree where about half the vertices hang off the first few."""
+    edges = [(rng.randrange(min(v, hubs) if rng.random() < 0.5 else v), v) for v in range(1, n)]
+    return Graph.from_edges(n, edges)
+
+
 def complete_binary_tree(n: int) -> Graph:
     return Graph.from_edges(n, [((i - 1) // 2, i) for i in range(1, n)])
 
@@ -123,17 +129,17 @@ def deep_planar(rng: random.Random) -> Graph:
 
 
 def counted_picks(monkeypatch):
-    """Route the DP's pick between the path order and min-fill's tree through
-    a wrapper, called once per DP run without a supplied decomposition;
-    returns the list of graphs it was given."""
+    """Route the DP without a supplied decomposition (its pendant kernel, the
+    pick between the path order and min-fill's tree, and the walk) through a
+    wrapper, called once per DP run; returns the list of graphs it was given."""
     calls = []
-    real = treewidth.dp_pick
+    real = treewidth._picked_family
 
-    def counted(g):
+    def counted(g, delta):
         calls.append(g)
-        return real(g)
+        return real(g, delta)
 
-    monkeypatch.setattr(treewidth, "dp_pick", counted)
+    monkeypatch.setattr(treewidth, "_picked_family", counted)
     return calls
 
 

@@ -31,6 +31,7 @@ from conftest import (
     cycle_graph,
     disjoint_union,
     grid_graph,
+    hub_tree,
     ladder_graph,
     path_graph,
     random_graph,
@@ -214,12 +215,6 @@ def chorded_cycle(rng, n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)] + sorted(chords))
 
 
-def hub_tree(rng, n, hubs):
-    """A random tree where about half the vertices hang off the first few."""
-    edges = [(rng.randrange(min(v, hubs) if rng.random() < 0.5 else v), v) for v in range(1, n)]
-    return Graph.from_edges(n, edges)
-
-
 def chosen_by_both(g):
     """The choice of decomposition with min-fill always computed."""
     path, tree = path_decomposition(g), heuristic_decomposition(g)
@@ -370,9 +365,9 @@ class TestOrderWalk:
         forgets = []
         real = treewidth._forget
 
-        def recorded(star, field, s, nbrs, child):
+        def recorded(star, field, s, nbrs, child, pendants=0):
             forgets.append((field.bit_length(), s, nbrs))
-            return real(star, field, s, nbrs, child)
+            return real(star, field, s, nbrs, child, pendants)
 
         monkeypatch.setattr(treewidth, "_forget", recorded)
         rng = random.Random(100)
@@ -405,8 +400,71 @@ class TestOrderWalk:
             want = enum_star_vectors_dp(g, 3, heuristic_decomposition(g))
             walks.clear()
             assert enum_star_vectors_dp(g, 3, remember=False) == want
-            # only min-fill's tree, which the binary tree keeps, walks a decomposition
-            assert walks == ([heuristic_decomposition(g)] if g.n == 63 else [])
+            # only min-fill's tree, which the binary tree's 31-vertex pendant
+            # kernel keeps, walks a decomposition
+            kernel = treewidth.pendant_kernel(g)[0]
+            assert walks == ([heuristic_decomposition(kernel)] if g.n == 63 else [])
+
+
+def random_forest(rng, n):
+    """A random tree on n vertices with about a quarter of its edges dropped."""
+    return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.75])
+
+
+def pendant_graphs(rng):
+    """Graphs the pendant kernel shrinks most: matchings with isolated
+    vertices, stars wider than delta + 1, P2 and P3, caterpillars, hub trees
+    and random forests."""
+    isolated = Graph.from_edges(1, [])
+    graphs = [
+        disjoint_union(*[path_graph(2)] * k, *[isolated] * i) for k, i in ((1, 0), (3, 2), (6, 1))
+    ]
+    graphs += [star_graph(m) for m in (5, 6, 9)] + [path_graph(2), path_graph(3)]
+    graphs += [caterpillar(4, 2), caterpillar(6, 1), caterpillar(3, 3)]
+    graphs += [hub_tree(rng, n, hubs) for n, hubs in ((10, 1), (14, 2), (20, 3))]
+    return graphs + [random_forest(rng, rng.randint(2, 14)) for _ in range(12)]
+
+
+class TestPendantKernel:
+    def test_kernel_and_pendant_counts(self):
+        # a lone edge keeps its lower end; a leaf of a vertex of degree >= 2 leaves
+        g = disjoint_union(path_graph(2), star_graph(3), Graph.from_edges(1, []))
+        kernel, pendants = treewidth.pendant_kernel(g)
+        assert kernel == Graph.from_edges(3, []) and pendants == [1, 3, 0]
+        kernel, pendants = treewidth.pendant_kernel(caterpillar(3, 2))
+        assert kernel == path_graph(3) and pendants == [2, 2, 2]
+        assert treewidth.pendant_kernel(cycle_graph(5)) == (cycle_graph(5), [0] * 5)
+
+    def test_default_family_equals_the_walks_without_the_kernel(self):
+        rng = random.Random(102)
+        graphs = pendant_graphs(rng)
+        assert all(sum(treewidth.pendant_kernel(g)[1]) for g in graphs[:-12])
+        for g in graphs:
+            for delta in (1, 2, 3):
+                default = enum_star_vectors_dp(g, delta, remember=False)
+                assert default == treewidth._family(g, delta, path_decomposition(g))
+                assert default == treewidth._family(g, delta, heuristic_decomposition(g))
+                if g.n <= 10:
+                    assert default.vectors == enum_star_vectors_brute(g, delta).vectors
+
+    def test_a_lone_edge_end_becomes_its_neighbours_leaf_only(self):
+        # v at shift 0, its one neighbour at shift w: v stays uncovered or
+        # becomes the neighbour's leaf (a centre of 2); v as a centre whose
+        # one leaf is the neighbour would give that neighbour the leaf code
+        for delta in (1, 2, 3):
+            _, star, w, field = treewidth._layout(2, delta)
+            out = treewidth._forget(star, field, 0, [w], {0: {0}})
+            assert out == {0: {0}, 2 << w: {star[2]}}
+            assert all((mask >> w) & field != treewidth.LEAF_OUTSIDE for mask in out)
+
+    def test_a_centre_of_two_still_takes_one_more_leaf(self):
+        # P3 at delta 2: the end forgotten first becomes the middle's leaf, and
+        # the middle, a centre of 2, must still take the other end
+        g = path_graph(3)
+        three_star = {(0, 1)}  # no 2-star and one 3-star
+        for td in (path_decomposition(g), heuristic_decomposition(g), None):
+            fam = enum_star_vectors_dp(g, 2, td, remember=False)
+            assert fam.vectors == {(0, 0), (1, 0)} | three_star
 
 
 class TestDecompositionScript:
