@@ -2,23 +2,31 @@
 """Time the treewidth DP on min-fill's decomposition, the greedy path's, the pick, and by default.
 
     python scripts/dp_decompositions.py [--check] [--repeat N]
+    python scripts/dp_decompositions.py --digest
 
 For a fixed seeded set of graphs (grids, random, hub and complete binary
 trees, G(n, p) graphs, a caterpillar, a star, a matching and a long path) it
-prints one row per graph:
-the widths of min-fill's and of the greedy path decomposition, which one
-`treewidth.dp_decomposition` picks, and for min-fill, the path and the pick
-the time to build the decomposition ("dec") apart from the DP's time on it
-("DP", which includes checking the supplied decomposition), and the time of
-the DP with no decomposition supplied ("default", `remember=False`: the
-pendant kernel, the pick on it and then the walk along the path's vertex
-order or min-fill's DP, the route the solvers take), each the best of N runs
-(default 3).  With --check it exits 1 if the four families of any graph are
-not equal; only the default route drops pendants, so the check compares
-families with and without the kernel.
+prints one row per graph: the widths of min-fill's and of the greedy path
+decomposition, the vertex count of the pendant kernel and what the DP picks
+to walk on it (`treewidth.dp_pick(pendant_kernel(g)[0])`), and for
+min-fill, the path and the pick on the whole graph
+(`treewidth.dp_decomposition`) the time to build the decomposition ("dec")
+apart from the DP's time on it ("DP", which includes checking the supplied
+decomposition), and the time of the DP with no decomposition supplied
+("default", `remember=False`: the pendant kernel, the pick on it and then
+the walk along the path's vertex order or min-fill's DP, the route the
+solvers take), each the best of N runs (default 3).  With --check it exits
+1 if the four families of any graph are not equal; only the default route
+drops pendants, so the check compares families with and without the kernel.
+
+With --digest it prints, with no timing, one line per graph: its name,
+delta, the default route's family size and the sha256 of its sorted packed
+members.  A family is determined by the graph, so the output of two
+versions of the DP differs only where one of them is wrong.
 """
 
 import argparse
+import hashlib
 import random
 import sys
 import time
@@ -29,10 +37,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from starforest.treewidth import (  # noqa: E402
+    TreeDecomposition,
     dp_decomposition,
+    dp_pick,
     enum_star_vectors_dp,
     heuristic_decomposition,
     path_decomposition,
+    pendant_kernel,
 )
 
 from conftest import (  # noqa: E402
@@ -83,19 +94,33 @@ def timed(decompose, g, delta, repeat):
     return dec_s, dp_s, family
 
 
+def digest(family):
+    """sha256 of a family's sorted packed members."""
+    return hashlib.sha256(",".join(map(str, sorted(family.members))).encode()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="exit 1 if any family differs")
     parser.add_argument("--repeat", type=int, default=3, help="runs per timing (best kept)")
+    parser.add_argument(
+        "--digest", action="store_true", help="print each default family's size and sha256 only"
+    )
     args = parser.parse_args(argv)
+    if args.digest:
+        for name, g, delta in graphs():
+            family = enum_star_vectors_dp(g, delta, remember=False)
+            print(f"{name}\t{delta}\t{len(family.members)}\t{digest(family)}")
+        return 0
     differ = []
-    header = ("graph", "n", "delta", "min-fill w", "path w", "picked")
+    header = ("graph", "n", "delta", "min-fill w", "path w", "kernel n", "kernel pick")
     kinds = ("min-fill", "path", "picked")
     cols = [f"{kind} {part} ms" for kind in kinds for part in ("dec", "DP")] + ["default ms"]
-    print("{:<16} {:>5} {:>5} {:>10} {:>6} {:>8}".format(*header), *cols)
+    print("{:<16} {:>5} {:>5} {:>10} {:>6} {:>8} {:>11}".format(*header), *cols)
     for name, g, delta in graphs():
-        tree, path, picked = heuristic_decomposition(g), path_decomposition(g), dp_decomposition(g)
-        kind = "path" if picked == path else "min-fill"
+        tree, path = heuristic_decomposition(g), path_decomposition(g)
+        kernel = pendant_kernel(g)[0]
+        kind = "min-fill" if isinstance(dp_pick(kernel), TreeDecomposition) else "path"
         runs = [
             timed(decompose, g, delta, args.repeat)
             for decompose in (heuristic_decomposition, path_decomposition, dp_decomposition)
@@ -107,7 +132,8 @@ def main(argv=None):
             differ.append(name)
         times = [seconds for dec_s, dp_s, _ in runs for seconds in (dec_s, dp_s)] + [default_s]
         print(
-            f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} {kind:>8}",
+            f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} "
+            f"{kernel.n:>8} {kind:>11}",
             *(f"{t * 1e3:>{len(col)}.2f}" for t, col in zip(times, cols)),
         )
     if differ:

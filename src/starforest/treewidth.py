@@ -18,51 +18,45 @@ clear, which reads uncovered.
 
 Each edge is decided once, when its first endpoint is forgotten: the other
 endpoint is still in the bag then, and no vertex is forgotten twice.  A
-forgotten vertex v has these moves: stay as it is (a leaf or a centre keeps
-its star, an uncovered vertex stays out of any), or, unless it is a leaf,
-    - become the leaf of one bag neighbour, starting or growing its star
-      (only when v is uncovered);
-    - take uncovered bag neighbours as its own leaves, within delta+1.
-An uncovered v never centres a star whose one leaf is an uncovered bag
-neighbour u (the lone-leaf rule): v as u's leaf adds the same 2-star and
-leaves u a centre of 2, which can still stay one, so every completion of u
-as a leaf is also one of u as that centre.  At a join a leaf or a centre
-facing an uncovered vertex stays what it is, a leaf facing a covered vertex
-is refused and a centre may merge, so the rule holds there too.  A join
-never sees an edge on both sides; it merges a centre held on both sides
-into one star whose two leaf sets are disjoint.  It pairs every left mask
-with every right mask, drops a pair at once when the fields show a leaf of
-a forgotten centre on one side facing a covered vertex on the other, and
-lets `_merge_masks` refuse a merged centre larger than delta+1.
+forgotten vertex v stays as it is, or, unless it is a leaf, becomes the leaf
+of one bag neighbour (only when uncovered) or takes uncovered bag neighbours
+and pendants (below) as its own leaves, within delta+1.  An uncovered v
+never centres a star whose one leaf is an uncovered bag neighbour u (the
+lone-leaf rule): v as u's leaf adds the same 2-star and leaves u a centre
+of 2, which can still stay one, so every completion of u as a leaf is also
+one of u as that centre.  At a join a leaf or a centre facing an uncovered
+vertex stays what it is, a leaf facing a covered vertex is refused and a
+centre may merge, so the rule holds there too.  A join never sees an edge
+on both sides; it merges a centre held on both sides into one star whose
+two leaf sets are disjoint, and `_merge_masks` refuses one past delta+1.
 
 Without a supplied decomposition the DP first sets g's pendants aside
 (`pendant_kernel`): a vertex of degree 1 whose neighbour has degree >= 2,
 and the higher end of a lone edge.  A pendant can only be a leaf of its
 neighbour's star (the lone edge's other orientation gives the same vector),
-so the DP walks the induced kernel, and a vertex that is forgotten may also
-take up to its pendant count as leaves within delta+1, unless it is a leaf
-itself.  It walks `dp_pick`'s choice for the kernel: the greedy path
-whenever it is at most one vertex wider than min-fill's decomposition, and
-min-fill's otherwise.  The family depends neither on the decomposition nor
-on the kernel.  A path is walked straight from its vertex order
-(`_order_family`), with no bag built: a vertex takes the lowest free slot
-when it is placed and frees it when it is forgotten, once it has no
-unplaced neighbour.  A path has no join and makes no sumset call; trees of
-high pathwidth keep min-fill.  Min-fill's trees and supplied decompositions
-are walked from the root down (`_top_down`): a vertex takes its slot at its
+so the DP walks the induced kernel.  It walks `dp_pick`'s choice for the
+kernel: the greedy path whenever it is at most one vertex wider than
+min-fill's decomposition, and min-fill's otherwise.  The family depends
+neither on the decomposition nor on the kernel.  A path is walked straight
+from its vertex order (`_order_family`), with no bag built and no join; a
+vertex takes the lowest free slot when it is placed and frees it when it is
+forgotten, once it has no unplaced neighbour.  Min-fill's trees and supplied
+decompositions, which are of g itself with no pendants set aside, are
+walked from the root down (`_top_down`): a vertex takes its slot at its
 topmost bag, and both children of a join use their parent's slots.
-Supplied decompositions are of g itself, with no pendants set aside.
 
 Each table maps a mask to a set of vectors packed into ints base n+1, n the
 input graph's vertex count even when the DP walks its kernel (see
-`vectors.pack`).  No count exceeds n, not even the sum of two
-children's counts at a join before its correction, so packing is injective
-on every intermediate set.  Adding a star, growing one and the join's
-correction are then int additions of powers of the base, and the root's
-set is the family as it stands.  The walk owns its tables' sets, so a
-forget hands a child's set on uncopied once its moves have read it; a join
-wraps its children's sets in read-only `VectorFamily`s that live only
-during the join.
+`vectors.pack`).  No count exceeds n, not even the sum of two children's
+counts at a join before its correction, so packing is injective on every
+intermediate set.  Adding a star, growing one and the join's correction are
+int additions of powers of the base, and the root's set is the family.  One
+`_forget` builds every move, grouped by what it adds: one int step when the
+move reaches one size of v's star, a tuple of steps when pendants let it
+reach several.  The walk owns its tables' sets, and no two moves of one
+child mask reach one output mask, so a forget hands a freshly shifted set,
+and last the child's own set, on uncopied; a join wraps its children's sets
+in read-only `VectorFamily`s that live only during the join.
 """
 
 from __future__ import annotations
@@ -511,10 +505,18 @@ def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[in
 def _forget(
     star: list[int], field: int, s: int, nbrs: list[int], child: Table, pendants: int = 0
 ) -> Table:
-    """Clear the field at shift s, deciding every edge from its vertex to the fields at nbrs.
+    """Clear the field at shift s, deciding every edge from its vertex v to the fields at nbrs.
 
-    The vertex also decides the edges to its `pendants` pendants, which lie
-    in no bag: unless it is a leaf, it may take any number of them as leaves.
+    v also decides the edges to its `pendants` pendants, which lie in no
+    bag: unless it is a leaf, it may take any number of them as leaves.
+    Each move is an output mask and what it adds to every vector: one int
+    step when it reaches one size of v's star (a leaf move, or a centre
+    move with no pendant to take), a tuple of steps when pendants let it
+    reach sizes low..high.  Moves of one step or tuple share one shifted
+    set.  No two moves of one child mask reach one output mask, so a set
+    shifted afresh is handed on uncopied to its first move's mask when that
+    mask is new, later moves of its step copy it, and the child's own set
+    goes to v's "stay" mask last, once every move has read it.
     """
     top = len(star) - 1  # largest star size
     out: Table = {}
@@ -523,7 +525,7 @@ def _forget(
         code = (mask >> s) & field
         rest = mask - (code << s)
         if code != LEAF_OUTSIDE and (nbrs or pendants):
-            moves = []  # (output mask, packed step) of every way to cover v with no pendant
+            moves = []  # (output mask, one step or a tuple of steps)
             if code == UNCOVERED:
                 # v becomes a leaf of a neighbour, which starts or grows a star,
                 # or a centre of size 1 + leaves.  A centre whose one leaf is an
@@ -542,85 +544,41 @@ def _forget(
                 # v stays a centre and takes more leaves
                 spots = [1 << sh for sh in nbrs if not (rest >> sh) & field]
                 size, least = code, 1
-            if pendants:
-                _forget_with_pendants(star, code, pendants, spots, rest, vecs, moves, out)
-            else:
-                for take in range(least, min(top - size, len(spots)) + 1):
-                    step = star[size + take] - star[code]
-                    for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
-                        moves.append((rest + chosen, step))
-                # one shifted set per step (every leaf onto an uncovered
-                # neighbour adds star[2], and every centre of one new size the
-                # same step): handed on to its first move's mask if new, else
-                # copied; no two moves of one child mask reach one output mask
-                stepped: dict[int, set[int]] = {}
-                for key, step in moves:
-                    fresh = step not in stepped
-                    new = stepped[step] = {vec + step for vec in vecs} if fresh else stepped[step]
-                    got = get(key)
-                    if got is None:
-                        out[key] = new if fresh else set(new)
-                    else:
-                        got |= new
-        # the child table is consumed: hand its sets on, after every move has
-        # read them, since a move that takes only pendants lands on rest too
+            # taking `take` spots and up to `pendants` pendants; below `least`
+            # spots, at least one pendant
+            for take in range(0 if pendants else least, min(top - size, len(spots)) + 1):
+                low = size + take + (take < least)
+                high = size + take + pendants
+                if high > top:
+                    high = top
+                if low == high:
+                    step = star[low] - star[code]
+                elif low < high:
+                    step = tuple(star[d] - star[code] for d in range(low, high + 1))
+                else:
+                    continue
+                for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
+                    moves.append((rest + chosen, step))
+            stepped: dict[int | tuple[int, ...], set[int]] = {}
+            for key, step in moves:
+                fresh = step not in stepped
+                if not fresh:
+                    new = stepped[step]
+                elif step.__class__ is int:
+                    new = stepped[step] = {vec + step for vec in vecs}
+                else:
+                    new = stepped[step] = {vec + st for st in step for vec in vecs}
+                got = get(key)
+                if got is None:
+                    out[key] = new if fresh else set(new)
+                else:
+                    got |= new
         got = get(rest)
         if got is None:
             out[rest] = vecs
         else:
             got |= vecs
     return out
-
-
-def _forget_with_pendants(
-    star: list[int],
-    code: int,
-    pendants: int,
-    spots: list[int],
-    rest: int,
-    vecs: set[int],
-    moves: list[tuple[int, int]],
-    out: Table,
-) -> None:
-    """`_forget`'s moves for one child mask whose vertex is uncovered or a centre and has pendants.
-
-    `moves` holds the moves that make the vertex a leaf; they are added to
-    out with the rest.  Taking `take` of the spots and j <= pendants
-    pendants grows the vertex's star to size + take + j, where size is 1
-    when it is uncovered; j may be 0 only when take >= 2 (the lone-leaf
-    rule) or the vertex is a centre and take >= 1.  Every j of one set of
-    spots reaches one mask, so that mask gets the union of their shifted
-    sets at once: a set handed on is never grown while another move still
-    reads it.
-    """
-    top = len(star) - 1
-    size, least = (1, 2) if code == UNCOVERED else (code, 1)
-    get = out.get
-    ranged = [(key, (step,)) for key, step in moves]
-    for take in range(min(top - size, len(spots)) + 1):
-        low = size + take + (take < least)
-        high = min(size + take + pendants, top)
-        if low <= high:
-            steps = [star[d] - star[code] for d in range(low, high + 1)]
-            for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
-                ranged.append((rest + chosen, steps))
-    stepped: dict[int, set[int]] = {}
-    for key, steps in ranged:
-        fresh = False
-        parts = []
-        for step in steps:
-            part = stepped.get(step)
-            if part is None:
-                part = stepped[step] = {vec + step for vec in vecs}
-                fresh = True
-            parts.append(part)
-        got = get(key)
-        if got is not None:
-            got.update(*parts)
-        elif fresh and len(parts) == 1:
-            out[key] = part
-        else:
-            out[key] = part.union(*parts[:-1])
 
 
 def _join(base: int, star: list[int], field: int, shifts: list[int], t1: Table, t2: Table) -> Table:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import random
 from itertools import combinations
@@ -411,10 +412,25 @@ def random_forest(rng, n):
     return Graph.from_edges(n, [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.75])
 
 
+def with_pendants(g, vertices):
+    """g with one new pendant on each of `vertices`."""
+    vertices = list(vertices)
+    pendants = [(v, g.n + i) for i, v in enumerate(vertices)]
+    return Graph.from_edges(g.n + len(vertices), list(g.edges()) + pendants)
+
+
+def joined_binary_tree():
+    """The 63-vertex binary tree with each sibling pair above the leaves
+    joined: a 31-vertex kernel of triangles, with 32 pendants."""
+    edges = list(complete_binary_tree(63).edges())
+    return Graph.from_edges(63, edges + [(v, v + 1) for v in range(15, 31, 2)])
+
+
 def pendant_graphs(rng):
     """Graphs the pendant kernel shrinks most: matchings with isolated
-    vertices, stars wider than delta + 1, P2 and P3, caterpillars, hub trees
-    and random forests."""
+    vertices, stars wider than delta + 1, P2 and P3, caterpillars, hub trees,
+    kernels with cycles (a sun, a 3x4 grid with pendants on its border and
+    `joined_binary_tree`) and random forests."""
     isolated = Graph.from_edges(1, [])
     graphs = [
         disjoint_union(*[path_graph(2)] * k, *[isolated] * i) for k, i in ((1, 0), (3, 2), (6, 1))
@@ -422,6 +438,9 @@ def pendant_graphs(rng):
     graphs += [star_graph(m) for m in (5, 6, 9)] + [path_graph(2), path_graph(3)]
     graphs += [caterpillar(4, 2), caterpillar(6, 1), caterpillar(3, 3)]
     graphs += [hub_tree(rng, n, hubs) for n, hubs in ((10, 1), (14, 2), (20, 3))]
+    border = [v for v in range(12) if v // 4 in (0, 2) or v % 4 in (0, 3)]
+    graphs += [with_pendants(cycle_graph(6), range(6)), with_pendants(grid_graph(3, 4), border)]
+    graphs.append(joined_binary_tree())
     return graphs + [random_forest(rng, rng.randint(2, 14)) for _ in range(12)]
 
 
@@ -434,6 +453,15 @@ class TestPendantKernel:
         kernel, pendants = treewidth.pendant_kernel(caterpillar(3, 2))
         assert kernel == path_graph(3) and pendants == [2, 2, 2]
         assert treewidth.pendant_kernel(cycle_graph(5)) == (cycle_graph(5), [0] * 5)
+        kernel, pendants = treewidth.pendant_kernel(joined_binary_tree())
+        assert kernel.n == 31 and pendants == [0] * 15 + [2] * 16
+
+    def test_a_kernel_with_cycles_can_keep_min_fill(self):
+        # the joined binary tree's kernel walks min-fill's tree (path width 9
+        # against 2), so its joins meet centres grown by pendants
+        kernel = treewidth.pendant_kernel(joined_binary_tree())[0]
+        assert path_order(kernel)[1] == 9 and heuristic_decomposition(kernel).width == 2
+        assert isinstance(treewidth.dp_pick(kernel), TreeDecomposition)
 
     def test_default_family_equals_the_walks_without_the_kernel(self):
         rng = random.Random(102)
@@ -467,14 +495,22 @@ class TestPendantKernel:
             assert fam.vectors == {(0, 0), (1, 0)} | three_star
 
 
+SCRIPT_GRAPHS = [("grid 2x3", grid_graph(2, 3), 3), ("binary tree 15", complete_binary_tree(15), 3)]
+
+
+def load_script(monkeypatch):
+    """scripts/dp_decompositions.py as a module, run on SCRIPT_GRAPHS."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "dp_decompositions.py"
+    spec = importlib.util.spec_from_file_location("dp_decompositions", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "graphs", lambda: SCRIPT_GRAPHS)
+    return script
+
+
 class TestDecompositionScript:
     def test_check_exit_status(self, monkeypatch, capsys):
-        path = Path(__file__).resolve().parent.parent / "scripts" / "dp_decompositions.py"
-        spec = importlib.util.spec_from_file_location("dp_decompositions", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        small = [("grid 2x3", grid_graph(2, 3), 3), ("binary tree 15", complete_binary_tree(15), 3)]
-        monkeypatch.setattr(script, "graphs", lambda: small)
+        script = load_script(monkeypatch)
         assert script.main(["--check", "--repeat", "1"]) == 0
         out = capsys.readouterr().out
         assert "grid 2x3" in out and "binary tree 15" in out and "differ" not in out
@@ -485,6 +521,10 @@ class TestDecompositionScript:
         # and so is the DP with no decomposition supplied, the solvers' route
         assert header.endswith("default ms")
         assert len(rows) == 2 and all(float(t) >= 0 for row in rows for t in row.split()[-7:])
+        # the kernel's vertex count and pick precede the times: the grid has
+        # no pendant, and the binary tree's 8 leaves leave its 7-vertex kernel
+        assert "kernel n" in header and "kernel pick" in header
+        assert [row.split()[-9:-7] for row in rows] == [["6", "path"], ["7", "path"]]
         # a path decomposition whose DP loses the largest star size fails the check
         real = script.enum_star_vectors_dp
 
@@ -503,6 +543,18 @@ class TestDecompositionScript:
         monkeypatch.setattr(script, "enum_star_vectors_dp", lossy_default)
         assert script.main(["--check", "--repeat", "1"]) == 1
         assert "families differ on: grid 2x3" in capsys.readouterr().out
+
+    def test_digest_lines(self, monkeypatch, capsys):
+        script = load_script(monkeypatch)
+        assert script.main(["--digest"]) == 0
+        lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        # name, delta, family size and the sha256 of the sorted members; no timing
+        for (name, g, delta), (got_name, got_delta, size, sha) in zip(SCRIPT_GRAPHS, lines):
+            family = enum_star_vectors_dp(g, delta, remember=False)
+            assert (got_name, got_delta, size) == (name, "3", str(len(family.members)))
+            members = ",".join(map(str, sorted(family.members))).encode()
+            assert sha == hashlib.sha256(members).hexdigest()
+        assert len(lines) == 2
 
 
 class TestVerifyDecomposition:
