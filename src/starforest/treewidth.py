@@ -37,13 +37,16 @@ neighbour's star (the lone edge's other orientation gives the same vector),
 so the DP walks the induced kernel.  It walks `dp_pick`'s choice for the
 kernel: the greedy path whenever it is at most one vertex wider than
 min-fill's decomposition, and min-fill's otherwise.  The family depends
-neither on the decomposition nor on the kernel.  A path is walked straight
-from its vertex order (`_order_family`), with no bag built and no join; a
-vertex takes the lowest free slot when it is placed and frees it when it is
-forgotten, once it has no unplaced neighbour.  Min-fill's trees and supplied
-decompositions, which are of g itself with no pendants set aside, are
-walked from the root down (`_top_down`): a vertex takes its slot at its
-topmost bag, and both children of a join use their parent's slots.
+neither on the decomposition nor on the kernel.  One driver, `_walk`, runs
+every walk.  A vertex is held from when the walk first meets it until it is
+forgotten, and `shift[v]` is w times its slot while held, -1 before and
+after, so a forgotten vertex's held neighbours are its bag neighbours.  A
+path is one node with no join, walked from `path_order`'s steps with no bag
+built: a vertex takes the lowest free slot when it is placed, and those it
+closes are forgotten and free theirs.  A tree (min-fill's, or a supplied
+one of g itself) is walked bottom-up with slots given from the root down
+(`_top_down`): a vertex takes its slot at its topmost bag, and both
+children of a join use their parent's slots.
 
 Each table maps a mask to a set of vectors packed into ints base n+1, n the
 input graph's vertex count even when the DP walks its kernel (see
@@ -61,6 +64,7 @@ in read-only `VectorFamily`s that live only during the join.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -107,10 +111,14 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
 
     # fill-in counts of the alive vertices; eliminating v changes only the
     # neighbourhoods of its neighbours and the edges among them, so only
-    # vertices within distance 2 of v need a new count
+    # vertices within distance 2 of v need a new count.  The heap holds a
+    # (fill, x) entry for each count, stale once `fills` no longer has it
     fills = {x: fill(x) for x in range(g.n)}
+    heap = sorted((f, x) for x, f in fills.items())
     while fills:
-        v = min(fills, key=lambda x: (fills[x], x))
+        f, v = heappop(heap)
+        if fills.get(v) != f:
+            continue
         nbrs = adj[v]
         order.append(v)
         elim_bags.append(frozenset(nbrs | {v}))
@@ -126,7 +134,10 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
         for a in nbrs:
             touched |= adj[a]
         for x in touched:
-            fills[x] = fill(x)
+            f = fill(x)
+            if f != fills[x]:
+                fills[x] = f
+                heappush(heap, (f, x))
         adj[v].clear()
 
     pos = {v: i for i, v in enumerate(order)}
@@ -148,23 +159,24 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
     return td
 
 
-def path_order(g: Graph) -> tuple[list[int], int]:
-    """The greedy frontier-growing placement order, and the width of its path decomposition.
+def path_order(g: Graph) -> tuple[list[tuple[int, list[int]]], int]:
+    """The greedy frontier-growing placement steps, and the width of their path decomposition.
 
     Vertices are placed one at a time.  The frontier is the placed vertices
     that still have an unplaced neighbour; each step places the frontier
     neighbour that leaves the smallest frontier, ties to the most placed
     neighbours, then to the lowest index.  A new component starts at its
-    minimum-degree vertex.  Bag i of the path is the frontier plus the i-th
-    vertex (`path_decomposition`), so the width is the largest frontier met
-    by a placement; the empty graph's one empty bag has width -1.
+    minimum-degree vertex.  Step i is the i-th vertex and the vertices it
+    closes, sorted: those it leaves placed with no unplaced neighbour.  Bag
+    i of the path is the frontier plus the i-th vertex, so the width is the
+    largest frontier met by a placement; the empty graph's is -1.
     """
     adj = g.adjacency
     unplaced_nbrs = [len(a) for a in adj]
     closing = [0] * g.n  # placed neighbours of x with no other unplaced neighbour
     unplaced = set(range(g.n))
     reachable: set[int] = set()  # unplaced vertices with a placed neighbour
-    order: list[int] = []
+    steps: list[tuple[int, list[int]]] = []
     frontier = 0  # how many placed vertices have an unplaced neighbour
     width = -1
 
@@ -179,47 +191,22 @@ def path_order(g: Graph) -> tuple[list[int], int]:
         else:
             v = min(unplaced, key=lambda x: (len(adj[x]), x))
         width = max(width, frontier)
-        order.append(v)
         unplaced.discard(v)
+        closes = [] if unplaced_nbrs[v] else [v]
         for u in adj[v]:
             unplaced_nbrs[u] -= 1
             if u in unplaced:
                 reachable.add(u)
             elif unplaced_nbrs[u] == 0:
                 frontier -= 1
+                closes.append(u)
         for u in (v, *adj[v]):
             if unplaced_nbrs[u] == 1 and u not in unplaced:  # it has just come down to 1
                 closing[next(x for x in adj[u] if x in unplaced)] += 1
         if unplaced_nbrs[v]:
             frontier += 1
-    return order, width
-
-
-def path_decomposition(g: Graph) -> TreeDecomposition:
-    """`path_order`'s path decomposition; its bags form a path rooted at the last one, so it has no join."""
-    return _path_bags(g, path_order(g)[0])
-
-
-def _path_bags(g: Graph, order: list[int]) -> TreeDecomposition:
-    """The path whose bag i is the frontier plus order[i], rooted at its last bag."""
-    if g.n == 0:
-        return TreeDecomposition((frozenset(),), ())
-    unplaced_nbrs = [len(a) for a in g.adjacency]
-    frontier: set[int] = set()
-    bags: list[frozenset[int]] = []
-    for v in order:
-        bags.append(frozenset(frontier | {v}))
-        for u in g.adjacency[v]:
-            unplaced_nbrs[u] -= 1
-            if unplaced_nbrs[u] == 0:
-                frontier.discard(u)
-        if unplaced_nbrs[v]:
-            frontier.add(v)
-    td = TreeDecomposition(
-        tuple(bags), tuple((i, i + 1) for i in range(len(bags) - 1)), root=len(bags) - 1
-    )
-    assert verify_decomposition(g, td), "greedy path ordering produced an invalid decomposition"
-    return td
+        steps.append((v, sorted(closes)))
+    return steps, width
 
 
 def degeneracy(g: Graph) -> int:
@@ -242,8 +229,8 @@ def degeneracy(g: Graph) -> int:
     return best
 
 
-def dp_pick(g: Graph) -> list[int] | TreeDecomposition:
-    """What the DP walks when no decomposition is supplied: `path_order`'s order, or min-fill's.
+def dp_pick(g: Graph) -> list[tuple[int, list[int]]] | TreeDecomposition:
+    """What the DP walks when no decomposition is supplied: `path_order`'s steps, or min-fill's.
 
     g is the pendant kernel there.  The path wins whenever it is at most one
     vertex wider than min-fill's decomposition, since it has no join.  Two
@@ -256,17 +243,11 @@ def dp_pick(g: Graph) -> list[int] | TreeDecomposition:
     treewidth, which the degeneracy bounds from below.  At most 2 wide, it
     wins without the degeneracy too: a graph with an edge has treewidth >= 1.
     """
-    order, width = path_order(g)
+    steps, width = path_order(g)
     if width <= 2 or width <= degeneracy(g) + 1:
-        return order
+        return steps
     tree = heuristic_decomposition(g)
-    return order if width <= tree.width + 1 else tree
-
-
-def dp_decomposition(g: Graph) -> TreeDecomposition:
-    """`dp_pick`'s choice as a decomposition: the path's bags, or min-fill's tree."""
-    pick = dp_pick(g)
-    return pick if isinstance(pick, TreeDecomposition) else _path_bags(g, pick)
+    return steps if width <= tree.width + 1 else tree
 
 
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
@@ -340,16 +321,13 @@ def enum_star_vectors_dp(
         return _remembered_family(g, delta) if remember else _picked_family(g, delta)
     if not verify_decomposition(g, decomposition):
         raise PreconditionError("supplied decomposition is invalid for this graph")
-    return _family(g, delta, decomposition)
+    return _walk(g, delta, decomposition)
 
 
 def _picked_family(g: Graph, delta: int) -> VectorFamily:
-    """The DP on g's pendant kernel: the order walk on `dp_pick`'s path, `_family` on its tree."""
+    """The DP on g's pendant kernel, along `dp_pick`'s path steps or tree."""
     kernel, pendants = pendant_kernel(g)
-    pick = dp_pick(kernel)
-    if isinstance(pick, TreeDecomposition):
-        return _family(g, delta, pick, kernel, pendants)
-    return _order_family(g, delta, pick, kernel, pendants)
+    return _walk(g, delta, dp_pick(kernel), kernel, pendants)
 
 
 @lru_cache(maxsize=2)
@@ -389,90 +367,67 @@ def _layout(n: int, delta: int) -> tuple[int, list[int], int, int]:
     return base, [0, 0] + [base**j for j in range(delta)], w, (1 << w) - 1
 
 
-def _family(
+def _walk(
     g: Graph,
     delta: int,
-    td: TreeDecomposition,
+    walk: list[tuple[int, list[int]]] | TreeDecomposition,
     kernel: Graph | None = None,
     pendants: list[int] | None = None,
 ) -> VectorFamily:
-    """The DP itself, bottom-up over a decomposition already known to be valid.
+    """The DP itself, along `path_order`'s steps or bottom-up over a valid tree decomposition.
 
-    The decomposition is of `kernel`, whose vertex v takes up to pendants[v]
-    pendants when it is forgotten (`pendant_kernel(g)`); without a kernel it
-    is g's own, with no pendants.  Vectors are packed at g's base either way.
+    The walk is of `kernel`, whose vertex v takes up to pendants[v] pendants
+    when it is forgotten (`pendant_kernel(g)`); without a kernel it is of g
+    itself, with no pendants.  Vectors are packed at g's base either way.
     """
     base, star, w, field = _layout(g.n, delta)
     if kernel is None:
         kernel, pendants = g, [0] * g.n
     adj = kernel.adjacency
-    order, parent, slot = _top_down(td)
-    # node -> its finished children, carried to its bag and joined; only the
-    # ancestors of the node in hand hold one
-    tables: dict[int, Table] = {}
-    for t in reversed(order):
-        table = tables.pop(t) if t in tables else {0: {0}}
-        p = parent[t]
-        bag = td.bags[p] if p >= 0 else frozenset()  # the root is carried to an empty bag
-        held = set(td.bags[t])
-        for v in sorted(held - bag):
-            held.discard(v)
-            nbrs = [w * slot[u] for u in adj[v] if u in held]
-            table = _forget(star, field, w * slot[v], nbrs, table, pendants[v])
-        if p in tables:
-            table = _join(base, star, field, [w * slot[u] for u in bag], tables[p], table)
-        tables[p] = table
-    return VectorFamily(delta, base, frozenset(tables[-1][0]))
-
-
-def _order_family(
-    g: Graph,
-    delta: int,
-    order: list[int],
-    kernel: Graph | None = None,
-    pendants: list[int] | None = None,
-) -> VectorFamily:
-    """The DP along `path_order`'s order: the path decomposition's walk, with no bag built.
-
-    Each placed vertex takes the lowest free slot.  Then every held vertex
-    left with no unplaced neighbour is forgotten, in sorted order, and frees
-    its slot: these are bag t minus bag t + 1 of the path, so at most
-    width + 1 slots are used and each edge is decided once.  As in
-    `_family`, the order is of `kernel`'s vertices (g's own without one),
-    and each takes its pendants when it is forgotten.
-    """
-    base, star, w, field = _layout(g.n, delta)
-    if kernel is None:
-        kernel, pendants = g, [0] * g.n
-    adj = kernel.adjacency
-    unplaced_nbrs = [len(a) for a in adj]
     shift = [-1] * kernel.n  # w times the slot of a held vertex, -1 before and after
-    free: list[int] = []  # the shifts of freed slots
-    unused = 0  # the shift of the lowest slot never taken
-    table: Table = {0: {0}}
+    tree = isinstance(walk, TreeDecomposition)
+    nodes = _tree_nodes(walk, shift, w) if tree else [(0, -1, _placed(walk, shift, w), frozenset())]
+    tables: dict[int, Table] = {}  # node -> its finished children's tables, joined
     forgotten = decided = 0  # of g's vertices and edges, pendants and their edges included
-    for v in order:
-        if free:
-            shift[v] = heappop(free)
-        else:
-            shift[v], unused = unused, unused + w
-        closed = [] if unplaced_nbrs[v] else [v]
-        for u in adj[v]:
-            unplaced_nbrs[u] -= 1
-            if not unplaced_nbrs[u] and shift[u] >= 0:
-                closed.append(u)
-        for x in sorted(closed):
+    for t, p, forgets, bag in nodes:
+        table = tables.pop(t) if t in tables else {0: {0}}
+        for x in forgets:
             s, shift[x] = shift[x], -1
-            heappush(free, s)
             nbrs = [shift[u] for u in adj[x] if shift[u] >= 0]
             table = _forget(star, field, s, nbrs, table, pendants[x])
             forgotten += 1 + pendants[x]
             decided += len(nbrs) + pendants[x]
-    # a vertex forgotten before its last neighbour is placed leaves that edge undecided
+        if p in tables:
+            # a vertex of p's bag that neither side has met is uncovered on both
+            shifts = [shift[u] for u in bag if shift[u] >= 0]
+            table = _join(base, star, field, shifts, tables[p], table)
+        tables[p] = table
+    # a vertex forgotten before a neighbour is held leaves that edge undecided
     assert forgotten == g.n and decided == g.edge_count and max(shift, default=-1) < 0, (
-        "the order walk left a vertex or an edge behind"
+        "the walk left a vertex or an edge behind"
     )
-    return VectorFamily(delta, base, frozenset(table[0]))
+    return VectorFamily(delta, base, frozenset(tables[-1][0]))
+
+
+def _placed(steps: list[tuple[int, list[int]]], shift: list[int], w: int) -> Iterator[int]:
+    """Forgets along the path: a vertex takes the lowest free slot, those it closes free theirs."""
+    free = [w * i for i in range(len(steps))]  # the shifts of free slots, a heap
+    for v, closes in steps:
+        shift[v] = heappop(free)
+        for x in closes:
+            heappush(free, shift[x])
+            yield x
+
+
+def _tree_nodes(td: TreeDecomposition, shift: list[int], w: int) -> Iterator[tuple]:
+    """td's nodes from the leaves up, with their parents, sorted forgets and parents' bags."""
+    order, parent, slot = _top_down(td)
+    for t in reversed(order):
+        for v in slot.keys() & td.bags[t]:  # v is held from its lowest bag on
+            shift[v] = w * slot.pop(v)
+        p = parent[t]
+        bag = td.bags[p] if p >= 0 else frozenset()  # the root is carried to an empty bag
+        yield t, p, sorted(td.bags[t] - bag), bag
 
 
 def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[int, int]]:

@@ -128,9 +128,24 @@ def deep_planar(rng: random.Random) -> Graph:
     return deep_tree(rng, rng.randint(24, 40))
 
 
+def path_decomposition(g: Graph) -> treewidth.TreeDecomposition:
+    """`treewidth.path_order`'s path, rooted at its last bag: bag i is the
+    i-th vertex and the placed vertices that no earlier step closed."""
+    if g.n == 0:
+        return treewidth.TreeDecomposition((frozenset(),), ())
+    held: set[int] = set()
+    bags = []
+    for v, closes in treewidth.path_order(g)[0]:
+        held.add(v)
+        bags.append(frozenset(held))
+        held.difference_update(closes)
+    edges = tuple((i, i + 1) for i in range(len(bags) - 1))
+    return treewidth.TreeDecomposition(tuple(bags), edges, root=len(bags) - 1)
+
+
 def counted_picks(monkeypatch):
     """Route the DP without a supplied decomposition (its pendant kernel, the
-    pick between the path order and min-fill's tree, and the walk) through a
+    pick between the path steps and min-fill's tree, and the walk) through a
     wrapper, called once per DP run; returns the list of graphs it was given."""
     calls = []
     real = treewidth._picked_family

@@ -14,10 +14,8 @@ from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.treewidth import (
     TreeDecomposition,
     degeneracy,
-    dp_decomposition,
     enum_star_vectors_dp,
     heuristic_decomposition,
-    path_decomposition,
     path_order,
     solve_tw,
     verify_decomposition,
@@ -34,6 +32,7 @@ from conftest import (
     grid_graph,
     hub_tree,
     ladder_graph,
+    path_decomposition,
     path_graph,
     random_graph,
     random_tree,
@@ -146,10 +145,10 @@ def frontier(g, placed):
     return {u for u in placed if any(w not in placed for w in g.adjacency[u])}
 
 
-def naive_path_bags(g):
-    """The greedy path's bags, every frontier recomputed from scratch at every step."""
+def naive_path_order(g):
+    """The greedy path's order and width, every frontier recomputed from scratch at every step."""
     placed = set()
-    bags = []
+    order, width = [], -1
     while len(placed) < g.n:
         reach = {w for u in placed for w in g.adjacency[u] if w not in placed}
         if reach:
@@ -163,19 +162,19 @@ def naive_path_bags(g):
             )
         else:
             v = min(set(range(g.n)) - placed, key=lambda x: (g.degree(x), x))
-        bags.append(frozenset(frontier(g, placed) | {v}))
+        width = max(width, len(frontier(g, placed)))
+        order.append(v)
         placed.add(v)
-    return bags
+    return order, width
 
 
-def rescanning_path_decomposition(g):
-    """The greedy path with each candidate's key rescanning its neighbours
-    for the frontier vertices it would close, at every step."""
-    if g.n == 0:
-        return TreeDecomposition((frozenset(),), ())
+def rescanning_path_order(g):
+    """The greedy path's order and width, each candidate's key rescanning its
+    neighbours for the frontier vertices it would close, at every step."""
     adj = g.adjacency
     unplaced_nbrs = [len(a) for a in adj]
-    unplaced, front, reachable, bags = set(range(g.n)), set(), set(), []
+    unplaced, front, reachable = set(range(g.n)), set(), set()
+    order, width = [], -1
 
     def grown(v):
         size = len(front) + (unplaced_nbrs[v] > 0)
@@ -188,7 +187,8 @@ def rescanning_path_decomposition(g):
             reachable.discard(v)
         else:
             v = min(unplaced, key=lambda x: (len(adj[x]), x))
-        bags.append(frozenset(front | {v}))
+        width = max(width, len(front))
+        order.append(v)
         unplaced.discard(v)
         for u in adj[v]:
             unplaced_nbrs[u] -= 1
@@ -198,9 +198,13 @@ def rescanning_path_decomposition(g):
                 front.discard(u)
         if unplaced_nbrs[v]:
             front.add(v)
-    return TreeDecomposition(
-        tuple(bags), tuple((i, i + 1) for i in range(len(bags) - 1)), root=len(bags) - 1
-    )
+    return order, width
+
+
+def placed_order(g):
+    """`path_order`'s placement order and width, without the closings."""
+    steps, width = path_order(g)
+    return [v for v, _ in steps], width
 
 
 def relabelled(g, rng):
@@ -217,9 +221,9 @@ def chorded_cycle(rng, n):
 
 
 def chosen_by_both(g):
-    """The choice of decomposition with min-fill always computed."""
-    path, tree = path_decomposition(g), heuristic_decomposition(g)
-    return path if path.width <= tree.width + 1 else tree
+    """The choice of walk with min-fill always computed."""
+    (steps, width), tree = path_order(g), heuristic_decomposition(g)
+    return steps if width <= tree.width + 1 else tree
 
 
 def mixed_graphs(rng, count):
@@ -245,11 +249,28 @@ class TestPathDecomposition:
             assert verify_decomposition(g, td) and is_decomposition(g, td)
             assert td.tree_edges == tuple((i, i + 1) for i in range(len(td.bags) - 1))
             assert td.root == len(td.bags) - 1
+            assert td.width == path_order(g)[1]
 
     def test_greedy_order(self):
         rng = random.Random(90)
         for g in mixed_graphs(rng, 200):
-            assert list(path_decomposition(g).bags) == (naive_path_bags(g) or [frozenset()])
+            assert placed_order(g) == naive_path_order(g)
+
+    def test_closings(self):
+        # every vertex is closed once, sorted within its step, at the step that
+        # places the last of it and its neighbours
+        rng = random.Random(96)
+        graphs = mixed_graphs(rng, 200) + [grid_graph(4, 6), complete_binary_tree(31)]
+        assert any(len(closes) > 2 for g in graphs for _, closes in path_order(g)[0])
+        for g in graphs:
+            placed, closed = set(), []
+            for v, closes in path_order(g)[0]:
+                placed.add(v)
+                assert closes == sorted(closes)
+                done = {x for x in placed if set(g.adjacency[x]) <= placed}
+                assert set(closes) == done - set(closed)
+                closed += closes
+            assert sorted(closed) == list(range(g.n))
 
     def test_counted_keys_pick_as_rescanned_keys(self):
         # families do not depend on the decomposition, so no family check
@@ -263,21 +284,22 @@ class TestPathDecomposition:
         shapes += [chorded_cycle(rng, n) for n in (12, 14, 16, 24)]
         shapes += [hub_tree(rng, n, rng.randint(1, 3)) for n in (12, 14, 16, 30) for _ in range(3)]
         graphs += shapes + [relabelled(g, rng) for g in shapes for _ in range(5)]
-        assert sum(1 for g in graphs if path_decomposition(g).width >= 3) > 50
+        assert sum(1 for g in graphs if path_order(g)[1] >= 3) > 50
         for g in graphs:
-            assert path_decomposition(g) == rescanning_path_decomposition(g)
+            assert placed_order(g) == rescanning_path_order(g)
 
     def test_widths(self):
-        assert path_decomposition(path_graph(9)).width == 1
-        assert path_decomposition(cycle_graph(9)).width == 2
-        assert path_decomposition(caterpillar(12, 3)).width == 1
-        assert path_decomposition(Graph.from_edges(5, [])).width == 0
+        assert path_order(path_graph(9))[1] == 1
+        assert path_order(cycle_graph(9))[1] == 2
+        assert path_order(caterpillar(12, 3))[1] == 1
+        assert path_order(Graph.from_edges(5, []))[1] == 0
+        assert path_order(Graph.from_edges(0, [])) == ([], -1)
 
     def test_complete_binary_tree_keeps_min_fill(self):
         # six levels: pathwidth 3, and the greedy path is wider still
         g = complete_binary_tree(63)
-        assert path_decomposition(g).width > 2
-        td = dp_decomposition(g)
+        assert path_order(g)[1] > 2
+        td = treewidth.dp_pick(g)
         assert td == heuristic_decomposition(g) and td.width == 1
 
     def test_degeneracy(self):
@@ -303,7 +325,7 @@ class TestPathDecomposition:
 
         monkeypatch.setattr(treewidth, "heuristic_decomposition", counted)
         for g in graphs:
-            assert dp_decomposition(g) == chosen_by_both(g)
+            assert treewidth.dp_pick(g) == chosen_by_both(g)
         # the shortcut skips min-fill on some graphs and not on others
         assert 0 < sum(1 for g in graphs if g not in min_fill) < len(graphs)
 
@@ -315,10 +337,11 @@ class TestPathDecomposition:
         graphs += [grid_graph(5, 5)] + [random_graph(rng, 16, 0.3) for _ in range(3)]
         for g in graphs:
             delta = max(1, g.max_degree())
-            td = dp_decomposition(g)
-            assert td.width <= heuristic_decomposition(g).width + 1
+            pick = treewidth.dp_pick(g)
+            width = pick.width if isinstance(pick, TreeDecomposition) else path_order(g)[1]
+            assert width <= heuristic_decomposition(g).width + 1
             want = enum_star_vectors_dp(g, delta, heuristic_decomposition(g))
-            assert enum_star_vectors_dp(g, delta, td) == want
+            assert treewidth._walk(g, delta, pick) == want
 
     def test_path_walk_makes_no_sumset_call(self, monkeypatch):
         calls = []
@@ -330,7 +353,7 @@ class TestPathDecomposition:
 
         monkeypatch.setattr(treewidth, "sumset", counted)
         g = grid_graph(3, 4)
-        assert dp_decomposition(g).tree_edges == tuple((i, i + 1) for i in range(11))
+        assert treewidth.dp_pick(g) == path_order(g)[0]
         treewidth._remembered_family.cache_clear()
         fam = enum_star_vectors_dp(g, 4)
         assert fam.vectors == enum_star_vectors_brute(g, 4).vectors
@@ -354,13 +377,13 @@ class TestOrderWalk:
     def test_family_equals_the_path_and_min_fill_walks(self):
         rng = random.Random(99)
         for g in walked_graphs(rng):
-            order, width = path_order(g)
+            steps, width = path_order(g)
             path = path_decomposition(g)
             assert width == path.width
             for delta in sorted({2, max(1, g.max_degree())}):
-                walked = treewidth._order_family(g, delta, order)
-                assert walked == treewidth._family(g, delta, path)
-                assert walked == treewidth._family(g, delta, heuristic_decomposition(g))
+                walked = treewidth._walk(g, delta, steps)
+                assert walked == treewidth._walk(g, delta, path)
+                assert walked == treewidth._walk(g, delta, heuristic_decomposition(g))
 
     def test_slots_stay_below_width_plus_one(self, monkeypatch):
         forgets = []
@@ -373,9 +396,9 @@ class TestOrderWalk:
         monkeypatch.setattr(treewidth, "_forget", recorded)
         rng = random.Random(100)
         for g in walked_graphs(rng):
-            order, width = path_order(g)
+            steps, width = path_order(g)
             forgets.clear()
-            treewidth._order_family(g, 2, order)
+            treewidth._walk(g, 2, steps)
             assert len(forgets) == g.n  # every vertex is forgotten, once
             for w, s, nbrs in forgets:
                 # the forgotten vertex and its held neighbours hold distinct slots
@@ -384,9 +407,9 @@ class TestOrderWalk:
 
     def test_a_vertex_left_out_of_the_order_is_caught(self):
         g = grid_graph(3, 4)
-        order, _ = path_order(g)
+        steps, _ = path_order(g)
         with pytest.raises(AssertionError):
-            treewidth._order_family(g, 2, order[:-1])
+            treewidth._walk(g, 2, steps[:-1])
 
     def test_dp_walks_the_order_on_paths_only(self, monkeypatch):
         walks = []
@@ -470,8 +493,8 @@ class TestPendantKernel:
         for g in graphs:
             for delta in (1, 2, 3):
                 default = enum_star_vectors_dp(g, delta, remember=False)
-                assert default == treewidth._family(g, delta, path_decomposition(g))
-                assert default == treewidth._family(g, delta, heuristic_decomposition(g))
+                assert default == treewidth._walk(g, delta, path_decomposition(g))
+                assert default == treewidth._walk(g, delta, heuristic_decomposition(g))
                 if g.n <= 10:
                     assert default.vectors == enum_star_vectors_brute(g, delta).vectors
 
@@ -516,15 +539,16 @@ class TestDecompositionScript:
         assert "grid 2x3" in out and "binary tree 15" in out and "differ" not in out
         # each decomposition's build time is printed apart from its DP time
         header, *rows = out.splitlines()
-        for kind in ("min-fill", "path", "picked"):
+        for kind in ("min-fill", "path"):
             assert f"{kind} dec ms" in header and f"{kind} DP ms" in header
-        # and so is the DP with no decomposition supplied, the solvers' route
-        assert header.endswith("default ms")
-        assert len(rows) == 2 and all(float(t) >= 0 for row in rows for t in row.split()[-7:])
+        # and so is the DP with no decomposition supplied, the solvers' route;
+        # no column times a decomposition that no solver walks
+        assert header.endswith("default ms") and "picked" not in header
+        assert len(rows) == 2 and all(float(t) >= 0 for row in rows for t in row.split()[-5:])
         # the kernel's vertex count and pick precede the times: the grid has
         # no pendant, and the binary tree's 8 leaves leave its 7-vertex kernel
         assert "kernel n" in header and "kernel pick" in header
-        assert [row.split()[-9:-7] for row in rows] == [["6", "path"], ["7", "path"]]
+        assert [row.split()[-7:-5] for row in rows] == [["6", "path"], ["7", "path"]]
         # a path decomposition whose DP loses the largest star size fails the check
         real = script.enum_star_vectors_dp
 
@@ -732,6 +756,14 @@ class TestEnumDP:
         # cover a vertex on both sides, so every refusal is the cap
         assert refused
         assert any(refused) == (delta < 4)
+
+    def test_an_edge_in_no_bag_fails_the_walks_end_check(self):
+        # unvalidated, the edge {1, 2} is in no bag: 1 is forgotten before 2
+        # is held, so the edge is never decided
+        td = TreeDecomposition((frozenset({0, 1}), frozenset({2})), ((0, 1),), root=1)
+        assert not verify_decomposition(path_graph(3), td)
+        with pytest.raises(AssertionError):
+            treewidth._walk(path_graph(3), 2, td)
 
     def test_long_path_decomposition(self):
         # 1199 bags in a path: the walk must not recurse once per node
