@@ -3,19 +3,18 @@
 Exit codes: 0 success, 1 failed verification, 2 parse error, 3 algorithm
 precondition violated, 4 resource refusal.  Cross-checks and timing over many
 instances live in ``scripts/solver_matrix.py`` and ``perfbench/run.py``.
+
+Only the graph core loads with this module; each command imports what it
+runs (``argparse`` when the parser is built, one route per ``solve``, the
+generators for ``gen``), so a cold start pays for one route, not all.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
-from . import component_ilp, eptas, generators, oracle, solve_h, treewidth, vc_ilp
 from .errors import ParseError, PreconditionError, ResourceLimitError
 from .graph import (
     Embedding,
@@ -34,7 +33,16 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 
-ALGOS = ("auto", "oracle", "fpt-h", "vc", "cc", "tw", "eptas")
+# the module each --algo runs
+ROUTES = {
+    "oracle": "oracle",
+    "fpt-h": "solve_h",
+    "vc": "vc_ilp",
+    "cc": "component_ilp",
+    "tw": "treewidth",
+    "eptas": "eptas",
+}
+ALGOS = ("auto", *ROUTES)
 
 
 @dataclass
@@ -48,14 +56,20 @@ class RunReport:
     parameters: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
+        import json
+
         return RunReport(**json.loads(text))
 
 
 def _digest(data: bytes) -> str:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest()[:16]
 
 
@@ -65,6 +79,8 @@ def _largest_component(inst: Instance) -> int:
 
 
 def _pick_auto(inst: Instance) -> str:
+    from . import component_ilp, oracle, vc_ilp
+
     if inst.g1.n <= oracle.DEFAULT_VERTEX_LIMIT and inst.g2.n <= oracle.DEFAULT_VERTEX_LIMIT:
         return "oracle"
     if _largest_component(inst) <= component_ilp.MAX_COMPONENT:
@@ -75,50 +91,61 @@ def _pick_auto(inst: Instance) -> str:
     return "tw"
 
 
+def _import_route(algo: str):
+    """The module that runs `algo`, imported on first use."""
+    if algo not in ROUTES:
+        raise PreconditionError(f"unknown algorithm {algo!r}")
+    from importlib import import_module
+
+    return import_module(f".{ROUTES[algo]}", __package__)
+
+
 def run_solver(inst: Instance, algo: str, args) -> tuple[int | str, list[int], dict]:
+    route = _import_route(algo)
     params: dict = {}
     if algo == "oracle":
-        limit = oracle.DEFAULT_VERTEX_LIMIT if args.oracle_limit is None else args.oracle_limit
-        size, forest, _, _ = oracle.opt_common_brute(inst.g1, inst.g2, limit)
+        limit = route.DEFAULT_VERTEX_LIMIT if args.oracle_limit is None else args.oracle_limit
+        size, forest, _, _ = route.opt_common_brute(inst.g1, inst.g2, limit)
         return size, list(forest.star_sizes), params
     if algo == "fpt-h":
-        cfg = solve_h.ColorCodingConfig(
+        cfg = route.ColorCodingConfig(
             trials=args.trials,
             failure_probability=args.fail_prob,
             rng_seed=args.seed,
         )
         params = {"mode": args.mode, "h": inst.h}
-        yes, cert = solve_h.solve_h(inst, cfg, mode=args.mode)
+        yes, cert = route.solve_h(inst, cfg, mode=args.mode)
         vector = list(cert[0].star_sizes) if yes and cert else []
         return ("yes" if yes else "no"), vector, params
     if algo == "vc":
         # solve_vc refuses at once a bound above MAX_COVER or a cover above the bound
-        k = vc_ilp.MAX_COVER if args.k is None else args.k
+        k = route.MAX_COVER if args.k is None else args.k
         params = {"k": k}
-        return vc_ilp.solve_vc(inst.g1, inst.g2, k), [], params
+        return route.solve_vc(inst.g1, inst.g2, k), [], params
     if algo == "cc":
         k = args.k
         if k is None:
             # also the treedepth-plus-degree route: those two bound every component
             k = max(_largest_component(inst), 1)
         params = {"k": k}
-        return component_ilp.solve_cc(inst.g1, inst.g2, k), [], params
+        return route.solve_cc(inst.g1, inst.g2, k), [], params
     if algo == "tw":
-        size, forest = treewidth.solve_tw(inst.g1, inst.g2)
+        size, forest = route.solve_tw(inst.g1, inst.g2)
         return size, list(forest.star_sizes), params
     if algo == "eptas":
-        cfg = eptas.EptasConfig(args.epsilon)
+        cfg = route.EptasConfig(args.epsilon)
         params = {"epsilon": args.epsilon, "k": cfg.k}
-        size, forest, shifts = eptas.solve_eptas(inst.g1, inst.g2, cfg)
+        size, forest, shifts = route.solve_eptas(inst.g1, inst.g2, cfg)
         params["shifts"] = list(shifts)
         return size, list(forest.star_sizes), params
-    raise PreconditionError(f"unknown algorithm {algo!r}")
+    raise AssertionError(f"run_solver has no branch for {algo!r}")
 
 
 def _read_text(path: str) -> str:
     """A file's UTF-8 text; a missing, unreadable or undecodable file is a ParseError."""
     try:
-        return Path(path).read_bytes().decode()
+        with open(path, "rb") as f:
+            return f.read().decode()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -139,6 +166,7 @@ def cmd_solve(args) -> int:
     if algo == "auto":
         algo = _pick_auto(inst)
         params["decision"] = algo
+    _import_route(algo)  # before the clock starts: elapsed_ms times only the solver
     start = time.perf_counter()
     answer, vector, algo_params = run_solver(inst, algo, args)
     elapsed = (time.perf_counter() - start) * 1000
@@ -151,6 +179,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     inst = parse_instance(_read_text(args.instance))
     cert_text = _read_text(args.certificate)
     try:
@@ -182,6 +212,10 @@ def _parse_items(text: str) -> tuple[int, ...]:
 
 
 def cmd_gen(args) -> int:
+    import json
+
+    from . import generators
+
     kind = args.kind
     if kind in ("domset", "p3"):
         if args.graph is None:
@@ -199,21 +233,24 @@ def cmd_gen(args) -> int:
         labeled = (
             generators.gen_kway_td5(kw) if kind == "kway-td5" else generators.gen_kway_pw4(kw)
         )
-    out = Path(args.out)
-    out.write_text(serialize_instance(labeled.instance))
-    sidecar = out.with_suffix(out.suffix + ".labels.json")
-    sidecar.write_text(
-        json.dumps(
+    out = args.out
+    sidecar = out + ".labels.json"
+    with open(out, "w") as f:
+        f.write(serialize_instance(labeled.instance))
+    with open(sidecar, "w") as f:
+        json.dump(
             {"labels1": labeled.labels1, "labels2": labeled.labels2, "params": labeled.params},
+            f,
             indent=1,
             sort_keys=True,
         )
-    )
     print(f"wrote {out} and {sidecar}")
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(prog="starforest")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,7 +6,7 @@ packed star-count vectors and their sumsets live in `vectors`.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError
 from .graph import Graph, StarForest, max_matching
@@ -14,36 +14,61 @@ from .graph import Graph, StarForest, max_matching
 Partition = tuple[int, ...]  # parts sorted non-increasing
 
 
-def _partitions(h: int, smallest: int) -> list[Partition]:
-    """Partitions of h into parts >= smallest, each exactly once.
+def _partitions(h: int, smallest: int) -> Iterator[Partition]:
+    """Partitions of h into parts >= smallest (1 or 2), lexicographically decreasing.
 
-    Recursive scheme: grow parts non-decreasingly, close each branch with the
-    remainder; each partition is listed with its parts non-decreasing.
+    Lazy: the next partition keeps the longest prefix it can.  Its last part
+    that can shrink becomes one smaller, and the parts after it are refilled
+    as large as they can be.  Under parts >= 2 the last part shrinks by two
+    (a lone 1 cannot be refilled), and a part shrunk to 2 needs an even
+    remainder.
     """
-    if h < 0:
-        raise PreconditionError("h must be non-negative")
     if h == 0:
-        return [()]
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], rem: int):
-        out.append(tuple(prefix) + (rem,))
-        for part in range(prefix[-1] if prefix else smallest, rem // 2 + 1):
-            rec(prefix + [part], rem - part)
-
-    if h >= smallest:
-        rec([], h)
-    return out
+        yield ()
+        return
+    if h < smallest:
+        return
+    parts = [h]
+    while True:
+        yield tuple(parts)
+        rest = 0  # what the shrunk part leaves to refill
+        while parts:
+            part = parts.pop() - 1
+            rest += 1
+            if rest < smallest:  # a lone 1 under parts >= 2
+                part -= 1
+                rest += 1
+            if part >= smallest and (part > smallest or rest % part == 0):
+                break
+            rest += part
+        else:
+            return
+        full, left = divmod(rest, part)
+        parts += [part] * (full + 1)  # the shrunk part, then its copies
+        if left >= smallest:
+            parts.append(left)
+        elif left:  # a lone 1 under parts >= 2: part + 1 becomes (part - 1, 2)
+            parts[-1] -= 1
+            parts.append(2)
 
 
 def enum_partitions(h: int) -> list[Partition]:
     """All partitions of h, each exactly once."""
-    return [tuple(reversed(p)) for p in _partitions(h, 1)]
+    if h < 0:
+        raise PreconditionError("h must be non-negative")
+    return list(_partitions(h, 1))
 
 
-def enum_star_partitions(h: int) -> list[StarForest]:
-    """Partitions of h with every part >= 2, i.e. the star forests on h vertices."""
-    return [StarForest(p) for p in _partitions(h, 2)]
+def enum_star_partitions(h: int) -> Iterator[StarForest]:
+    """The star forests on h vertices (partitions of h with every part >= 2), lazily.
+
+    They come lexicographically decreasing by star sizes: (h,) first, then
+    (h - 2, 2), and so on, so a caller that stops at the first success never
+    builds the rest.
+    """
+    if h < 0:
+        raise PreconditionError("h must be non-negative")
+    return (StarForest(p) for p in _partitions(h, 2))
 
 
 # ---------------------------------------------------------------------------

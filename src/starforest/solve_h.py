@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .combinatorics import enum_star_partitions
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, Instance, StarForest, max_matching, verify_embedding
 
 
@@ -35,7 +35,12 @@ class ColorCodingConfig:
         if self.trials is not None:
             return self.trials
         # a fixed h-set is colorful with prob ~ e^-h per trial
-        return max(1, math.ceil(math.e**h * math.log(1 / self.failure_probability)))
+        try:
+            return max(1, math.ceil(math.e**h * math.log(1 / self.failure_probability)))
+        except OverflowError:
+            raise ResourceLimitError(
+                f"color coding at h = {h} needs about e^{h} trials; set trials explicitly"
+            ) from None
 
 
 def solve_h(
@@ -68,8 +73,8 @@ def solve_h(
         assert verify_embedding(inst.g2, forest, emb2)
         return True, (forest, emb1, emb2)
 
-    # lexicographically decreasing part order; first success wins
-    for forest in sorted(enum_star_partitions(h), key=lambda f: f.star_sizes, reverse=True):
+    # lexicographically decreasing part order, built lazily; first success wins
+    for forest in enum_star_partitions(h):
         emb1 = embeds_star_forest(inst.g1, forest, mode, cfg)
         if emb1 is None:
             continue

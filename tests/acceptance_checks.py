@@ -367,7 +367,8 @@ def check_8_color_coding(calls: int = 1000, fn_sample: int = 150):
 def _star_shapes(h: int):
     from starforest.combinatorics import enum_star_partitions
 
-    return enum_star_partitions(h)
+    # the order of the eager list these draws were first made from
+    return sorted(enum_star_partitions(h), key=lambda f: f.star_sizes[::-1][:-1])
 
 
 ALL_CHECKS = [

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from starforest.cli import RunReport, main
+from starforest.cli import ALGOS, RunReport, main
 from starforest.graph import Graph, Instance, parse_instance, serialize_instance
 from starforest.treewidth import solve_tw
 
@@ -61,6 +61,15 @@ class TestSolve:
             timeout=30,
         )
         assert proc.returncode == 0 and RunReport.from_json(proc.stdout).answer == "no"
+
+    def test_fpt_h_randomized_past_float_range_exit_4(self, tmp_path, capsys):
+        # automatic trial counts at h = 710 need about e^710 trials
+        path = tmp_path / "h710.txt"
+        big = star_graph(709)
+        path.write_text(serialize_instance(Instance(big, big, 710)))
+        with time_limit(2):
+            code = main(["solve", str(path), "--algo", "fpt-h", "--mode", "randomized"])
+        assert code == 4 and "resource limit" in capsys.readouterr().err
 
     def test_report_round_trip(self, instance_file, capsys):
         _, out = run_main(["solve", instance_file, "--algo", "oracle"], capsys)
@@ -299,7 +308,80 @@ class TestCommands:
         assert exc.value.code == 2
 
 
+def run_cold(*args):
+    """Run the CLI in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "starforest.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestColdStart:
+    """Each command imports what it runs; from a fresh interpreter, every one works."""
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_solve(self, instance_file, algo):
+        proc = run_cold("solve", instance_file, "--algo", algo)
+        assert proc.returncode == 0, proc.stderr
+        report = RunReport.from_json(proc.stdout)
+        assert report.answer == ("yes" if algo == "fpt-h" else 3)
+
+    def test_verify(self, instance_file, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"star_sizes": [3], "emb1": [[1, 0, 2]], "emb2": [[0, 1, 2]]}))
+        proc = run_cold("verify", instance_file, cert)
+        assert proc.returncode == 0 and proc.stdout.startswith("ok:"), proc.stderr
+
+    def test_gen_p3(self, tmp_path):
+        graph = tmp_path / "p6.txt"
+        graph.write_text("6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        out = tmp_path / "inst.txt"
+        proc = run_cold("gen", "p3", "--graph", graph, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        assert parse_instance(out.read_text()).h == 6
+        assert json.loads((tmp_path / "inst.txt.labels.json").read_text())["params"]
+
+    def test_route_imported_before_the_clock(self, instance_file):
+        # the first clock read starts elapsed_ms; importing the route after it
+        # would time the import as part of the solve
+        probe = (
+            "import sys, types\n"
+            "from starforest import cli\n"
+            "seen = []\n"
+            "def clock():\n"
+            "    seen.append('starforest.treewidth' in sys.modules)\n"
+            "    return 0.0\n"
+            "cli.time = types.SimpleNamespace(perf_counter=clock)\n"
+            "code = cli.main(['solve', sys.argv[1], '--algo', 'tw'])\n"
+            "print(code, seen[0])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(instance_file)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
+
+
 class TestImport:
+    def test_cold_import_stays_light(self):
+        probe = (
+            "import sys; before = set(sys.modules); import starforest.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        routes = ["bip", "combinatorics", "component_ilp", "eptas", "generators", "oracle",
+                  "solve_h", "treewidth", "vc_ilp", "vectors"]
+        heavy = {f"starforest.{m}" for m in routes} | {"argparse", "hashlib", "json", "logging"}
+        assert "starforest.graph" in loaded
+        assert not loaded & heavy
+
     def test_import_leaves_numpy_out(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, starforest.cli; print('numpy' in sys.modules)"],

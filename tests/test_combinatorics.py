@@ -9,7 +9,7 @@ from starforest.combinatorics import dominating_matching, enum_partitions, enum_
 from starforest.errors import PreconditionError
 from starforest.graph import Graph
 
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import cycle_graph, path_graph, random_graph, time_limit
 
 
 def partition_count(n: int) -> int:
@@ -71,17 +71,26 @@ class TestStarPartitions:
         assert all(sum(p) == h for p in stars)
 
     def test_examples(self):
-        assert [f.star_sizes for f in enum_star_partitions(5)] in (
-            [(5,), (3, 2)],
-            [(3, 2), (5,)],
-        )
-        assert enum_star_partitions(1) == []
+        assert [f.star_sizes for f in enum_star_partitions(5)] == [(5,), (3, 2)]
+        assert list(enum_star_partitions(1)) == []
         assert {f.star_sizes for f in enum_star_partitions(4)} == {(4,), (2, 2)}
 
+    def test_lazy_at_large_h(self):
+        # h = 300 has about 6e14 star partitions; the first two come at once
+        with time_limit(1):
+            shapes = enum_star_partitions(300)
+            assert next(shapes).star_sizes == (300,)
+            assert next(shapes).star_sizes == (298, 2)
+
+    def test_negative_h_raises_on_call(self):
+        with pytest.raises(PreconditionError):
+            enum_star_partitions(-1)
+
     def test_matches_filtered_brute_force_up_to_30(self):
+        # each exactly once, lexicographically decreasing
         for h in range(31):
-            got = {f.star_sizes for f in enum_star_partitions(h)}
-            want = {p for p in brute_partitions(h) if all(x >= 2 for x in p)}
+            got = [f.star_sizes for f in enum_star_partitions(h)]
+            want = sorted((p for p in brute_partitions(h) if all(x >= 2 for x in p)), reverse=True)
             assert got == want
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from starforest.errors import PreconditionError
+from starforest.errors import PreconditionError, ResourceLimitError
 from starforest.graph import Graph, Instance, StarForest, max_matching, verify_embedding
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.solve_h import (
@@ -14,7 +14,7 @@ from starforest.solve_h import (
 )
 from starforest.vectors import vector_total
 
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph, time_limit
 
 
 class TestConfig:
@@ -28,6 +28,12 @@ class TestConfig:
         cfg = ColorCodingConfig(failure_probability=0.01)
         assert cfg.trial_count(4) == math.ceil(math.e**4 * math.log(100))
         assert ColorCodingConfig(trials=7).trial_count(10) == 7
+
+    def test_auto_trials_past_float_range_refused(self):
+        # e^709 * ln(100) is past the largest float
+        with pytest.raises(ResourceLimitError):
+            ColorCodingConfig().trial_count(709)
+        assert ColorCodingConfig(trials=3).trial_count(709) == 3
 
 
 class TestEmbeds:
@@ -76,6 +82,18 @@ class TestSolveH:
     def test_h0_always_yes(self):
         yes, cert = solve_h(Instance(Graph.from_edges(1, []), Graph.from_edges(1, []), 0))
         assert yes and cert[0].star_sizes == ()
+
+    def test_two_large_stars_answer_at_first_partition(self):
+        # no matching shortcut (each side's matching is one edge), and (90,) embeds
+        big = star_graph(89)
+        with time_limit(2):
+            yes, cert = solve_h(Instance(big, big, 90))
+        assert yes and cert[0].star_sizes == (90,)
+
+    def test_randomized_refuses_h_past_float_range(self):
+        big = star_graph(709)
+        with time_limit(2), pytest.raises(ResourceLimitError):
+            solve_h(Instance(big, big, 710), mode="randomized")
 
     def test_exact_agrees_with_oracle(self):
         rng = random.Random(52)
