@@ -79,10 +79,8 @@ def _largest_component(inst: Instance) -> int:
 
 
 def _pick_auto(inst: Instance) -> str:
-    from . import component_ilp, oracle, vc_ilp
+    from . import component_ilp, vc_ilp
 
-    if inst.g1.n <= oracle.DEFAULT_VERTEX_LIMIT and inst.g2.n <= oracle.DEFAULT_VERTEX_LIMIT:
-        return "oracle"
     if _largest_component(inst) <= component_ilp.MAX_COMPONENT:
         return "cc"
     cover = vc_ilp.MAX_COVER
@@ -195,11 +193,6 @@ def cmd_verify(args) -> int:
         if reason is not None:
             print(f"{tag}: {reason}")
             return EXIT_VERIFY_FAILED
-    sizes1 = sorted(len(s) for s in emb1.stars)
-    sizes2 = sorted(len(s) for s in emb2.stars)
-    if sizes1 != sizes2:
-        print(f"shape mismatch: {sizes1} vs {sizes2}")
-        return EXIT_VERIFY_FAILED
     print(f"ok: common star forest on {forest.total_vertices} vertices")
     return EXIT_OK
 

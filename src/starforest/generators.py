@@ -8,14 +8,14 @@ partition converts into a pair of verified spanning embeddings.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, Instance, StarForest
-from .treewidth import TreeDecomposition
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .treewidth import TreeDecomposition
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,6 @@ class KwayInstance:
         object.__setattr__(self, "items", tuple(sorted(self.items, reverse=True)))
         if self.k < 1 or any(a < 1 for a in self.items):
             raise PreconditionError("need k >= 1 and positive items")
-        if self.k * self.capacity != sum(self.items):
-            log.warning(
-                "k*C = %d differs from the item total %d; instance cannot be solvable",
-                self.k * self.capacity,
-                sum(self.items),
-            )
 
     @property
     def total(self) -> int:
@@ -563,6 +557,8 @@ def treedepth_at_most(g: Graph, d: int) -> bool:
 
 def pw4_path_decomposition(inst: LabeledInstance) -> TreeDecomposition:
     """The explicit width-4 path decomposition of a pw4 instance's first graph."""
+    from .treewidth import TreeDecomposition
+
     if inst.params.get("construction") != "kway_pw4":
         raise PreconditionError("expected a kway_pw4 instance")
     items = inst.params["items"]

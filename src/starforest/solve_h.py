@@ -19,6 +19,12 @@ from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, Instance, StarForest, max_matching, verify_embedding
 
 
+# Largest automatic trial count (h <= 9 at the default p = 0.01). One trial
+# costs 0.15-42 ms on G(20..30, 0.3..0.5) at h = 12-14 (2-vCPU container), so
+# h = 12's 7.5e5 automatic trials would take 110 s to hours per star partition.
+MAX_AUTO_TRIALS = 100_000
+
+
 @dataclass(frozen=True)
 class ColorCodingConfig:
     trials: int | None = None  # None = auto from failure_probability
@@ -35,12 +41,12 @@ class ColorCodingConfig:
         if self.trials is not None:
             return self.trials
         # a fixed h-set is colorful with prob ~ e^-h per trial
-        try:
-            return max(1, math.ceil(math.e**h * math.log(1 / self.failure_probability)))
-        except OverflowError:
+        log_failures = math.log(1 / self.failure_probability)
+        if h + math.log(log_failures) > math.log(MAX_AUTO_TRIALS):
             raise ResourceLimitError(
                 f"color coding at h = {h} needs about e^{h} trials; set trials explicitly"
-            ) from None
+            )
+        return max(1, math.ceil(math.exp(h) * log_failures))
 
 
 def solve_h(
@@ -159,22 +165,28 @@ def _embed_color_coding(g: Graph, forest: StarForest, cfg: ColorCodingConfig) ->
 def _colorful_embedding(
     g: Graph, forest: StarForest, colors: list[int], h: int
 ) -> Embedding | None:
-    # per star size: every color set {c(v)} + (d-1 colors among N(v)), as bitmasks
+    # per star size: every color set {c(v)} + (d-1 colors among N(v)), as bitmasks;
+    # a mask's witness is the first star giving it: centre in index order, the
+    # first neighbour of each colour in adjacency order
     full = (1 << h) - 1
     feasible: dict[int, set[int]] = {}
+    witness: dict[int, tuple[int, ...]] = {}  # a mask of d bits belongs to size d only
     for d in set(forest.star_sizes):
-        masks: set[int] = set()
+        masks: set[int] = set()  # its iteration order picks the embedding a seed gives
         for v in range(g.n):
             if g.degree(v) < d - 1:
                 continue
-            neigh_colors = {colors[w] for w in g.adjacency[v]} - {colors[v]}
-            if len(neigh_colors) < d - 1:
-                continue
-            for pick in combinations(sorted(neigh_colors), d - 1):
+            first: dict[int, int] = {}
+            for w in g.adjacency[v]:
+                if colors[w] != colors[v]:
+                    first.setdefault(colors[w], w)
+            for pick in combinations(sorted(first), d - 1):
                 m = 1 << colors[v]
                 for c in pick:
                     m |= 1 << c
-                masks.add(m)
+                if m not in witness:
+                    masks.add(m)
+                    witness[m] = (v,) + tuple(first[c] for c in pick)
         if not masks:
             return None
         feasible[d] = masks
@@ -194,24 +206,4 @@ def _colorful_embedding(
         if not reachable:
             return None
     # the forest has h vertices, so every surviving union holds all h colours
-
-    # realize each chosen color mask as an actual star
-    stars: list[tuple[int, ...]] = []
-    for d, m in zip(forest.star_sizes, reachable[full]):
-        stars.append(_realize_star(g, colors, d, m))
-    return Embedding(tuple(stars))
-
-
-def _realize_star(g: Graph, colors: list[int], d: int, mask: int) -> tuple[int, ...]:
-    want = {c for c in range(mask.bit_length()) if mask >> c & 1}
-    for v in range(g.n):
-        if colors[v] not in want:
-            continue
-        rest = want - {colors[v]}
-        by_color: dict[int, int] = {}
-        for w in g.adjacency[v]:
-            if colors[w] in rest and colors[w] not in by_color:
-                by_color[colors[w]] = w
-        if len(by_color) == len(rest) and len(rest) == d - 1:
-            return (v,) + tuple(by_color[c] for c in sorted(rest))
-    raise AssertionError("feasible color mask must be realizable")
+    return Embedding(tuple(witness[m] for m in reachable[full]))

@@ -7,10 +7,13 @@ import pytest
 
 from starforest.cli import ALGOS, RunReport, main
 from starforest.graph import Graph, Instance, parse_instance, serialize_instance
+from starforest.oracle import opt_common_vector
 from starforest.treewidth import solve_tw
 
 from conftest import (
+    complete_graph,
     cover_path_graph,
+    cycle_graph,
     disjoint_union,
     path_graph,
     random_graph,
@@ -67,6 +70,15 @@ class TestSolve:
         path = tmp_path / "h710.txt"
         big = star_graph(709)
         path.write_text(serialize_instance(Instance(big, big, 710)))
+        with time_limit(2):
+            code = main(["solve", str(path), "--algo", "fpt-h", "--mode", "randomized"])
+        assert code == 4 and "resource limit" in capsys.readouterr().err
+
+    def test_fpt_h_randomized_above_trial_cap_exit_4(self, tmp_path, capsys):
+        # no matching shortcut, and (20,) fits, so color coding asks for e^20 trials
+        path = tmp_path / "h20.txt"
+        big = star_graph(19)
+        path.write_text(serialize_instance(Instance(big, big, 20)))
         with time_limit(2):
             code = main(["solve", str(path), "--algo", "fpt-h", "--mode", "randomized"])
         assert code == 4 and "resource limit" in capsys.readouterr().err
@@ -162,6 +174,35 @@ class TestPickAuto:
         assert code == 0 and report.algorithm == decision
         assert report.parameters["decision"] == decision
         assert report.answer == solve_tw(g1, g2)[0]
+
+    @pytest.mark.parametrize(
+        "g1, g2, decision",
+        [
+            # components of at most 6 vertices
+            (disjoint_union(path_graph(5), star_graph(4)),
+             disjoint_union(cycle_graph(6), path_graph(3)), "cc"),
+            # one 12-vertex component per side, covers of 1 and 3
+            (star_graph(11), _cover3_graph(9), "vc"),
+            # one 12-vertex component per side with a cover of 6
+            (_grid(3, 4), _grid(3, 4), "tw"),
+        ],
+    )
+    def test_small_instance_decision(self, tmp_path, capsys, g1, g2, decision):
+        assert g1.n <= 12 and g2.n <= 12
+        path = tmp_path / "inst.txt"
+        path.write_text(serialize_instance(Instance(g1, g2, 1)))
+        code, out = run_main(["solve", path], capsys)
+        report = RunReport.from_json(out)
+        assert code == 0 and report.parameters["decision"] == decision
+        assert report.answer == opt_common_vector(g1, g2)[0]
+
+    def test_k12_pair_by_default(self, tmp_path, capsys):
+        path = tmp_path / "k12.txt"
+        path.write_text(serialize_instance(Instance(complete_graph(12), complete_graph(12), 1)))
+        with time_limit(5):
+            code, out = run_main(["solve", path], capsys)
+        report = RunReport.from_json(out)
+        assert code == 0 and report.algorithm == "tw" and report.answer == 12
 
 
 class TestVerify:

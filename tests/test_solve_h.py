@@ -35,6 +35,12 @@ class TestConfig:
             ColorCodingConfig().trial_count(709)
         assert ColorCodingConfig(trials=3).trial_count(709) == 3
 
+    def test_auto_trials_above_cap_refused(self):
+        # e^20 * ln(100) is about 2.2e9 trials
+        with pytest.raises(ResourceLimitError, match="set trials explicitly"):
+            ColorCodingConfig().trial_count(20)
+        assert ColorCodingConfig(trials=3).trial_count(20) == 3
+
 
 class TestEmbeds:
     def test_star_into_hub(self):
