@@ -7,7 +7,6 @@ from .graph import (
     StarForest,
     bfs_levels,
     max_matching,
-    min_edge_cover,
     min_vertex_cover,
     parse_graph,
     parse_instance,
@@ -23,7 +22,6 @@ __all__ = [
     "StarForest",
     "bfs_levels",
     "max_matching",
-    "min_edge_cover",
     "min_vertex_cover",
     "parse_graph",
     "parse_instance",

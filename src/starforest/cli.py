@@ -219,7 +219,7 @@ def cmd_gen(args) -> int:
         )
     else:
         if args.items is None or args.C is None:
-            raise PreconditionError("kway generators need --items and --C")
+            raise ParseError(f"gen {kind} needs --items and --C")
         kw = generators.KwayInstance(_parse_items(args.items), args.k, args.C)
         if args.rescale:
             kw = generators.rescale(kw)

@@ -324,52 +324,6 @@ def max_matching(g: Graph) -> set[tuple[int, int]]:
     return {(u, match[u]) for u in range(n) if match[u] > u}
 
 
-def min_edge_cover(g: Graph) -> tuple[set[tuple[int, int]], StarForest, Embedding]:
-    """Minimum edge cover: a maximum matching plus one edge per exposed vertex.
-
-    The cover induces a spanning star forest (Gallai), returned alongside the
-    witnessing embedding.  Raises on isolated vertices.
-    """
-    isolated = g.isolated_vertices()
-    if isolated:
-        raise PreconditionError(f"vertex {isolated[0]} is isolated; no edge cover exists")
-    matching = max_matching(g)
-    covered = [False] * g.n
-    for u, v in matching:
-        covered[u] = covered[v] = True
-    cover = set(matching)
-    for v in range(g.n):
-        if not covered[v]:
-            u = g.adjacency[v][0]
-            cover.add((min(u, v), max(u, v)))
-    # group the cover's edges into stars
-    deg = [0] * g.n
-    inc: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in cover:
-        deg[u] += 1
-        deg[v] += 1
-        inc[u].append(v)
-        inc[v].append(u)
-    seen = [False] * g.n
-    stars: list[tuple[int, ...]] = []
-    for v in range(g.n):
-        if seen[v] or deg[v] == 0:
-            continue
-        if deg[v] == 1 and deg[inc[v][0]] == 1:
-            # a lone K2 in the cover; lower index serves as centre
-            u = inc[v][0]
-            stars.append((v, u))
-            seen[v] = seen[u] = True
-        elif deg[v] > 1:
-            leaves = tuple(sorted(inc[v]))
-            stars.append((v,) + leaves)
-            seen[v] = True
-            for w in leaves:
-                seen[w] = True
-    forest = StarForest(tuple(len(s) for s in stars))
-    return cover, forest, Embedding(tuple(stars))
-
-
 def min_vertex_cover(g: Graph, k: int) -> list[int] | None:
     """A minimum vertex cover, provided its size is <= k; otherwise None.
 
@@ -397,11 +351,6 @@ def min_vertex_cover(g: Graph, k: int) -> list[int] | None:
         if found is not None:
             return sorted(found)
     return None
-
-
-def is_vertex_cover(g: Graph, cover: Iterable[int]) -> bool:
-    cset = set(cover)
-    return all(u in cset or v in cset for u, v in g.edges())
 
 
 def bfs_levels(g: Graph) -> list[int]:

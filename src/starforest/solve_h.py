@@ -2,7 +2,8 @@
 
 Strategy: answer yes immediately when both graphs carry a ceil(h/2)-edge
 matching (a matching is itself a star forest); otherwise walk the star
-partitions of exactly h vertices and look for one embedding in both graphs.
+partitions of exactly h vertices (the partitions of h with every part at
+least 2, built lazily here) and look for one embedding in both graphs.
 Forest embedding runs either as exact backtracking or as randomized color
 coding with one-sided error.
 """
@@ -13,8 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
-from .combinatorics import enum_star_partitions
 from .errors import PreconditionError, ResourceLimitError
 from .graph import Embedding, Graph, Instance, StarForest, max_matching, verify_embedding
 
@@ -91,6 +92,50 @@ def solve_h(
         assert verify_embedding(inst.g2, forest, emb2)
         return True, (forest, emb1, emb2)
     return False, None
+
+
+def _partitions(h: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of h into parts >= 2, lexicographically decreasing.
+
+    Lazy: the next partition keeps the longest prefix it can.  Its last part
+    that can shrink becomes smaller, and the parts after it are refilled as
+    large as they can be.  The last part shrinks by two (a lone 1 cannot be
+    refilled), an earlier one by one, and a part shrunk to 2 needs an even
+    remainder.
+    """
+    if h == 0:
+        yield ()
+        return
+    if h < 2:
+        return
+    parts = [h]
+    while True:
+        yield tuple(parts)
+        part, rest = parts.pop() - 2, 2  # rest: what the shrunk part leaves to refill
+        while part < 2 or (part == 2 and rest % 2):
+            if not parts:
+                return
+            rest += part + 1
+            part = parts.pop() - 1
+        full, left = divmod(rest, part)
+        parts += [part] * (full + 1)  # the shrunk part, then its copies
+        if left >= 2:
+            parts.append(left)
+        elif left:  # a lone 1: part + 1 becomes (part - 1, 2)
+            parts[-1] -= 1
+            parts.append(2)
+
+
+def enum_star_partitions(h: int) -> Iterator[StarForest]:
+    """The star forests on h vertices (partitions of h with every part >= 2), lazily.
+
+    They come lexicographically decreasing by star sizes: (h,) first, then
+    (h - 2, 2), and so on, so a caller that stops at the first success never
+    builds the rest.
+    """
+    if h < 0:
+        raise PreconditionError("h must be non-negative")
+    return (StarForest(p) for p in _partitions(h))
 
 
 def embeds_star_forest(

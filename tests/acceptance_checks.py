@@ -15,36 +15,38 @@ from fractions import Fraction
 from pathlib import Path
 
 from starforest import cli
-from starforest.combinatorics import dominating_matching, enum_partitions
 from starforest.component_ilp import MAX_COMPONENT, solve_cc
 from starforest.eptas import EptasConfig, prune_levels, solve_eptas
-from starforest.generators import (
-    KwayInstance,
-    embed_from_partition,
-    gen_kway_pw4,
-    gen_kway_td5,
-    kway_brute,
-    pw4_path_decomposition,
-    rescale,
-    treedepth_at_most,
-)
+from starforest.generators import KwayInstance, gen_kway_pw4, gen_kway_td5, rescale
 from starforest.graph import (
     Graph,
     Instance,
     StarForest,
     max_matching,
-    min_edge_cover,
     min_vertex_cover,
     serialize_instance,
     verify_embedding,
 )
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
-from starforest.solve_h import ColorCodingConfig, embeds_star_forest, solve_h
+from starforest.solve_h import (
+    ColorCodingConfig,
+    embeds_star_forest,
+    enum_star_partitions,
+    solve_h,
+)
 from starforest.treewidth import enum_star_vectors_dp, solve_tw, verify_decomposition
 from starforest.vc_ilp import solve_vc
 from starforest.vectors import VectorFamily, sumset, vector_total
 
 from conftest import deep_planar, planar_low_degree, random_graph
+from reference import (
+    dominating_matching,
+    embed_from_partition,
+    kway_brute,
+    min_edge_cover,
+    pw4_path_decomposition,
+    treedepth_at_most,
+)
 
 
 def _random_instances(seed: int, count: int, max_n: int = 9):
@@ -221,7 +223,7 @@ def check_5_structural_certificates(minimum: int = 8):
             return False, f"instance {idx}: td5 trees exceed treedepth 5"
         D = td5.params["D"]
         for i in range(1, len(kw.items) + 1):
-            if td5.instance.g1.degree(td5.g1_name(f"r_{i}")) != D - 1 + k:
+            if td5.instance.g1.degree(td5.labels1[f"r_{i}"]) != D - 1 + k:
                 return False, f"instance {idx}: td5 root degree != D-1+k"
         pw4 = gen_kway_pw4(kw)
         decomposition = pw4_path_decomposition(pw4)
@@ -241,7 +243,7 @@ def _all_graphs(n: int):
 
 
 def check_6_support_identities():
-    """Gallai identity, exact sumsets, partition counts, dominating matchings."""
+    """Gallai identity, exact sumsets, star-partition counts, dominating matchings."""
     # Gallai: exhaustive through 6 vertices, sampled at 7
     for n in range(2, 7):
         for g in _all_graphs(n):
@@ -273,7 +275,8 @@ def check_6_support_identities():
         want = {tuple(x + y for x, y in zip(a, b)) for a in mems_a for b in mems_b}
         if got != want:
             return False, "sumset disagrees with the quadratic oracle"
-    # partition counts against the independent recurrence
+    # star-partition counts against the independent recurrence: partitions of
+    # h without a part 1 number p(h) - p(h - 1)
     table = [[0] * 41 for _ in range(41)]
     for k in range(41):
         table[0][k] = 1
@@ -281,10 +284,11 @@ def check_6_support_identities():
         for k in range(1, 41):
             table[total][k] = table[total][k - 1] + (table[total - k][k] if total >= k else 0)
     for h in range(41):
-        if len(enum_partitions(h)) != table[h][h]:
-            return False, f"partition count wrong at h={h}"
-    if len(enum_partitions(10)) != 42:
-        return False, "p(10) != 42"
+        want = table[h][h] - (table[h - 1][h - 1] if h else 0)
+        if sum(1 for _ in enum_star_partitions(h)) != want:
+            return False, f"star partition count wrong at h={h}"
+    if sum(1 for _ in enum_star_partitions(10)) != 42 - 30:
+        return False, "p(10) - p(9) != 12"
     # dominating matchings on constructed minimum dominating sets
     built = 0
     while built < 50:
@@ -306,7 +310,7 @@ def check_6_support_identities():
         if len(matching) != len(dom):
             return False, "dominating matching size != |D|"
         built += 1
-    return True, "Gallai (exhaustive<=6 + 300 at n=7), 100 sumsets, p(h<=40), 50 matchings"
+    return True, "Gallai (exhaustive<=6 + 300 at n=7), 100 sumsets, star p(h<=40), 50 matchings"
 
 
 def check_7_matching_or_exact(count: int = 120):
@@ -365,8 +369,6 @@ def check_8_color_coding(calls: int = 1000, fn_sample: int = 150):
 
 
 def _star_shapes(h: int):
-    from starforest.combinatorics import enum_star_partitions
-
     # the order of the eager list these draws were first made from
     return sorted(enum_star_partitions(h), key=lambda f: f.star_sizes[::-1][:-1])
 

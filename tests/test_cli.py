@@ -295,6 +295,16 @@ class TestGen:
         assert err.count("\n") == 1 and "--graph" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", [["--items", "3,3"], ["--C", "3"]], ids=["no-C", "no-items"])
+    @pytest.mark.parametrize("kind", ["kway-td5", "kway-pw4"])
+    def test_missing_kway_input_exit_2(self, tmp_path, capsys, kind, given):
+        out = tmp_path / "x.txt"
+        assert main(["gen", kind, *given, "--k", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--items and --C" in err
+        assert not out.exists()
+        assert not (tmp_path / "x.txt.labels.json").exists()
+
     @pytest.mark.parametrize(
         "args",
         [["domset", "--graph", "GRAPH"], ["kway-td5", "--items", "2,2", "--C", "4"]],

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from starforest.combinatorics import dominating_matching, enum_partitions, enum_star_partitions
 from starforest.errors import PreconditionError
 from starforest.graph import Graph
+from starforest.solve_h import enum_star_partitions
 
 from conftest import cycle_graph, path_graph, random_graph, time_limit
+from reference import dominating_matching
 
 
 def partition_count(n: int) -> int:
@@ -40,23 +41,27 @@ def brute_partitions(h: int) -> set[tuple[int, ...]]:
     return out if h > 0 else {()}
 
 
-class TestPartitions:
-    def test_h0(self):
-        assert enum_partitions(0) == [()]
+def star_sizes(h: int) -> list[tuple[int, ...]]:
+    return [f.star_sizes for f in enum_star_partitions(h)]
 
-    @pytest.mark.parametrize("h,count", [(4, 5), (10, 42)])
-    def test_known_counts(self, h, count):
-        assert len(enum_partitions(h)) == count
+
+class TestPartitions:
+    """Star partitions are the partitions of h with no part 1."""
+
+    def test_h0(self):
+        assert star_sizes(0) == [()]
 
     def test_counts_match_recurrence_up_to_40(self):
+        # p(h) - p(h - 1) partitions of h have no part 1
         for h in range(41):
-            assert len(enum_partitions(h)) == partition_count(h)
+            want = partition_count(h) - (partition_count(h - 1) if h else 0)
+            assert sum(1 for _ in enum_star_partitions(h)) == want
 
     def test_each_exactly_once_and_sorted(self):
         for h in range(13):
-            parts = enum_partitions(h)
+            parts = star_sizes(h)
             assert len(parts) == len(set(parts))
-            assert set(parts) == brute_partitions(h)
+            assert set(parts) == {p for p in brute_partitions(h) if min(p, default=2) >= 2}
             for p in parts:
                 assert list(p) == sorted(p, reverse=True)
                 assert sum(p) == h
@@ -65,8 +70,8 @@ class TestPartitions:
 class TestStarPartitions:
     @given(st.integers(0, 24))
     def test_subset_of_partitions_with_parts_at_least_two(self, h):
-        stars = {f.star_sizes for f in enum_star_partitions(h)}
-        assert stars <= set(enum_partitions(h))
+        stars = set(star_sizes(h))
+        assert stars <= brute_partitions(h)
         assert all(min(p, default=2) >= 2 for p in stars)
         assert all(sum(p) == h for p in stars)
 

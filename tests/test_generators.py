@@ -1,23 +1,29 @@
+import random
+
 import pytest
 
 from starforest.errors import PreconditionError
 from starforest.generators import (
     KwayInstance,
-    embed_from_partition,
     gen_domset,
     gen_kway_pw4,
     gen_kway_td5,
     gen_p3,
-    kway_brute,
-    pw4_path_decomposition,
     rescale,
-    treedepth_at_most,
 )
 from starforest.graph import Graph, verify_embedding
 from starforest.oracle import opt_common_vector
-from starforest.treewidth import verify_decomposition
+from starforest.treewidth import solve_tw, verify_decomposition
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from reference import (
+    domination_number,
+    embed_from_partition,
+    has_p3_factor,
+    kway_brute,
+    pw4_path_decomposition,
+    treedepth_at_most,
+)
 
 
 class TestDomset:
@@ -57,6 +63,37 @@ class TestP3:
             gen_p3(path_graph(4))
 
 
+def sources(seed, sizes, p, count=12):
+    """Seeded random graphs without isolated vertices."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng, rng.choice(sizes), p)
+        if not g.isolated_vertices():
+            out.append(g)
+    return out
+
+
+class TestKnownAnswers:
+    """The exact DP answers the reductions as the searches on the source graph predict."""
+
+    def test_domset_spans_exactly_from_the_domination_number(self):
+        for g in sources(31, range(12, 19), 0.2):
+            gamma = domination_number(g)
+            assert gamma >= 2
+            for k in (gamma - 1, gamma):
+                inst = gen_domset(g, k).instance
+                assert (solve_tw(inst.g1, inst.g2)[0] >= g.n) == (k >= gamma)
+
+    def test_p3_spans_exactly_with_a_p3_factor(self):
+        answers = []
+        for g in sources(32, (12, 15, 18), 0.1):
+            inst = gen_p3(g).instance
+            answers.append(has_p3_factor(g))
+            assert (solve_tw(inst.g1, inst.g2)[0] == g.n) == answers[-1]
+        assert 0 < answers.count(True) < len(answers)  # both answers occur
+
+
 class TestKwayBrute:
     def test_examples(self):
         part = kway_brute(KwayInstance((1, 1, 2), 2, 2))
@@ -80,7 +117,7 @@ class TestTd5:
         want = n * (D + k) + M * (k * k + 7 * k)
         assert li.instance.g1.n == want == li.instance.g2.n == li.instance.h
         for i in (1, 2):
-            assert li.instance.g1.degree(li.g1_name(f"r_{i}")) == D - 1 + k
+            assert li.instance.g1.degree(li.labels1[f"r_{i}"]) == D - 1 + k
 
     def test_normalization_enforced(self):
         with pytest.raises(PreconditionError, match="normalization"):

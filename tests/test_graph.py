@@ -14,9 +14,7 @@ from starforest.graph import (
     bfs_levels,
     embedding_violation,
     max_matching,
-    min_edge_cover,
     min_vertex_cover,
-    is_vertex_cover,
     parse_graph,
     parse_instance,
     serialize_graph,
@@ -25,6 +23,7 @@ from starforest.graph import (
 )
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from reference import is_vertex_cover, min_edge_cover
 
 
 def brute_max_matching_size(g: Graph) -> int:
