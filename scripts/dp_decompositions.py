@@ -15,9 +15,14 @@ it ("dec") apart from the DP's time on it ("DP", which includes checking
 the supplied decomposition), and the time of the DP with no decomposition
 supplied ("default", `remember=False`: the pendant kernel, the pick on it
 and then the walk along the path's steps or min-fill's tree, the route the
-solvers take), each the best of N runs (default 3).  With --check it exits
-1 if the three families of any graph are not equal; only the default route
-drops pendants, so the check compares families with and without the kernel.
+solvers take).  Each row is timed in N fresh Python processes (default 3),
+one after another, and each time printed is the median over them.  Within
+one process each time is the best of 3 runs, but a whole process can run
+slow: times of one process can read 1.6 times those of another with the
+same code, so a single process's best does not remove that spread.  With
+--check it exits 1 if the three families of any graph are not equal; only
+the default route drops pendants, so the check compares families with and
+without the kernel.  The families are computed in this process, untimed.
 
 With --digest it prints, with no timing, one line per graph: its name,
 delta, the default route's family size and the sha256 of its sorted packed
@@ -27,7 +32,10 @@ versions of the DP differs only where one of them is wrong.
 
 import argparse
 import hashlib
+import json
 import random
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -50,6 +58,7 @@ from conftest import (  # noqa: E402
     disjoint_union,
     grid_graph,
     hub_tree,
+    path_decomposition,
     path_graph,
     random_graph,
     random_tree,
@@ -75,21 +84,55 @@ def graphs():
     return rows + [("star K1,30", star_graph(30), 3), ("path 1200", path_graph(1200), 1)]
 
 
-def best_time(run, repeat):
-    """Best wall time of `run()` over `repeat` runs, and the result of the last."""
+RUNS = 3  # timed runs per column in one process, the best kept
+# reads (n, edges, delta) as JSON on stdin and prints `row_times` as JSON; running
+# the script (argv[1]) puts `src` on the path before the Graph import
+CHILD = (
+    "import json, runpy, sys; n, edges, delta = json.load(sys.stdin); "
+    "script = runpy.run_path(sys.argv[1]); from starforest.graph import Graph; "
+    "print(json.dumps(script['row_times'](Graph.from_edges(n, edges), delta)))"
+)
+
+
+def best_time(run):
+    """Best wall time of `run()` over RUNS runs, and the result of the last."""
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(RUNS):
         start = time.perf_counter()
         result = run()
         best = min(best, time.perf_counter() - start)
     return best, result
 
 
-def timed(decompose, g, delta, repeat):
-    """Best wall times of the decomposition and of the DP on it, and the family of the last run."""
-    dec_s, td = best_time(lambda: decompose(g), repeat)
-    dp_s, family = best_time(lambda: enum_star_vectors_dp(g, delta, td), repeat)
-    return dec_s, dp_s, family
+def row_times(g, delta):
+    """Seconds in this process: min-fill's and the path's decomposition and
+    DP on it, then the default route, each the best of RUNS runs."""
+    times = []
+    for decompose in (heuristic_decomposition, path_decomposition):
+        dec_s, td = best_time(lambda: decompose(g))
+        times += [dec_s, best_time(lambda: enum_star_vectors_dp(g, delta, td))[0]]
+    return times + [best_time(lambda: enum_star_vectors_dp(g, delta, remember=False))[0]]
+
+
+def fresh_row_times(g, delta):
+    """`row_times(g, delta)` in a fresh Python process."""
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, __file__],
+        input=json.dumps([g.n, list(g.edges()), delta]),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def families(g, delta):
+    """The families on min-fill's and on the path's decomposition, and by default."""
+    walked = [
+        enum_star_vectors_dp(g, delta, decompose(g))
+        for decompose in (heuristic_decomposition, path_decomposition)
+    ]
+    return walked + [enum_star_vectors_dp(g, delta, remember=False)]
 
 
 def digest(family):
@@ -100,19 +143,20 @@ def digest(family):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true", help="exit 1 if any family differs")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per timing (best kept)")
+    parser.add_argument(
+        "--repeat", type=int, default=3, help="fresh processes per row (the median is printed)"
+    )
     parser.add_argument(
         "--digest", action="store_true", help="print each default family's size and sha256 only"
     )
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     if args.digest:
         for name, g, delta in graphs():
             family = enum_star_vectors_dp(g, delta, remember=False)
             print(f"{name}\t{delta}\t{len(family.members)}\t{digest(family)}")
         return 0
-    # --digest runs against older checkouts too, whose conftest may lack this
-    from conftest import path_decomposition
-
     differ = []
     header = ("graph", "n", "delta", "min-fill w", "path w", "kernel n", "kernel pick")
     kinds = ("min-fill", "path")
@@ -122,16 +166,11 @@ def main(argv=None):
         tree, path = heuristic_decomposition(g), path_decomposition(g)
         kernel = pendant_kernel(g)[0]
         kind = "min-fill" if isinstance(dp_pick(kernel), TreeDecomposition) else "path"
-        runs = [
-            timed(decompose, g, delta, args.repeat)
-            for decompose in (heuristic_decomposition, path_decomposition)
-        ]
-        default_s, default = best_time(
-            lambda: enum_star_vectors_dp(g, delta, remember=False), args.repeat
-        )
-        if not runs[0][2] == runs[1][2] == default:
+        first, *rest = families(g, delta)
+        if any(family != first for family in rest):
             differ.append(name)
-        times = [seconds for dec_s, dp_s, _ in runs for seconds in (dec_s, dp_s)] + [default_s]
+        samples = [fresh_row_times(g, delta) for _ in range(args.repeat)]
+        times = [statistics.median(column) for column in zip(*samples)]
         print(
             f"{name:<16} {g.n:>5} {delta:>5} {tree.width:>10} {path.width:>6} "
             f"{kernel.n:>8} {kind:>11}",

@@ -48,18 +48,35 @@ one of g itself) is walked bottom-up with slots given from the root down
 (`_top_down`): a vertex takes its slot at its topmost bag, and both
 children of a join use their parent's slots.
 
-Each table maps a mask to a set of vectors packed into ints base n+1, n the
-input graph's vertex count even when the DP walks its kernel (see
-`vectors.pack`).  No count exceeds n, not even the sum of two children's
-counts at a join before its correction, so packing is injective on every
-intermediate set.  Adding a star, growing one and the join's correction are
-int additions of powers of the base, and the root's set is the family.  One
-`_forget` builds every move, grouped by what it adds: one int step when the
-move reaches one size of v's star, a tuple of steps when pendants let it
-reach several.  The walk owns its tables' sets, and no two moves of one
-child mask reach one output mask, so a forget hands a freshly shifted set,
-and last the child's own set, on uncopied; a join wraps its children's sets
-in read-only `VectorFamily`s that live only during the join.
+Each table maps a mask to one int, a bitset of count vectors: bit c is set
+when the vector whose mixed-radix code is c is reachable.  Digit d, the
+count of stars of size d = 2..delta+1, has the bound b_d = min(n // d,
+vertices of degree >= d-1) + 1, with n and the degrees g's own even when
+the DP walks its kernel.  No partial forest has more stars of size d: each
+star, partial ones included, has its own centre, of degree at least its
+size - 1.  So every vector a table holds lies in the box of prod(b_d)
+codes, and `star[d]`, the place value of digit d, is b_2 * ... * b_(d-1).
+Adding a star, growing one and the join's correction add
+`star[new] - star[old]` to every code of an entry, so a move shifts the
+entry's int left by that much, and moves into one mask are ORed.  A join
+adds two entries as a sumset of codes, ORing one side shifted by each set
+bit of the other, then shifts the result by its correction: a centre held
+on both sides counts on both, so a digit of the sum can pass its bound, but
+codes add as plain ints and the corrected code is the merged vector's.  The
+root's int is read once, with `bin()` and `str.find`, and its codes are
+packed base n+1 (see `vectors.pack`) by a sum linear in code // star[d]
+(`vectors._digit_sums`), without decoding each digit.
+
+The box grows as a product, so a few high-degree vertices make it far wider
+than the family: a star of 40 leaves gives about 2^43 codes for a family of
+41, and an int needs one bit per code below its highest set one.  When the
+box is wider than WIDEST_INT_BOX bits, each table entry is a `SparseBits`
+instead, the set of its set bits' positions, with the same shifts and OR.
+Its codes are the family's members themselves, packed base n+1 (each
+digit's bound is n + 1, which no sum at a join reaches), so the root needs
+no decoding.  On the hub trees, random trees and caterpillars timed, the
+int was faster below 2^20 codes, where families fill more of their box,
+and the set above it.
 """
 
 from __future__ import annotations
@@ -72,7 +89,8 @@ from itertools import combinations, count
 
 from .errors import PreconditionError
 from .graph import Graph, StarForest
-from .vectors import VectorFamily, common_forest, sumset
+from .vectors import VectorFamily, _digit_sums, common_forest
+from .vectors import sumset  # unused; only perfbench/tracing.py looks it up
 
 # mask role codes: 0 = uncovered, 1 = leaf of a forgotten centre,
 # d >= 2 = centre of a size-d partial star whose leaves are all forgotten
@@ -172,37 +190,42 @@ def path_order(g: Graph) -> tuple[list[tuple[int, list[int]]], int]:
     largest frontier met by a placement; the empty graph's is -1.
     """
     adj = g.adjacency
-    unplaced_nbrs = [len(a) for a in adj]
+    deg = [len(a) for a in adj]
+    unplaced_nbrs = deg[:]
     closing = [0] * g.n  # placed neighbours of x with no other unplaced neighbour
-    unplaced = set(range(g.n))
+    placed = [False] * g.n
     reachable: set[int] = set()  # unplaced vertices with a placed neighbour
+    # new components' first vertices, by degree; sorting is stable, so ties keep index order
+    starts = iter(sorted(range(g.n), key=deg.__getitem__))
     steps: list[tuple[int, list[int]]] = []
     frontier = 0  # how many placed vertices have an unplaced neighbour
     width = -1
-
-    def grown(v: int) -> tuple[int, int, int]:
-        """Sort key of placing v: the frontier it grows by, then most placed neighbours, then v."""
-        return (unplaced_nbrs[v] > 0) - closing[v], unplaced_nbrs[v] - len(adj[v]), v
-
-    while unplaced:
+    for _ in range(g.n):
         if reachable:
-            v = min(reachable, key=grown)
+            # the frontier placing u grows by, then most placed neighbours, then u
+            v = min([
+                ((unplaced_nbrs[u] > 0) - closing[u], unplaced_nbrs[u] - deg[u], u)
+                for u in reachable
+            ])[2]
             reachable.discard(v)
         else:
-            v = min(unplaced, key=lambda x: (len(adj[x]), x))
+            v = next(x for x in starts if not placed[x])
         width = max(width, frontier)
-        unplaced.discard(v)
+        placed[v] = True
         closes = [] if unplaced_nbrs[v] else [v]
         for u in adj[v]:
             unplaced_nbrs[u] -= 1
-            if u in unplaced:
+            if not placed[u]:
                 reachable.add(u)
             elif unplaced_nbrs[u] == 0:
                 frontier -= 1
                 closes.append(u)
         for u in (v, *adj[v]):
-            if unplaced_nbrs[u] == 1 and u not in unplaced:  # it has just come down to 1
-                closing[next(x for x in adj[u] if x in unplaced)] += 1
+            if unplaced_nbrs[u] == 1 and placed[u]:  # it has just come down to 1
+                for x in adj[u]:
+                    if not placed[x]:
+                        closing[x] += 1
+                        break
         if unplaced_nbrs[v]:
             frontier += 1
         steps.append((v, sorted(closes)))
@@ -290,7 +313,33 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
 # ---------------------------------------------------------------------------
 # the enumeration DP
 
-Table = dict[int, set[int]]  # mask (a role field per slot) -> packed count vectors
+# widest box, in bits, whose tables hold ints; a wider one's hold `SparseBits`
+WIDEST_INT_BOX = 1 << 20
+
+
+class SparseBits(set):
+    """A bitset held as the set of its set bits' positions, for boxes too wide for one int.
+    It has the shifts and the OR that the DP applies to an int bitset, each making a new one,
+    and nothing mutates one once it is made."""
+
+    __slots__ = ()
+
+    def __lshift__(self, k: int) -> SparseBits:
+        return SparseBits([c + k for c in self])
+
+    def __or__(self, other: SparseBits | int) -> SparseBits:
+        if not other:  # 0, the empty bitset that `get(key, 0)` starts from
+            return self
+        big, small = (self, other) if len(self) >= len(other) else (other, self)
+        out = SparseBits(big)
+        out |= small
+        return out
+
+    __ror__ = __or__
+
+
+Bits = int | SparseBits
+Table = dict[int, Bits]  # mask (a role field per slot) -> bitset of count-vector codes
 
 
 def enum_star_vectors_dp(
@@ -360,11 +409,20 @@ def pendant_kernel(g: Graph) -> tuple[Graph, list[int]]:
     return g.induced(kept)[0], [pendants[v] for v in kept]
 
 
-def _layout(n: int, delta: int) -> tuple[int, list[int], int, int]:
-    """The packing base, star[d] (one packed star of size d, none below 2), field width and field."""
-    base = n + 1
+def _layout(g: Graph, delta: int) -> tuple[list[int], list[int], int, int]:
+    """The digit bounds b_2..b_(delta+1), star[d] (digit d's place value, 0 below 2), the field
+    width and the field."""
+    at_least = [0] * (delta + 1)  # at_least[k]: vertices of degree k, or of >= delta at delta
+    for a in g.adjacency:
+        at_least[min(len(a), delta)] += 1
+    for k in range(delta - 1, -1, -1):
+        at_least[k] += at_least[k + 1]  # now vertices of degree >= k
+    bounds = [min(g.n // d, at_least[d - 1]) + 1 for d in range(2, delta + 2)]
+    star = [0, 0, 1]
+    for b in bounds[:-1]:
+        star.append(star[-1] * b)
     w = (delta + 1).bit_length()
-    return base, [0, 0] + [base**j for j in range(delta)], w, (1 << w) - 1
+    return bounds, star, w, (1 << w) - 1
 
 
 def _walk(
@@ -378,9 +436,16 @@ def _walk(
 
     The walk is of `kernel`, whose vertex v takes up to pendants[v] pendants
     when it is forgotten (`pendant_kernel(g)`); without a kernel it is of g
-    itself, with no pendants.  Vectors are packed at g's base either way.
+    itself, with no pendants.  Codes use g's digit bounds either way, and the
+    family's members are packed at g's base.
     """
-    base, star, w, field = _layout(g.n, delta)
+    bounds, star, w, field = _layout(g, delta)
+    base = g.n + 1
+    wide = star[-1] * bounds[-1] > WIDEST_INT_BOX
+    if wide:
+        # sparse tables hold codes packed at the family's base, which need no decoding
+        star = [0, 0] + [base**j for j in range(delta)]
+    start = SparseBits((0,)) if wide else 1  # code 0 alone, the empty forest's
     if kernel is None:
         kernel, pendants = g, [0] * g.n
     adj = kernel.adjacency
@@ -390,7 +455,7 @@ def _walk(
     tables: dict[int, Table] = {}  # node -> its finished children's tables, joined
     forgotten = decided = 0  # of g's vertices and edges, pendants and their edges included
     for t, p, forgets, bag in nodes:
-        table = tables.pop(t) if t in tables else {0: {0}}
+        table = tables.pop(t) if t in tables else {0: start}
         for x in forgets:
             s, shift[x] = shift[x], -1
             nbrs = [shift[u] for u in adj[x] if shift[u] >= 0]
@@ -400,13 +465,15 @@ def _walk(
         if p in tables:
             # a vertex of p's bag that neither side has met is uncovered on both
             shifts = [shift[u] for u in bag if shift[u] >= 0]
-            table = _join(base, star, field, shifts, tables[p], table)
+            table = _join(star, field, shifts, tables[p], table)
         tables[p] = table
     # a vertex forgotten before a neighbour is held leaves that edge undecided
     assert forgotten == g.n and decided == g.edge_count and max(shift, default=-1) < 0, (
         "the walk left a vertex or an edge behind"
     )
-    return VectorFamily(delta, base, frozenset(tables[-1][0]))
+    codes = _bits(tables[-1][0])
+    members = codes if wide else _digit_sums(codes, bounds, [base**j for j in range(delta)])
+    return VectorFamily(delta, base, frozenset(members))
 
 
 def _placed(steps: list[tuple[int, list[int]]], shift: list[int], w: int) -> Iterator[int]:
@@ -464,14 +531,13 @@ def _forget(
 
     v also decides the edges to its `pendants` pendants, which lie in no
     bag: unless it is a leaf, it may take any number of them as leaves.
-    Each move is an output mask and what it adds to every vector: one int
-    step when it reaches one size of v's star (a leaf move, or a centre
-    move with no pendant to take), a tuple of steps when pendants let it
-    reach sizes low..high.  Moves of one step or tuple share one shifted
-    set.  No two moves of one child mask reach one output mask, so a set
-    shifted afresh is handed on uncopied to its first move's mask when that
-    mask is new, later moves of its step copy it, and the child's own set
-    goes to v's "stay" mask last, once every move has read it.
+    Each move of a child mask shifts its bitset left by what it adds to
+    every code and ORs the result into the move's output mask: a leaf move
+    adds star[2] (a new 2-star, one shift shared by every such move of the
+    mask) or grows its centre by one, and a centre move taking `take` bag
+    neighbours reaches the sizes low..high that its pendants allow, one OR
+    of shifts shared by every choice of those neighbours.  v's "stay" move
+    ORs the child's bitset in unshifted.
     """
     top = len(star) - 1  # largest star size
     out: Table = {}
@@ -480,20 +546,22 @@ def _forget(
         code = (mask >> s) & field
         rest = mask - (code << s)
         if code != LEAF_OUTSIDE and (nbrs or pendants):
-            moves = []  # (output mask, one step or a tuple of steps)
             if code == UNCOVERED:
                 # v becomes a leaf of a neighbour, which starts or grows a star,
                 # or a centre of size 1 + leaves.  A centre whose one leaf is an
                 # uncovered neighbour u is left out: v as u's leaf adds the same
                 # star[2], and u, a centre of 2, can still stay one or grow
                 spots = []  # the uncovered neighbours' lowest field bits
+                paired = vecs << star[2]  # every new 2-star's move
                 for sh in nbrs:
                     c = (rest >> sh) & field
                     if c == UNCOVERED:
                         spots.append(1 << sh)
-                        moves.append((rest + (2 << sh), star[2]))
+                        key = rest + (2 << sh)
+                        out[key] = get(key, 0) | paired
                     elif c != LEAF_OUTSIDE and c != top:
-                        moves.append((rest + (1 << sh), star[c + 1] - star[c]))
+                        key = rest + (1 << sh)
+                        out[key] = get(key, 0) | vecs << (star[c + 1] - star[c])
                 size, least = 1, 2
             else:
                 # v stays a centre and takes more leaves
@@ -506,48 +574,27 @@ def _forget(
                 high = size + take + pendants
                 if high > top:
                     high = top
-                if low == high:
-                    step = star[low] - star[code]
-                elif low < high:
-                    step = tuple(star[d] - star[code] for d in range(low, high + 1))
-                else:
+                if low > high:
                     continue
+                moved = 0
+                for d in range(low, high + 1):
+                    moved |= vecs << (star[d] - star[code])
                 for chosen in (spots if take == 1 else map(sum, combinations(spots, take))):
-                    moves.append((rest + chosen, step))
-            stepped: dict[int | tuple[int, ...], set[int]] = {}
-            for key, step in moves:
-                fresh = step not in stepped
-                if not fresh:
-                    new = stepped[step]
-                elif step.__class__ is int:
-                    new = stepped[step] = {vec + step for vec in vecs}
-                else:
-                    new = stepped[step] = {vec + st for st in step for vec in vecs}
-                got = get(key)
-                if got is None:
-                    out[key] = new if fresh else set(new)
-                else:
-                    got |= new
-        got = get(rest)
-        if got is None:
-            out[rest] = vecs
-        else:
-            got |= vecs
+                    key = rest + chosen
+                    out[key] = get(key, 0) | moved
+        out[rest] = get(rest, 0) | vecs
     return out
 
 
-def _join(base: int, star: list[int], field: int, shifts: list[int], t1: Table, t2: Table) -> Table:
-    delta = len(star) - 2
-    # the tables' own sets serve as family members: nothing mutates them here
+def _join(star: list[int], field: int, shifts: list[int], t1: Table, t2: Table) -> Table:
     right = [
-        (mask, *_cover_bits(field, shifts, mask), VectorFamily(delta, base, vecs))
-        for mask, vecs in t2.items()
+        (mask, *_cover_bits(field, shifts, mask), vecs, _bits(vecs)) for mask, vecs in t2.items()
     ]
     out: Table = {}
     for mask1, vecs1 in t1.items():
         covered1, leaves1 = _cover_bits(field, shifts, mask1)
-        fam1 = VectorFamily(delta, base, vecs1)
-        for mask2, covered2, leaves2, fam2 in right:
+        bits1 = _bits(vecs1)
+        for mask2, covered2, leaves2, vecs2, bits2 in right:
             # the forgotten centre of a leaf lives in exactly one child's subtree
             if leaves1 & covered2 or leaves2 & covered1:
                 continue
@@ -556,10 +603,38 @@ def _join(base: int, star: list[int], field: int, shifts: list[int], t1: Table, 
             if merged is None:
                 continue
             mask_out, shift = merged
-            summed = sumset(fam1, fam2).members
-            if shift:
-                summed = {v + shift for v in summed}
-            out.setdefault(mask_out, set()).update(summed)
+            # the sumset of codes: the side with more bits shifted by each bit of the other
+            if len(bits1) <= len(bits2):
+                summed = _sum_shifts(vecs2, bits1)
+            else:
+                summed = _sum_shifts(vecs1, bits2)
+            # only a box with a digit bound of 1 makes a correction negative: a
+            # sparse table's place values are powers of n + 1 and grow every digit
+            summed = summed << shift if shift >= 0 else summed >> -shift
+            out[mask_out] = out.get(mask_out, 0) | summed
+    return out
+
+
+def _sum_shifts(vecs: Bits, offsets: list[int]) -> Bits:
+    """The OR of vecs shifted left by each of offsets."""
+    if vecs.__class__ is SparseBits:
+        return SparseBits([c + o for c in vecs for o in offsets])
+    summed = 0
+    for c in offsets:
+        summed |= vecs << c
+    return summed
+
+
+def _bits(x: Bits) -> list[int]:
+    """The positions of x's set bits, an int's read off its binary string."""
+    if x.__class__ is SparseBits:
+        return list(x)
+    digits = bin(x)[:1:-1]  # bit i is digits[i]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out
 
 
@@ -578,7 +653,7 @@ def _cover_bits(field: int, shifts: list[int], mask: int) -> tuple[int, int]:
 def _merge_masks(
     star: list[int], field: int, mask1: int, mask2: int, both: int
 ) -> tuple[int, int] | None:
-    """Merged mask and the packed additive correction m - a - b, or None past delta+1.
+    """Merged mask and the additive code correction m - a - b, or None past delta+1.
 
     `both` holds the lowest bit of each field covered on both sides.  The
     join has refused a leaf facing a covered vertex, so each is a centre on

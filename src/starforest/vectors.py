@@ -5,9 +5,9 @@ j+2.  A family holds every vector realizable as a star packing of one graph,
 each packed into one int: coordinate j weighs base**j (Kronecker
 substitution), every coordinate in [0, base).  Packing is linear, so vector
 addition is int addition while no coordinate of a sum reaches the base, and
-a sumset is a double loop of int additions; `_sumset_naive` is the tuple
-reference the tests compare against.  The common-subgraph answer is read off
-the intersection of two families.
+a sumset is a double loop of int additions; the tests compare it against a
+sumset of tuples.  The common-subgraph answer is read off the intersection of
+two families.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ def counts_to_sizes(vec: CountVector) -> tuple[int, ...]:
     for j, c in enumerate(vec):
         sizes.extend([j + 2] * c)
     return tuple(sorted(sizes, reverse=True))
-
-
-def vector_total(vec: CountVector) -> int:
-    """Number of vertices covered: sum of d * c_d."""
-    return sum((j + 2) * c for j, c in enumerate(vec))
 
 
 def pack(vec: Iterable[int], base: int) -> int:
@@ -55,7 +50,7 @@ class VectorFamily:
     """Delta-long star-count vectors with coordinates in [0, base), each packed into one int.
 
     `members` is read-only by contract: it may be a plain set that its maker
-    keeps (a DP table's entry, a fresh sumset), so nobody mutates it.
+    keeps (a fresh sumset, a component's packings), so nobody mutates it.
     """
 
     delta: int
@@ -87,17 +82,25 @@ class VectorFamily:
         digits = (c for m in self.members for c in unpack(m, self.delta, self.base))
         if base < self.base and any(c >= base for c in digits):
             raise PreconditionError(f"a coordinate of the family does not fit base {base}")
-        moved = _digit_sums(list(self.members), self.base, [base**j for j in range(self.delta)])
+        moved = _digit_sums(
+            list(self.members), [self.base] * self.delta, [base**j for j in range(self.delta)]
+        )
         return VectorFamily(self.delta, base, frozenset(moved))
 
 
-def _digit_sums(codes: list[int], base: int, coefs: list[int]) -> list[int]:
-    """sum(coefs[j] * digit j) of each code of at most len(coefs) digits, without decoding:
-    digit j is q_j - base * q_(j+1) for q_j = code // base**j, so the sum is linear in the q_j."""
+def _digit_sums(codes: list[int], radices: list[int], coefs: list[int]) -> list[int]:
+    """sum(coefs[j] * digit j) of each mixed-radix code, digit j in [0, radices[j]), without
+    decoding: digit j is q_j - radices[j] * q_(j+1) for q_j = code // (radices[0] * ... *
+    radices[j-1]), so the sum is linear in the q_j, weighing q_j by coefs[j] - radices[j-1] *
+    coefs[j-1]."""
     sums = [0] * len(codes)
-    for j, (coef, prev) in enumerate(zip(coefs, [0, *coefs])):
-        p, weight = base**j, coef - base * prev
-        sums = [s + code // p * weight for s, code in zip(sums, codes)]
+    place = 1
+    carried = 0  # radices[j-1] * coefs[j-1]
+    for coef, radix in zip(coefs, radices):
+        weight = coef - carried
+        sums = [s + code // place * weight for s, code in zip(sums, codes)]
+        place *= radix
+        carried = radix * coef
     return sums
 
 
@@ -114,11 +117,6 @@ def sumset(a: VectorFamily, b: VectorFamily) -> VectorFamily:
     return VectorFamily(a.delta, a.base, {x + y for x in a.members for y in b.members})
 
 
-def _sumset_naive(amems: Iterable[CountVector], bmems: Iterable[CountVector]):
-    """Quadratic sumset over tuples: the reference the packed sumset is tested against."""
-    return {tuple(x + y for x, y in zip(va, vb)) for va in amems for vb in bmems}
-
-
 def best_common(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, CountVector]:
     """Largest total over the intersection; ties broken by the vector itself.
 
@@ -132,7 +130,7 @@ def best_common(fam1: VectorFamily, fam2: VectorFamily) -> tuple[int, CountVecto
     common = list(large.members & small.rebase(large.base).members)
     if not common:
         raise PreconditionError("families share no vector, not even the empty one")
-    totals = _digit_sums(common, large.base, list(range(2, large.delta + 2)))
+    totals = _digit_sums(common, [large.base] * large.delta, list(range(2, large.delta + 2)))
     top = max(totals)
     return top, max(unpack(m, large.delta, large.base) for m, t in zip(common, totals) if t == top)
 

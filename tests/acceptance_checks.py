@@ -36,7 +36,7 @@ from starforest.solve_h import (
 )
 from starforest.treewidth import enum_star_vectors_dp, solve_tw, verify_decomposition
 from starforest.vc_ilp import solve_vc
-from starforest.vectors import VectorFamily, sumset, vector_total
+from starforest.vectors import VectorFamily, sumset
 
 from conftest import deep_planar, planar_low_degree, random_graph
 from reference import (
@@ -46,6 +46,7 @@ from reference import (
     min_edge_cover,
     pw4_path_decomposition,
     treedepth_at_most,
+    vector_total,
 )
 
 

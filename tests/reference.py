@@ -4,7 +4,8 @@ None of this runs in a route or the CLI.  The forward certificates of the
 k-way-partition constructions, a brute-force partition solver, a treedepth
 checker and the explicit pw4 path decomposition check what `generators`
 builds; the edge-cover, vertex-cover and dominating-set helpers check the
-identities the exact routes rest on.
+identities the exact routes rest on.  The tuple sumset and vector total
+check the packed vector arithmetic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from starforest.errors import PreconditionError, ResourceLimitError
 from starforest.generators import KwayInstance, LabeledInstance
 from starforest.graph import Embedding, Graph, StarForest, max_matching
 from starforest.treewidth import TreeDecomposition
+from starforest.vectors import CountVector
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +463,17 @@ def pw4_path_decomposition(inst: LabeledInstance) -> TreeDecomposition:
                     )
     edges = tuple((t, t + 1) for t in range(len(bags) - 1))
     return TreeDecomposition(tuple(bags), edges, root=len(bags) - 1)
+
+
+# ---------------------------------------------------------------------------
+# star-count vectors as tuples
+
+
+def vector_total(vec: CountVector) -> int:
+    """Number of vertices covered: sum of d * c_d."""
+    return sum((j + 2) * c for j, c in enumerate(vec))
+
+
+def sumset_naive(amems: Iterable[CountVector], bmems: Iterable[CountVector]):
+    """Quadratic sumset over tuples: the reference the packed sumset is tested against."""
+    return {tuple(x + y for x, y in zip(va, vb)) for va in amems for vb in bmems}

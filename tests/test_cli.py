@@ -11,6 +11,7 @@ from starforest.oracle import opt_common_vector
 from starforest.treewidth import solve_tw
 
 from conftest import (
+    caterpillar,
     complete_graph,
     cover_path_graph,
     cycle_graph,
@@ -203,6 +204,16 @@ class TestPickAuto:
             code, out = run_main(["solve", path], capsys)
         report = RunReport.from_json(out)
         assert code == 0 and report.algorithm == "tw" and report.answer == 12
+
+    def test_high_degree_caterpillar_pair_by_default(self, tmp_path, capsys):
+        # a cover of 4 and one 124-vertex component go to tw, whose DP holds
+        # the wide count-vector box of four 31-stars in sparse tables
+        g = caterpillar(4, 30)
+        path = tmp_path / "cat.txt"
+        path.write_text(serialize_instance(Instance(g, g, 1)))
+        code, out = run_main(["solve", path], capsys)
+        report = RunReport.from_json(out)
+        assert code == 0 and report.algorithm == "tw" and report.answer == g.n
 
 
 class TestVerify:

@@ -12,9 +12,8 @@ from starforest.solve_h import (
     embeds_star_forest,
     solve_h,
 )
-from starforest.vectors import vector_total
-
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph, time_limit
+from reference import vector_total
 
 
 class TestConfig:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -20,7 +21,7 @@ from starforest.treewidth import (
     solve_tw,
     verify_decomposition,
 )
-from starforest.vectors import common_forest, counts_to_sizes
+from starforest.vectors import _digit_sums, common_forest, counts_to_sizes, pack
 
 from conftest import (
     caterpillar,
@@ -344,14 +345,15 @@ class TestPathDecomposition:
             assert treewidth._walk(g, delta, pick) == want
 
     def test_path_walk_makes_no_sumset_call(self, monkeypatch):
+        # the join is the one step that sums two tables' codes
         calls = []
-        real = treewidth.sumset
+        real = treewidth._join
 
-        def counted(a, b):
-            calls.append((a, b))
-            return real(a, b)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(treewidth, "sumset", counted)
+        monkeypatch.setattr(treewidth, "_join", counted)
         g = grid_graph(3, 4)
         assert treewidth.dp_pick(g) == path_order(g)[0]
         treewidth._remembered_family.cache_clear()
@@ -503,9 +505,9 @@ class TestPendantKernel:
         # becomes the neighbour's leaf (a centre of 2); v as a centre whose
         # one leaf is the neighbour would give that neighbour the leaf code
         for delta in (1, 2, 3):
-            _, star, w, field = treewidth._layout(2, delta)
-            out = treewidth._forget(star, field, 0, [w], {0: {0}})
-            assert out == {0: {0}, 2 << w: {star[2]}}
+            _, star, w, field = treewidth._layout(path_graph(2), delta)
+            out = treewidth._forget(star, field, 0, [w], {0: 1})
+            assert out == {0: 1, 2 << w: 1 << star[2]}
             assert all((mask >> w) & field != treewidth.LEAF_OUTSIDE for mask in out)
 
     def test_a_centre_of_two_still_takes_one_more_leaf(self):
@@ -567,6 +569,23 @@ class TestDecompositionScript:
         monkeypatch.setattr(script, "enum_star_vectors_dp", lossy_default)
         assert script.main(["--check", "--repeat", "1"]) == 1
         assert "families differ on: grid 2x3" in capsys.readouterr().out
+
+    def test_repeat_prints_the_median_of_fresh_processes(self, monkeypatch, capsys):
+        script = load_script(monkeypatch)
+        runs = []
+
+        def fake(g, delta):
+            runs.append(g)
+            return [len(runs) * 1e-3] * 5  # the k-th process reads k ms in every column
+
+        monkeypatch.setattr(script, "fresh_row_times", fake)
+        assert script.main(["--repeat", "3"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        # three processes per row, one row after another; the middle one is printed
+        assert runs == [g for _, g, _ in SCRIPT_GRAPHS for _ in range(3)]
+        assert [row.split()[-5:] for row in rows] == [["2.00"] * 5, ["5.00"] * 5]
+        with pytest.raises(SystemExit):
+            script.main(["--repeat", "0"])
 
     def test_digest_lines(self, monkeypatch, capsys):
         script = load_script(monkeypatch)
@@ -680,7 +699,7 @@ class TestEnumDP:
         with pytest.raises(PreconditionError):
             enum_star_vectors_dp(Graph.from_edges(0, []), 1, TreeDecomposition((), ()))
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
         rng = random.Random(84)
         graphs = [
             random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
@@ -692,11 +711,33 @@ class TestEnumDP:
         graphs.append(star_graph(11))
         grid3x4 = [(v, v + 1) for v in range(12) if v % 4 < 3] + [(v, v + 4) for v in range(8)]
         graphs.append(Graph.from_edges(12, grid3x4))
-        for g in graphs:
+        # high-degree centres, where the digit bounds differ most from n // d:
+        # hub trees with a pendant on each hub, and stars with chords among
+        # their leaves, also walked along min-fill's trees, which join at the
+        # centre and so merge a centre held on both sides
+        centred = [with_pendants(hub_tree(rng, n, 2), (0, 1)) for n in (8, 9, 10) for _ in range(2)]
+        centred += [
+            Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)] + chords)
+            for m, chords in ((6, [(1, 2)]), (8, [(1, 2), (3, 4)]), (10, [(1, 2), (2, 3), (5, 9)]))
+        ]
+        merges = []
+        real_merge = treewidth._merge_masks
+
+        def counted(*args):
+            merges.append(real_merge(*args))
+            return merges[-1]
+
+        monkeypatch.setattr(treewidth, "_merge_masks", counted)
+        for g in graphs + centred:
             for delta in (2, 3, max(1, g.max_degree())):
-                dp = enum_star_vectors_dp(g, delta)
-                brute = enum_star_vectors_brute(g, delta)
-                assert dp.vectors == brute.vectors
+                brute = enum_star_vectors_brute(g, delta).vectors
+                assert enum_star_vectors_dp(g, delta).vectors == brute
+                # no count of a forest's vector reaches its digit's bound
+                bounds = treewidth._layout(g, delta)[0]
+                assert all(c < b for vec in brute for c, b in zip(vec, bounds))
+                if g in centred:
+                    assert enum_star_vectors_dp(g, delta, heuristic_decomposition(g)).vectors == brute
+        assert any(merged is not None for merged in merges)
 
     def test_independent_of_decomposition(self):
         rng = random.Random(85)
@@ -771,6 +812,55 @@ class TestEnumDP:
         assert fam.vectors == {(c,) for c in range(601)}
 
 
+class TestBitsetTables:
+    def test_linear_decode_matches_a_divmod_decode(self):
+        # the root's set bits, read off its binary string, and decoded by the
+        # sum linear in code // place value, against a digit-by-digit divmod
+        rng = random.Random(103)
+        for _ in range(300):
+            bounds = [rng.randint(1, 7) for _ in range(rng.randint(1, 6))]
+            base = max(bounds) + rng.randint(0, 3)
+            box = math.prod(bounds)
+            codes = sorted({rng.randrange(box) for _ in range(rng.randint(1, 40))})
+            root = sum(1 << c for c in codes)
+            assert treewidth._bits(root) == codes
+            want = []
+            for code in codes:
+                digits = []
+                for b in bounds:
+                    code, digit = divmod(code, b)
+                    digits.append(digit)
+                want.append(pack(digits, base))
+            assert _digit_sums(codes, bounds, [base**j for j in range(len(bounds))]) == want
+        assert treewidth._bits(0) == []
+
+    def test_sparse_tables_match_int_tables(self, monkeypatch):
+        # every walk once with int tables and once with sparse ones, whose
+        # codes are packed at base n + 1; the supplied trees join and merge
+        rng = random.Random(104)
+        graphs = [grid_graph(3, 4), hub_tree(rng, 24, 2), random_graph(rng, 10, 0.4)]
+        graphs += [with_pendants(cycle_graph(6), range(6)), caterpillar(3, 3)]
+        for g in graphs:
+            for delta in (2, max(1, g.max_degree())):
+                td = heuristic_decomposition(g)
+                runs = []
+                for widest in (math.inf, 0):
+                    monkeypatch.setattr(treewidth, "WIDEST_INT_BOX", widest)
+                    runs.append([
+                        enum_star_vectors_dp(g, delta, remember=False),
+                        enum_star_vectors_dp(g, delta, td),
+                    ])
+                assert runs[0] == runs[1]
+
+    def test_high_degree_pairs_hold_sparse_tables(self):
+        # a centre of 40 leaves, and four of 30: their boxes are far wider than
+        # any int table should be, so their tables hold the set bits' positions
+        for g in (star_graph(40), caterpillar(4, 30)):
+            assert math.prod(treewidth._layout(g, g.max_degree())[0]) > treewidth.WIDEST_INT_BOX
+            size, forest = solve_tw(g, g)
+            assert size == forest.total_vertices == g.n  # each is one spanning star forest
+
+
 class TestMemo:
     def test_family_is_frozen_and_reused_for_an_equal_graph(self, monkeypatch):
         treewidth._remembered_family.cache_clear()
@@ -794,8 +884,8 @@ class TestMemo:
         assert enum_star_vectors_dp(g, 2, heuristic_decomposition(g)) == enum_star_vectors_dp(g, 2)
 
     def test_sets_handed_on_inside_the_walk_never_reach_a_held_family(self):
-        # a forget hands its child's sets on and grows them; none of them may
-        # be a set that a family handed out earlier still holds
+        # a family handed out earlier keeps its members while later runs,
+        # remembered or not and with joins, build and decode their own tables
         treewidth._remembered_family.cache_clear()
         g = grid_graph(3, 4)
         held = enum_star_vectors_dp(g, 3)
