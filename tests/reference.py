@@ -4,12 +4,14 @@ None of this runs in a route or the CLI.  The forward certificates of the
 k-way-partition constructions, a brute-force partition solver, a treedepth
 checker and the explicit pw4 path decomposition check what `generators`
 builds; the edge-cover, vertex-cover and dominating-set helpers check the
-identities the exact routes rest on.  The tuple sumset and vector total
+identities the exact routes rest on.  The plain embedding backtracker
+checks the exact embedding's pruning.  The tuple sumset and vector total
 check the packed vector arithmetic.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable
 
 from starforest.errors import PreconditionError, ResourceLimitError
@@ -477,3 +479,43 @@ def vector_total(vec: CountVector) -> int:
 def sumset_naive(amems: Iterable[CountVector], bmems: Iterable[CountVector]):
     """Quadratic sumset over tuples: the reference the packed sumset is tested against."""
     return {tuple(x + y for x, y in zip(va, vb)) for va in amems for vb in bmems}
+
+
+# ---------------------------------------------------------------------------
+# star-forest embedding
+
+
+def embed_exact_plain(g: Graph, forest: StarForest) -> Embedding | None:
+    """First embedding of a plain backtracker: centres in index order, equal
+    star sizes with increasing centres, every leaf subset of every centre.
+
+    `solve_h._embed_exact` prunes subtrees that cannot succeed, so it must
+    return this same embedding.
+    """
+    sizes = forest.star_sizes  # already non-increasing
+    stars: list[tuple[int, ...]] = []
+
+    def place(idx: int, used: int, min_centre: int) -> bool:
+        if idx == len(sizes):
+            return True
+        d = sizes[idx]
+        start = min_centre if idx > 0 and sizes[idx - 1] == d else 0
+        for centre in range(start, g.n):
+            if used >> centre & 1 or g.degree(centre) < d - 1:
+                continue
+            free = [w for w in g.adjacency[centre] if not used >> w & 1]
+            if len(free) < d - 1:
+                continue
+            for leaves in combinations(free, d - 1):
+                mask = used | 1 << centre
+                for w in leaves:
+                    mask |= 1 << w
+                stars.append((centre,) + leaves)
+                if place(idx + 1, mask, centre + 1):
+                    return True
+                stars.pop()
+        return False
+
+    if place(0, 0, 0):
+        return Embedding(tuple(stars))
+    return None

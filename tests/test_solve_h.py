@@ -1,19 +1,38 @@
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from starforest.errors import PreconditionError, ResourceLimitError
-from starforest.graph import Graph, Instance, StarForest, max_matching, verify_embedding
+from starforest.graph import (
+    Embedding,
+    Graph,
+    Instance,
+    StarForest,
+    max_matching,
+    verify_embedding,
+)
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.solve_h import (
     ColorCodingConfig,
     _colorful_embedding,
     embeds_star_forest,
+    enum_star_partitions,
     solve_h,
 )
-from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph, time_limit
-from reference import vector_total
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    random_graph,
+    star_graph,
+    time_limit,
+)
+from reference import embed_exact_plain, vector_total
 
 
 class TestConfig:
@@ -75,6 +94,57 @@ class TestEmbeds:
                 assert embeds_star_forest(g, StarForest((biggest + 1,))) is None
 
 
+class TestExactPruning:
+    def test_same_embeddings_as_plain_backtracker(self):
+        # every partition of every h <= n, on graphs with isolated vertices too
+        rng = random.Random(55)
+        for _ in range(3000):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.8]))
+            for h in range(2, n + 1):
+                for forest in enum_star_partitions(h):
+                    got = embeds_star_forest(g, forest, "exact")
+                    want = embed_exact_plain(g, forest)
+                    assert (got and got.stars) == (want and want.stars), (g.edges(), forest)
+
+    def test_disjoint_triangles_refuse_one_2star_too_many(self):
+        # each triangle holds one 2-star; both orientations of every edge made
+        # this take seconds
+        g = disjoint_union(*[complete_graph(3)] * 8)
+        with time_limit(1):
+            assert embeds_star_forest(g, StarForest((2,) * 9)) is None
+
+    def test_path_refuses_a_perfect_matching_it_lacks(self):
+        # P21 has a matching of 10 edges; the isolated vertex makes n = 22
+        g = disjoint_union(path_graph(21), Graph.from_edges(1, []))
+        with time_limit(0.5):
+            assert embeds_star_forest(g, StarForest((2,) * 11)) is None
+
+
+def solve_h_answers_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "solve_h_answers.py"
+    spec = importlib.util.spec_from_file_location("solve_h_answers", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+class TestAnswersScript:
+    def test_certificates_verify_and_opt_plus_one_is_no(self, capsys):
+        script = solve_h_answers_script()
+        pairs = list(script.pairs(4))
+        script.main(4)
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows] == list(range(2 * len(pairs)))
+        for (g1, g2), (yes_row, no_row) in zip(pairs, zip(rows[::2], rows[1::2])):
+            _, h, yes, sizes, e1, e2 = yes_row
+            assert yes and sum(sizes) >= h
+            forest = StarForest(tuple(sizes))
+            for g, stars in ((g1, e1), (g2, e2)):
+                assert verify_embedding(g, forest, Embedding(tuple(map(tuple, stars))))
+            assert no_row == [no_row[0], h + 1, False, None, None, None]
+
+
 class TestSolveH:
     def test_c4_via_matching(self):
         yes, cert = solve_h(Instance(cycle_graph(4), cycle_graph(4), 4))
@@ -94,6 +164,24 @@ class TestSolveH:
         with time_limit(2):
             yes, cert = solve_h(Instance(big, big, 90))
         assert yes and cert[0].star_sizes == (90,)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: solve_h(Instance(cycle_graph(4), cycle_graph(4), 4), mode=m),  # matching
+            lambda m: solve_h(Instance(path_graph(2), path_graph(2), 0), mode=m),  # h = 0
+            lambda m: solve_h(Instance(path_graph(3), path_graph(3), 5), mode=m),  # h > n
+            lambda m: solve_h(Instance(path_graph(4), star_graph(3), 4), mode=m),  # sweep
+            lambda m: embeds_star_forest(path_graph(3), StarForest(()), m),  # empty forest
+            lambda m: embeds_star_forest(path_graph(3), StarForest((4,)), m),  # forest > g
+            lambda m: embeds_star_forest(path_graph(3), StarForest((3,)), m),  # embeds
+        ],
+        ids=["matching", "h0", "trivially-no", "sweep", "empty-forest", "forest-too-big", "embed"],
+    )
+    def test_unknown_mode_refused_on_every_path(self, call):
+        with pytest.raises(PreconditionError, match="unknown embedding mode"):
+            call("bogus")
+        call("exact")
 
     def test_randomized_refuses_h_past_float_range(self):
         big = star_graph(709)
