@@ -6,9 +6,12 @@ partitions of exactly h vertices (the partitions of h with every part at
 least 2, built lazily here) and look for one embedding in both graphs.
 Forest embedding runs either as exact backtracking or as randomized color
 coding with one-sided error.  Exact backtracking places centres in
-non-increasing star-size order and never retries a 2-star as the mirror
-image of one that already failed, so it returns the first embedding of
-the plain backtracker without walking the same subtree twice.
+non-increasing star-size order; a 2-star level walks the centre's edges
+with no free-leaf list and never retries a 2-star as the mirror image of
+one that already failed, so it returns the first embedding of the plain
+backtracker without walking the same subtree twice.  It nests one frame per
+star, so it refuses a forest of more than MAX_EXACT_STARS stars with
+ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from .graph import Embedding, Graph, Instance, StarForest, max_matching, verify_
 # costs 0.15-42 ms on G(20..30, 0.3..0.5) at h = 12-14 (2-vCPU container), so
 # h = 12's 7.5e5 automatic trials would take 110 s to hours per star partition.
 MAX_AUTO_TRIALS = 100_000
+
+# Most stars an exact embedding searches.  Its backtracker nests one Python
+# frame per star, under Python's default recursion limit of 1000 frames; 500
+# leaves room for the caller's frames.
+MAX_EXACT_STARS = 500
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,8 @@ def embeds_star_forest(
 ) -> Embedding | None:
     """One embedding of the star forest into g, or None.
 
-    Exact mode backtracks over centres in non-increasing star-size order.
+    Exact mode backtracks over centres in non-increasing star-size order and
+    raises ResourceLimitError for a forest of more than MAX_EXACT_STARS stars.
     An unknown mode raises PreconditionError whatever the forest.
     Randomized mode is classic color coding: color vertices with
     total_vertices colors uniformly, search for a colorful copy, repeat;
@@ -162,6 +171,11 @@ def embeds_star_forest(
     if forest.total_vertices > g.n:
         return None
     if mode == "exact":
+        stars = len(forest.star_sizes)
+        if stars > MAX_EXACT_STARS:
+            raise ResourceLimitError(
+                f"exact embedding searches at most {MAX_EXACT_STARS} stars, not {stars}"
+            )
         return _embed_exact(g, forest)
     return _embed_color_coding(g, forest, cfg)
 
@@ -180,19 +194,31 @@ def _embed_exact(g: Graph, forest: StarForest) -> Embedding | None:
             return True
         d = sizes[idx]
         start = min_centre if idx > 0 and sizes[idx - 1] == d else 0
-        # A 2-star skips each leaf l with start <= l < centre: its mirror, centre
-        # l with leaf centre, was tried earlier in this loop with the same used
-        # set and a weaker bound on the next centre (l + 1 <= centre + 1), and
-        # it failed, or the search would have returned.  So this subtree fails
-        # too, and the first embedding is unchanged.  A larger star has a
-        # mirror only when an earlier leaf is adjacent to all the others;
-        # testing that at every size made decide_h slower (4.5 ms per solve
-        # against 2.9 ms for 2-stars alone), so their low = n skips nothing.
-        low = start if d == 2 else g.n
         for centre in range(start, g.n):
             if used >> centre & 1 or g.degree(centre) < d - 1:
                 continue
-            free = [w for w in g.adjacency[centre] if not (used >> w & 1 or low <= w < centre)]
+            if d == 2:
+                # Every star partition ends in 2-stars, so most nodes sit here:
+                # walk the edges with no free list.  Skip each leaf w with
+                # start <= w < centre: its mirror, centre w with leaf centre, was
+                # tried earlier in this loop with the same used set and a weaker
+                # bound on the next centre (w + 1 <= centre + 1), and it failed,
+                # or the search would have returned.  So this subtree fails too,
+                # and the first embedding is unchanged.
+                mask = used | 1 << centre
+                for w in g.adjacency[centre]:
+                    if used >> w & 1 or start <= w < centre:
+                        continue
+                    stars.append((centre, w))
+                    if place(idx + 1, mask | 1 << w, centre + 1):
+                        return True
+                    stars.pop()
+                continue
+            # A larger star has a mirror only when an earlier leaf is adjacent
+            # to all the others; testing that at every size made decide_h slower
+            # (4.5 ms per solve against 2.9 ms for 2-stars alone), so this
+            # branch skips no leaf.
+            free = [w for w in g.adjacency[centre] if not used >> w & 1]
             if len(free) < d - 1:
                 continue
             for leaves in combinations(free, d - 1):

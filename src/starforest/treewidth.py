@@ -440,7 +440,7 @@ def _walk(
     family's members are packed at g's base.
     """
     bounds, star, w, field = _layout(g, delta)
-    base = g.n + 1
+    base = max(2, g.n + 1)  # VectorFamily's least base, the empty graph's too
     wide = star[-1] * bounds[-1] > WIDEST_INT_BOX
     if wide:
         # sparse tables hold codes packed at the family's base, which need no decoding

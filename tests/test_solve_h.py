@@ -17,6 +17,7 @@ from starforest.graph import (
 )
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.solve_h import (
+    MAX_EXACT_STARS,
     ColorCodingConfig,
     _colorful_embedding,
     embeds_star_forest,
@@ -119,6 +120,18 @@ class TestExactPruning:
         g = disjoint_union(path_graph(21), Graph.from_edges(1, []))
         with time_limit(0.5):
             assert embeds_star_forest(g, StarForest((2,) * 11)) is None
+
+    def test_more_stars_than_the_limit_refused(self):
+        # one frame per star: 1000 stars raised RecursionError
+        with pytest.raises(ResourceLimitError):
+            embeds_star_forest(path_graph(2000), StarForest((2,) * 1000))
+
+    def test_as_many_stars_as_the_limit_embed(self):
+        g = path_graph(2 * MAX_EXACT_STARS)
+        forest = StarForest((2,) * MAX_EXACT_STARS)
+        with time_limit(1):
+            emb = embeds_star_forest(g, forest)
+        assert verify_embedding(g, forest, emb)
 
 
 def solve_h_answers_script():

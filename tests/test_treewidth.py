@@ -684,6 +684,11 @@ class TestEnumDP:
         assert self.sizes(enum_star_vectors_dp(star_graph(3), 3)) == [(), (2,), (3,), (4,)]
         assert self.sizes(enum_star_vectors_dp(Graph.from_edges(3, []), 2)) == [()]
 
+    def test_empty_graph_family_equals_brute(self):
+        # packed at base 2, VectorFamily's least, as the oracle does; it was base 1
+        g = Graph.from_edges(0, [])
+        assert enum_star_vectors_dp(g, 1) == enum_star_vectors_brute(g, 1)
+
     def test_invalid_decomposition_rejected(self):
         td = TreeDecomposition((frozenset({0}),), ())
         with pytest.raises(PreconditionError):
