@@ -5,10 +5,10 @@ star-count vector): the mask gives each bag vertex one of three roles
 (uncovered, leaf of an already-forgotten centre, or centre of a partial star
 of known size whose leaves are all forgotten), and the vector counts stars of
 each size formed so far (bag-resident partial stars included).  A child's
-table reaches its parent's bag by forgetting one vertex at a time in sorted
-order, and the children's tables are then joined.  Leaves start at the empty
-bag and the root ends at it, where the surviving vectors are exactly the star
-forests of the graph, up to isomorphism.
+table reaches its parent's bag by forgetting vertices one at a time, and the
+children's tables are then joined.  Leaves start at the empty bag and the
+root ends at it, where the surviving vectors are exactly the star forests of
+the graph, up to isomorphism.
 
 A mask is one int with a field of w = bit_length(delta + 1) bits per slot.
 Each vertex holds one slot for its whole life in the bags: no two vertices of
@@ -30,23 +30,27 @@ centre may merge, so the rule holds there too.  A join never sees an edge
 on both sides; it merges a centre held on both sides into one star whose
 two leaf sets are disjoint, and `_merge_masks` refuses one past delta+1.
 
-Without a supplied decomposition the DP first sets g's pendants aside
-(`pendant_kernel`): a vertex of degree 1 whose neighbour has degree >= 2,
-and the higher end of a lone edge.  A pendant can only be a leaf of its
-neighbour's star (the lone edge's other orientation gives the same vector),
-so the DP walks the induced kernel.  It walks `dp_pick`'s choice for the
-kernel: the greedy path whenever it is at most one vertex wider than
-min-fill's decomposition, and min-fill's otherwise.  The family depends
-neither on the decomposition nor on the kernel.  One driver, `_walk`, runs
-every walk.  A vertex is held from when the walk first meets it until it is
-forgotten, and `shift[v]` is w times its slot while held, -1 before and
-after, so a forgotten vertex's held neighbours are its bag neighbours.  A
-path is one node with no join, walked from `path_order`'s steps with no bag
-built: a vertex takes the lowest free slot when it is placed, and those it
-closes are forgotten and free theirs.  A tree (min-fill's, or a supplied
-one of g itself) is walked bottom-up with slots given from the root down
-(`_top_down`): a vertex takes its slot at its topmost bag, and both
-children of a join use their parent's slots.
+The DP first sets g's pendants aside (`pendant_kernel`): a vertex of
+degree 1 whose neighbour has degree >= 2, and the higher end of a lone
+edge.  A pendant can only be a leaf of its neighbour's star (the lone
+edge's other orientation gives the same vector), so the DP walks the
+induced kernel.  It walks `dp_pick`'s choice for the kernel: the greedy
+path whenever it is at most one vertex wider than min-fill's elimination
+tree, and that tree otherwise.  The family depends neither on the walk nor
+on the kernel.  One driver, `_walk`, runs both walks.  A vertex is held
+from when the walk first meets it until it is forgotten, and `shift[v]` is
+w times its slot while held, -1 before and after, so a forgotten vertex's
+held neighbours are its bag neighbours.  A path is one node with no join,
+walked from `path_order`'s steps with no bag built: a vertex takes the
+lowest free slot when it is placed, and those it closes are forgotten and
+free theirs.  Min-fill's tree is walked as elimination gives it
+(`heuristic_decomposition`), with no rooting pass: node i forgets the i-th
+eliminated vertex alone, whose later neighbours, a clique by then, all lie
+in its parent's bag, and a parent comes after its children, so index order
+walks the tree bottom-up.  A vertex's slot is the lowest one its later
+neighbours do not hold (`_tree_nodes`), and a parent joins its children's
+tables in its bag.  A component's last node joins at -1, over the empty
+bag, where the path ends too.
 
 Each table maps a mask to one int, a bitset of count vectors: bit c is set
 when the vector whose mixed-radix code is c is reachable.  Digit d, the
@@ -85,7 +89,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations, count
+from itertools import combinations
 
 from .errors import PreconditionError
 from .graph import Graph, StarForest
@@ -100,29 +104,29 @@ LEAF_OUTSIDE = 1
 
 @dataclass(frozen=True)
 class TreeDecomposition:
-    bags: tuple[frozenset[int], ...]
-    tree_edges: tuple[tuple[int, int], ...]
-    root: int = 0
+    """Min-fill's elimination tree: bags[i] is the i-th eliminated vertex, then its later
+    neighbours, and parents[i] the bag of the earliest eliminated of those, or -1."""
+
+    bags: tuple[tuple[int, ...], ...]
+    parents: tuple[int, ...]
 
     @property
     def width(self) -> int:
-        return max((len(b) for b in self.bags), default=1) - 1
-
-    def neighbours(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.bags]
-        for a, b in self.tree_edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
+        return max((len(b) for b in self.bags), default=0) - 1
 
 
 def heuristic_decomposition(g: Graph) -> TreeDecomposition:
-    """Min-fill elimination-ordering decomposition; width is an upper bound only."""
-    if g.n == 0:
-        return TreeDecomposition((frozenset(),), ())
+    """Min-fill's elimination tree of g; its width is an upper bound on the treewidth only.
+
+    Each step eliminates the vertex of least fill-in, ties to the lowest
+    index, and makes its neighbours a clique.  Bag i is the i-th eliminated
+    vertex, then those neighbours, sorted: its later neighbours.  Its parent
+    is the bag of the earliest eliminated of them, which holds the rest
+    too, since they are that vertex's later neighbours as well; a bag with
+    none has parent -1.  The empty graph's tree has no node.
+    """
     adj: list[set[int]] = [set(a) for a in g.adjacency]
-    order: list[int] = []
-    elim_bags: list[frozenset[int]] = []
+    bags: list[tuple[int, ...]] = []
 
     def fill(x: int) -> int:
         return sum(1 for a, b in combinations(adj[x], 2) if b not in adj[a])
@@ -138,8 +142,7 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
         if fills.get(v) != f:
             continue
         nbrs = adj[v]
-        order.append(v)
-        elim_bags.append(frozenset(nbrs | {v}))
+        bags.append((v, *sorted(nbrs)))
         for a in nbrs:
             for b in nbrs:
                 if a != b and b not in adj[a]:
@@ -158,23 +161,11 @@ def heuristic_decomposition(g: Graph) -> TreeDecomposition:
                 heappush(heap, (f, x))
         adj[v].clear()
 
-    pos = {v: i for i, v in enumerate(order)}
-    edges: list[tuple[int, int]] = []
-    loose: list[int] = []
-    for i, bag in enumerate(elim_bags):
-        rest = bag - {order[i]}
-        if rest:
-            edges.append((i, min(pos[w] for w in rest)))
-        else:
-            loose.append(i)
-    # vertices eliminated with no remaining neighbours start new subtrees;
-    # chaining them keeps the decomposition a single tree without touching
-    # any vertex trace
-    for a, b in zip(loose, loose[1:]):
-        edges.append((a, b))
-    td = TreeDecomposition(tuple(elim_bags), tuple(edges), root=len(elim_bags) - 1)
-    assert verify_decomposition(g, td), "elimination ordering produced an invalid decomposition"
-    return td
+    pos = [0] * g.n
+    for i, bag in enumerate(bags):
+        pos[bag[0]] = i
+    parents = tuple(min((pos[u] for u in bag[1:]), default=-1) for bag in bags)
+    return TreeDecomposition(tuple(bags), parents)
 
 
 def path_order(g: Graph) -> tuple[list[tuple[int, list[int]]], int]:
@@ -253,16 +244,16 @@ def degeneracy(g: Graph) -> int:
 
 
 def dp_pick(g: Graph) -> list[tuple[int, list[int]]] | TreeDecomposition:
-    """What the DP walks when no decomposition is supplied: `path_order`'s steps, or min-fill's.
+    """What the DP walks: `path_order`'s steps, or min-fill's elimination tree.
 
     g is the pendant kernel there.  The path wins whenever it is at most one
-    vertex wider than min-fill's decomposition, since it has no join.  Two
-    wider it can lose: on the kernels of the trees of
-    `scripts/dp_decompositions.py` (min-fill width 1), a path 3 wide walks
-    1.3 times slower and the binary tree's, 4 wide, 1.5 times slower than
-    min-fill's DP; 2 wide, about as fast, or 1.25 times slower on the hub
-    tree (best of 5, in-process).  At most the degeneracy + 1 wide, it
-    wins without running min-fill: min-fill is never narrower than the
+    vertex wider than min-fill's tree, since it has no join.  Wider, it can
+    lose by far (`_walk` on the kernels of `scripts/dp_decompositions.py`'s
+    graphs and others, best of 3, in-process): on trees whose path is 3-5
+    wide (min-fill width 1) the path walk takes 0.6-1.7 times min-fill's
+    time, on trees whose path is 8-12 wide 2.3-29 times, and on random
+    2-trees of 31-68 vertices 4-185 times.  At most the degeneracy + 1 wide,
+    it wins without running min-fill: min-fill is never narrower than the
     treewidth, which the degeneracy bounds from below.  At most 2 wide, it
     wins without the degeneracy too: a graph with an edge has treewidth >= 1.
     """
@@ -271,43 +262,6 @@ def dp_pick(g: Graph) -> list[tuple[int, list[int]]] | TreeDecomposition:
         return steps
     tree = heuristic_decomposition(g)
     return steps if width <= tree.width + 1 else tree
-
-
-def verify_decomposition(g: Graph, td: TreeDecomposition) -> bool:
-    """The three decomposition properties, plus tree-ness of the node graph and a root in it."""
-    nodes = len(td.bags)
-    if not 0 <= td.root < nodes or len(td.tree_edges) != nodes - 1:
-        return False
-    adj = td.neighbours()
-    seen = {0}
-    stack = [0]
-    while stack:
-        t = stack.pop()
-        for s in adj[t]:
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    if len(seen) != nodes:
-        return False
-    covered: set[int] = set()
-    for bag in td.bags:
-        covered |= bag
-    if covered != set(range(g.n)):
-        return g.n == 0 and not covered
-    holding: list[set[int]] = [set() for _ in range(g.n)]
-    for t, bag in enumerate(td.bags):
-        for v in bag:
-            holding[v].add(t)
-    for u, v in g.edges():
-        if holding[u].isdisjoint(holding[v]):
-            return False
-    # the nodes holding v induce a forest in the tree, which is connected
-    # exactly when it has one edge fewer than nodes
-    inner = [0] * g.n
-    for a, b in td.tree_edges:
-        for v in td.bags[a] & td.bags[b]:
-            inner[v] += 1
-    return all(inner[v] == len(holding[v]) - 1 for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -342,35 +296,23 @@ Bits = int | SparseBits
 Table = dict[int, Bits]  # mask (a role field per slot) -> bitset of count-vector codes
 
 
-def enum_star_vectors_dp(
-    g: Graph,
-    delta: int,
-    decomposition: TreeDecomposition | None = None,
-    *,
-    remember: bool = True,
-) -> VectorFamily:
+def enum_star_vectors_dp(g: Graph, delta: int, *, remember: bool = True) -> VectorFamily:
     """All star-count vectors of star forests in g with sizes <= delta+1.
 
-    Without a decomposition the DP runs on g's pendant kernel, along
-    `dp_pick`'s choice for it, and the families of the two most recent
-    (g, delta) keys are remembered, so at most two families stay held after
-    a call returns (`_remembered_family.cache_clear()` drops them).  `Graph`
-    is frozen and compared by value, so an equal graph gets the remembered
-    family without a decomposition or the DP.  Two is one instance's pair:
-    the EPTAS run right after `solve_tw` on the same pair reuses both
-    whole-graph families, since it solves each pruned graph with
-    `remember=False`, which runs the same route without touching the memo.
-    A supplied decomposition is always validated, and the DP then runs on
-    it, with no kernel and without touching the memo.  The family's
-    members are a frozenset, so no caller can change a remembered one.
+    The DP runs on g's pendant kernel, along `dp_pick`'s choice for it, and
+    the families of the two most recent (g, delta) keys are remembered, so
+    at most two families stay held after a call returns
+    (`_remembered_family.cache_clear()` drops them).  `Graph` is frozen and
+    compared by value, so an equal graph gets the remembered family without
+    the DP.  Two is one instance's pair: the EPTAS run right after
+    `solve_tw` on the same pair reuses both whole-graph families, since it
+    solves each pruned graph with `remember=False`, which runs the same
+    route without touching the memo.  The family's members are a
+    frozenset, so no caller can change a remembered one.
     """
     if delta < 1:
         raise PreconditionError("delta must be >= 1")
-    if decomposition is None:
-        return _remembered_family(g, delta) if remember else _picked_family(g, delta)
-    if not verify_decomposition(g, decomposition):
-        raise PreconditionError("supplied decomposition is invalid for this graph")
-    return _walk(g, delta, decomposition)
+    return _remembered_family(g, delta) if remember else _picked_family(g, delta)
 
 
 def _picked_family(g: Graph, delta: int) -> VectorFamily:
@@ -432,7 +374,7 @@ def _walk(
     kernel: Graph | None = None,
     pendants: list[int] | None = None,
 ) -> VectorFamily:
-    """The DP itself, along `path_order`'s steps or bottom-up over a valid tree decomposition.
+    """The DP itself, along `path_order`'s steps or up min-fill's elimination tree.
 
     The walk is of `kernel`, whose vertex v takes up to pendants[v] pendants
     when it is forgotten (`pendant_kernel(g)`); without a kernel it is of g
@@ -451,7 +393,7 @@ def _walk(
     adj = kernel.adjacency
     shift = [-1] * kernel.n  # w times the slot of a held vertex, -1 before and after
     tree = isinstance(walk, TreeDecomposition)
-    nodes = _tree_nodes(walk, shift, w) if tree else [(0, -1, _placed(walk, shift, w), frozenset())]
+    nodes = _tree_nodes(walk, shift, w) if tree else [(0, -1, _placed(walk, shift, w), ())]
     tables: dict[int, Table] = {}  # node -> its finished children's tables, joined
     forgotten = decided = 0  # of g's vertices and edges, pendants and their edges included
     for t, p, forgets, bag in nodes:
@@ -471,7 +413,7 @@ def _walk(
     assert forgotten == g.n and decided == g.edge_count and max(shift, default=-1) < 0, (
         "the walk left a vertex or an edge behind"
     )
-    codes = _bits(tables[-1][0])
+    codes = _bits(tables[-1][0] if tables else start)  # the empty graph's tree has no node
     members = codes if wide else _digit_sums(codes, bounds, [base**j for j in range(delta)])
     return VectorFamily(delta, base, frozenset(members))
 
@@ -487,41 +429,27 @@ def _placed(steps: list[tuple[int, list[int]]], shift: list[int], w: int) -> Ite
 
 
 def _tree_nodes(td: TreeDecomposition, shift: list[int], w: int) -> Iterator[tuple]:
-    """td's nodes from the leaves up, with their parents, sorted forgets and parents' bags."""
-    order, parent, slot = _top_down(td)
-    for t in reversed(order):
-        for v in slot.keys() & td.bags[t]:  # v is held from its lowest bag on
-            shift[v] = w * slot.pop(v)
-        p = parent[t]
-        bag = td.bags[p] if p >= 0 else frozenset()  # the root is carried to an empty bag
-        yield t, p, sorted(td.bags[t] - bag), bag
+    """td's nodes in index order, children first, each with its parent, its one forget and
+    its parent's bag (the empty bag at -1).
 
-
-def _top_down(td: TreeDecomposition) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """The nodes from the root down, their parents (-1 at the root), and each vertex's slot.
-
-    A vertex is first met at its topmost bag and takes the lowest slot no
-    other vertex there holds.  Of two vertices sharing a bag, the one met
-    lower meets the other there, already slotted, so they never share a slot.
+    A vertex's slot is the lowest one its later neighbours do not hold, given
+    in reverse index order, and it is held from the first node whose bag
+    holds it.  Of two vertices sharing a bag, the one eliminated first has
+    the other as a later neighbour, so they never share a slot, and no slot
+    passes the width.
     """
-    parent = {td.root: -1}
-    order: list[int] = []
-    slot: dict[int, int] = {}
-    stack = [td.root]
-    adj = td.neighbours()
-    while stack:
-        t = stack.pop()
-        order.append(t)
-        taken = {slot[v] for v in td.bags[t] if v in slot}
-        free = (s for s in count() if s not in taken)
-        for v in td.bags[t]:
-            if v not in slot:
-                slot[v] = next(free)
-        for s in adj[t]:
-            if s not in parent:
-                parent[s] = t
-                stack.append(s)
-    return order, parent, slot
+    slot = [0] * len(shift)
+    for v, *later in reversed(td.bags):
+        taken = {slot[u] for u in later}
+        s = 0
+        while s in taken:
+            s += w
+        slot[v] = s
+    for t, (bag, p) in enumerate(zip(td.bags, td.parents)):
+        for u in bag:
+            if shift[u] < 0:
+                shift[u] = slot[u]
+        yield t, p, bag[:1], td.bags[p] if p >= 0 else ()
 
 
 def _forget(

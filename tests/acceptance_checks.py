@@ -34,7 +34,7 @@ from starforest.solve_h import (
     enum_star_partitions,
     solve_h,
 )
-from starforest.treewidth import enum_star_vectors_dp, solve_tw, verify_decomposition
+from starforest.treewidth import enum_star_vectors_dp, solve_tw
 from starforest.vc_ilp import solve_vc
 from starforest.vectors import VectorFamily, sumset
 
@@ -47,6 +47,7 @@ from reference import (
     pw4_path_decomposition,
     treedepth_at_most,
     vector_total,
+    verify_path_decomposition,
 )
 
 
@@ -227,8 +228,8 @@ def check_5_structural_certificates(minimum: int = 8):
             if td5.instance.g1.degree(td5.labels1[f"r_{i}"]) != D - 1 + k:
                 return False, f"instance {idx}: td5 root degree != D-1+k"
         pw4 = gen_kway_pw4(kw)
-        decomposition = pw4_path_decomposition(pw4)
-        if decomposition.width != 4 or not verify_decomposition(pw4.instance.g1, decomposition):
+        bags = pw4_path_decomposition(pw4)
+        if max(map(len, bags)) != 5 or not verify_path_decomposition(pw4.instance.g1, bags):
             return False, f"instance {idx}: pw4 explicit decomposition invalid"
         if pw4.instance.g1.max_degree() != 3 * k + 7:
             return False, f"instance {idx}: pw4 G1 max degree != 3k+7"

@@ -2,11 +2,13 @@
 
 None of this runs in a route or the CLI.  The forward certificates of the
 k-way-partition constructions, a brute-force partition solver, a treedepth
-checker and the explicit pw4 path decomposition check what `generators`
-builds; the edge-cover, vertex-cover and dominating-set helpers check the
-identities the exact routes rest on.  The plain embedding backtracker
-checks the exact embedding's pruning.  The tuple sumset and vector total
-check the packed vector arithmetic.
+checker, a path-decomposition checker and the explicit pw4 path
+decomposition check what `generators` builds; the edge-cover, vertex-cover
+and dominating-set helpers check the identities the exact routes rest on.
+Elimination trees along any vertex order check that the treewidth DP's
+family does not depend on its tree.  The plain embedding backtracker checks
+the exact embedding's pruning.  The tuple sumset and vector total check the
+packed vector arithmetic.
 """
 
 from __future__ import annotations
@@ -428,8 +430,26 @@ def treedepth_at_most(g: Graph, d: int) -> bool:
     return all(component_ok(frozenset(c), d) for c in g.components())
 
 
-def pw4_path_decomposition(inst: LabeledInstance) -> TreeDecomposition:
-    """The explicit width-4 path decomposition of a pw4 instance's first graph."""
+def verify_path_decomposition(g: Graph, bags: Iterable[Iterable[int]]) -> bool:
+    """Whether `bags`, in order, are a path decomposition of g: each vertex of g, and
+    no other, lies in a run of consecutive bags, and each edge in a common bag."""
+    spans: dict[int, list[int]] = {}  # v -> its first bag, last bag and number of bags
+    for t, bag in enumerate(bags):
+        for v in bag:
+            span = spans.setdefault(v, [t, t, 0])
+            span[1] = t
+            span[2] += 1
+    if sorted(spans) != list(range(g.n)):
+        return False
+    if any(count != last - first + 1 for first, last, count in spans.values()):
+        return False
+    return all(
+        max(spans[u][0], spans[v][0]) <= min(spans[u][1], spans[v][1]) for u, v in g.edges()
+    )
+
+
+def pw4_path_decomposition(inst: LabeledInstance) -> tuple[frozenset[int], ...]:
+    """The bags of the explicit width-4 path decomposition of a pw4 instance's first graph."""
     if inst.params.get("construction") != "kway_pw4":
         raise PreconditionError("expected a kway_pw4 instance")
     items = inst.params["items"]
@@ -463,8 +483,25 @@ def pw4_path_decomposition(inst: LabeledInstance) -> TreeDecomposition:
                             }
                         )
                     )
-    edges = tuple((t, t + 1) for t in range(len(bags) - 1))
-    return TreeDecomposition(tuple(bags), edges, root=len(bags) - 1)
+    return tuple(bags)
+
+
+def elimination_tree(g: Graph, order: list[int]) -> TreeDecomposition:
+    """g's elimination tree along `order`, shaped as `treewidth.heuristic_decomposition`'s:
+    bag i is order[i], then its neighbours once the earlier vertices are eliminated."""
+    adj = [set(a) for a in g.adjacency]
+    pos = {v: i for i, v in enumerate(order)}
+    bags = []
+    for v in order:
+        later = sorted(adj[v])
+        bags.append((v, *later))
+        for a, b in combinations(later, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+        for a in later:
+            adj[a].discard(v)
+    parents = tuple(min((pos[u] for u in bag[1:]), default=-1) for bag in bags)
+    return TreeDecomposition(tuple(bags), parents)
 
 
 # ---------------------------------------------------------------------------

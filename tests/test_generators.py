@@ -13,7 +13,7 @@ from starforest.generators import (
 )
 from starforest.graph import Graph, verify_embedding
 from starforest.oracle import opt_common_vector
-from starforest.treewidth import solve_tw, verify_decomposition
+from starforest.treewidth import solve_tw
 
 from conftest import complete_graph, cycle_graph, path_graph, random_graph, star_graph
 from reference import (
@@ -23,6 +23,7 @@ from reference import (
     kway_brute,
     pw4_path_decomposition,
     treedepth_at_most,
+    verify_path_decomposition,
 )
 
 
@@ -174,15 +175,11 @@ class TestPw4:
 
     def test_path_decomposition_certificate(self):
         li = gen_kway_pw4(KwayInstance((4, 3, 3, 2), 2, 6))
-        td = pw4_path_decomposition(li)
-        assert td.width == 4
-        assert verify_decomposition(li.instance.g1, td)
-        # path-shaped tree: every node has degree <= 2
-        deg = [0] * len(td.bags)
-        for a, b in td.tree_edges:
-            deg[a] += 1
-            deg[b] += 1
-        assert max(deg) <= 2
+        bags = pw4_path_decomposition(li)
+        assert max(map(len, bags)) == 5  # width 4
+        assert verify_path_decomposition(li.instance.g1, bags)
+        # the bags in another order are no path decomposition
+        assert not verify_path_decomposition(li.instance.g1, bags[1::2] + bags[::2])
 
 
 class TestTreedepthCheck:

@@ -19,7 +19,6 @@ from starforest.treewidth import (
     heuristic_decomposition,
     path_order,
     solve_tw,
-    verify_decomposition,
 )
 from starforest.vectors import _digit_sums, common_forest, counts_to_sizes, pack
 
@@ -39,6 +38,7 @@ from conftest import (
     random_tree,
     star_graph,
 )
+from reference import elimination_tree, verify_path_decomposition
 
 
 def eliminate(adj, v):
@@ -66,37 +66,35 @@ def naive_min_fill_order(g):
     return order
 
 
-def is_decomposition(g, td):
-    """The definition: a tree on the nodes rooted at one of them, every vertex
-    and edge in a bag, and the nodes holding each vertex connected in the tree."""
-    m = len(td.bags)
-    if not 0 <= td.root < m:
+def is_path_decomposition(g, bags):
+    """The definition: every vertex of g, and no other, and every edge in a bag,
+    and the bags holding each vertex consecutive."""
+    if set().union(*bags) != set(range(g.n)):
         return False
-    if sorted(set().union(*td.bags)) != list(range(g.n)):
-        return g.n == 0 and not set().union(*td.bags)
-    if len(td.tree_edges) != m - 1 or not connected(range(m), td.tree_edges):
-        return False
-    if not all(any({u, v} <= bag for bag in td.bags) for u, v in g.edges()):
+    if not all(any({u, v} <= bag for bag in bags) for u, v in g.edges()):
         return False
     for v in range(g.n):
-        nodes = [t for t in range(m) if v in td.bags[t]]
-        inside = [(a, b) for a, b in td.tree_edges if a in nodes and b in nodes]
-        if not connected(nodes, inside):
+        held = [t for t, bag in enumerate(bags) if v in bag]
+        if held != list(range(held[0], held[-1] + 1)):
             return False
     return True
 
 
-def connected(nodes, edges):
-    nodes = list(nodes)
-    reach = set(nodes[:1])
-    grew = True
-    while grew:
-        grew = False
-        for a, b in edges:
-            if (a in reach) != (b in reach):
-                reach |= {a, b}
-                grew = True
-    return reach == set(nodes)
+def is_elimination_tree(g, td):
+    """The properties the walk relies on: each vertex heads exactly one bag,
+    every edge lies in a bag, each parent comes after its child (or is -1),
+    and each bag but its own vertex lies inside its parent's bag."""
+    if sorted(bag[0] for bag in td.bags) != list(range(g.n)) or len(td.parents) != g.n:
+        return False
+    if not all(any({u, v} <= set(bag) for bag in td.bags) for u, v in g.edges()):
+        return False
+    for t, (bag, p) in enumerate(zip(td.bags, td.parents)):
+        if p == -1:
+            if len(bag) > 1:
+                return False
+        elif not t < p < g.n or not set(bag[1:]) <= set(td.bags[p]):
+            return False
+    return True
 
 
 class TestHeuristicDecomposition:
@@ -105,7 +103,7 @@ class TestHeuristicDecomposition:
         for _ in range(20):
             t = random_tree(rng, rng.randint(2, 12))
             td = heuristic_decomposition(t)
-            assert td.width == 1 and verify_decomposition(t, td)
+            assert td.width == 1 and is_elimination_tree(t, td)
 
     def test_clique_forces_full_bag(self):
         assert heuristic_decomposition(complete_graph(4)).width == 3
@@ -115,29 +113,45 @@ class TestHeuristicDecomposition:
         assert td.width == 2
         # no width-1 decomposition exists for a cycle: exhaustive over the
         # possible two-vertex bags is unnecessary, a cycle is not a forest
-        assert verify_decomposition(cycle_graph(5), td)
+        assert is_elimination_tree(cycle_graph(5), td)
 
     def test_valid_on_random_graphs(self):
+        # the properties the walk relies on, in place of a check in the module
         rng = random.Random(82)
+        graphs = [Graph.from_edges(0, [])]
+        graphs += [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(60)]
+        loose = Graph.from_edges(2, [])
+        graphs += [disjoint_union(g, random_tree(rng, 5), loose) for g in graphs[-10:]]
+        assert heuristic_decomposition(graphs[0]) == TreeDecomposition((), ())
+        for g in graphs:
+            assert is_elimination_tree(g, heuristic_decomposition(g))
+
+    def test_widths_are_kept(self):
+        # min-fill's widths of these graphs, pinned: the tree's shape must not
+        # change which bags elimination makes; -1 for the empty graph
+        rng = random.Random(105)
+        graphs = [Graph.from_edges(0, [])]
         for _ in range(40):
-            g = random_graph(rng, rng.randint(0, 9), rng.random())
-            assert verify_decomposition(g, heuristic_decomposition(g))
+            g = random_graph(rng, rng.randint(1, 14), rng.random())
+            if rng.random() < 0.25:
+                g = disjoint_union(g, random_tree(rng, 5), Graph.from_edges(2, []))
+            graphs.append(g)
+        widths = [-1, 2, 1, 2, 6, 2, 1, 5, 3, 4, 2, 1, 1, 7, 3, 1, 0, 5, 0, 2, 2, 1, 1, 0, 0]
+        widths += [7, 5, 2, 3, 1, 1, 1, 1, 3, 6, 3, 6, 3, 2, 2, 6]
+        assert [heuristic_decomposition(g).width for g in graphs] == widths
 
     def test_min_fill_order(self):
         rng = random.Random(87)
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 14), rng.random() * 0.6)
             td = heuristic_decomposition(g)
-            # bag i holds the vertex eliminated at step i and its alive
-            # neighbours; that vertex is the only one no later bag holds
-            order = []
-            for i, bag in enumerate(td.bags):
-                (v,) = bag - set().union(*td.bags[i + 1 :])
-                order.append(v)
+            # bag i is the vertex eliminated at step i, then its alive neighbours
+            order = [bag[0] for bag in td.bags]
             assert order == naive_min_fill_order(g)
+            assert td == elimination_tree(g, order)
             adj = [set(a) for a in g.adjacency]
             for v, bag in zip(order, td.bags):
-                assert bag == frozenset(adj[v] | {v})
+                assert bag == (v, *sorted(adj[v]))
                 eliminate(adj, v)
 
 
@@ -246,11 +260,9 @@ class TestPathDecomposition:
         graphs = mixed_graphs(rng, 300)
         assert any(len(g.components()) > 2 and g.isolated_vertices() for g in graphs)
         for g in graphs:
-            td = path_decomposition(g)
-            assert verify_decomposition(g, td) and is_decomposition(g, td)
-            assert td.tree_edges == tuple((i, i + 1) for i in range(len(td.bags) - 1))
-            assert td.root == len(td.bags) - 1
-            assert td.width == path_order(g)[1]
+            bags = path_decomposition(g)
+            assert verify_path_decomposition(g, bags) and is_path_decomposition(g, bags)
+            assert max(map(len, bags), default=0) - 1 == path_order(g)[1]
 
     def test_greedy_order(self):
         rng = random.Random(90)
@@ -303,6 +315,16 @@ class TestPathDecomposition:
         td = treewidth.dp_pick(g)
         assert td == heuristic_decomposition(g) and td.width == 1
 
+    def test_random_two_tree_keeps_min_fill(self):
+        # a 2-tree's greedy path is far wider than its min-fill tree, and walks
+        # it many times slower; the script times one such 2-tree
+        g = script_module().random_two_tree(random.Random(22), 40)
+        assert treewidth.pendant_kernel(g)[0] == g and degeneracy(g) == 2
+        td = treewidth.dp_pick(g)
+        assert td == heuristic_decomposition(g) and td.width == 2 and path_order(g)[1] == 7
+        walked = treewidth._walk(g, 2, path_order(g)[0])
+        assert enum_star_vectors_dp(g, 2, remember=False) == walked == treewidth._walk(g, 2, td)
+
     def test_degeneracy(self):
         assert degeneracy(complete_graph(5)) == 4
         assert degeneracy(grid_graph(4, 5)) == 2
@@ -341,7 +363,7 @@ class TestPathDecomposition:
             pick = treewidth.dp_pick(g)
             width = pick.width if isinstance(pick, TreeDecomposition) else path_order(g)[1]
             assert width <= heuristic_decomposition(g).width + 1
-            want = enum_star_vectors_dp(g, delta, heuristic_decomposition(g))
+            want = treewidth._walk(g, delta, heuristic_decomposition(g))
             assert treewidth._walk(g, delta, pick) == want
 
     def test_path_walk_makes_no_sumset_call(self, monkeypatch):
@@ -360,7 +382,7 @@ class TestPathDecomposition:
         fam = enum_star_vectors_dp(g, 4)
         assert fam.vectors == enum_star_vectors_brute(g, 4).vectors
         assert calls == []
-        enum_star_vectors_dp(g, 4, heuristic_decomposition(g))
+        treewidth._walk(g, 4, heuristic_decomposition(g))
         assert calls
 
 
@@ -380,12 +402,12 @@ class TestOrderWalk:
         rng = random.Random(99)
         for g in walked_graphs(rng):
             steps, width = path_order(g)
-            path = path_decomposition(g)
-            assert width == path.width
+            assert width == max(map(len, path_decomposition(g)), default=0) - 1
             for delta in sorted({2, max(1, g.max_degree())}):
                 walked = treewidth._walk(g, delta, steps)
-                assert walked == treewidth._walk(g, delta, path)
                 assert walked == treewidth._walk(g, delta, heuristic_decomposition(g))
+                if g.n <= 9:
+                    assert walked.vectors == enum_star_vectors_brute(g, delta).vectors
 
     def test_slots_stay_below_width_plus_one(self, monkeypatch):
         forgets = []
@@ -415,15 +437,15 @@ class TestOrderWalk:
 
     def test_dp_walks_the_order_on_paths_only(self, monkeypatch):
         walks = []
-        real = treewidth._top_down
+        real = treewidth._tree_nodes
 
-        def counted(td):
+        def counted(td, shift, w):
             walks.append(td)
-            return real(td)
+            return real(td, shift, w)
 
-        monkeypatch.setattr(treewidth, "_top_down", counted)
+        monkeypatch.setattr(treewidth, "_tree_nodes", counted)
         for g in (grid_graph(4, 5), caterpillar(12, 3), complete_binary_tree(63)):
-            want = enum_star_vectors_dp(g, 3, heuristic_decomposition(g))
+            want = treewidth._walk(g, 3, heuristic_decomposition(g))
             walks.clear()
             assert enum_star_vectors_dp(g, 3, remember=False) == want
             # only min-fill's tree, which the binary tree's 31-vertex pendant
@@ -495,7 +517,7 @@ class TestPendantKernel:
         for g in graphs:
             for delta in (1, 2, 3):
                 default = enum_star_vectors_dp(g, delta, remember=False)
-                assert default == treewidth._walk(g, delta, path_decomposition(g))
+                assert default == treewidth._walk(g, delta, path_order(g)[0])
                 assert default == treewidth._walk(g, delta, heuristic_decomposition(g))
                 if g.n <= 10:
                     assert default.vectors == enum_star_vectors_brute(g, delta).vectors
@@ -515,20 +537,29 @@ class TestPendantKernel:
         # the middle, a centre of 2, must still take the other end
         g = path_graph(3)
         three_star = {(0, 1)}  # no 2-star and one 3-star
-        for td in (path_decomposition(g), heuristic_decomposition(g), None):
-            fam = enum_star_vectors_dp(g, 2, td, remember=False)
+        for fam in (
+            treewidth._walk(g, 2, path_order(g)[0]),
+            treewidth._walk(g, 2, heuristic_decomposition(g)),
+            enum_star_vectors_dp(g, 2, remember=False),
+        ):
             assert fam.vectors == {(0, 0), (1, 0)} | three_star
 
 
 SCRIPT_GRAPHS = [("grid 2x3", grid_graph(2, 3), 3), ("binary tree 15", complete_binary_tree(15), 3)]
 
 
-def load_script(monkeypatch):
-    """scripts/dp_decompositions.py as a module, run on SCRIPT_GRAPHS."""
+def script_module():
+    """scripts/dp_decompositions.py as a module."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "dp_decompositions.py"
     spec = importlib.util.spec_from_file_location("dp_decompositions", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def load_script(monkeypatch):
+    """scripts/dp_decompositions.py as a module, run on SCRIPT_GRAPHS."""
+    script = script_module()
     monkeypatch.setattr(script, "graphs", lambda: SCRIPT_GRAPHS)
     return script
 
@@ -539,7 +570,7 @@ class TestDecompositionScript:
         assert script.main(["--check", "--repeat", "1"]) == 0
         out = capsys.readouterr().out
         assert "grid 2x3" in out and "binary tree 15" in out and "differ" not in out
-        # each decomposition's build time is printed apart from its DP time
+        # each walk's build time is printed apart from its DP time
         header, *rows = out.splitlines()
         for kind in ("min-fill", "path"):
             assert f"{kind} dec ms" in header and f"{kind} DP ms" in header
@@ -551,20 +582,23 @@ class TestDecompositionScript:
         # no pendant, and the binary tree's 8 leaves leave its 7-vertex kernel
         assert "kernel n" in header and "kernel pick" in header
         assert [row.split()[-7:-5] for row in rows] == [["6", "path"], ["7", "path"]]
-        # a path decomposition whose DP loses the largest star size fails the check
-        real = script.enum_star_vectors_dp
+        # a path walk that loses the largest star size fails the check
+        real_walk = script._walk
 
-        def lossy(g, delta, td=None, **kw):
-            return real(g, delta - 1 if td == path_decomposition(g) else delta, td, **kw)
+        def lossy(g, delta, walk, *kernel):
+            return real_walk(g, delta - 1 if isinstance(walk, list) else delta, walk, *kernel)
 
-        monkeypatch.setattr(script, "enum_star_vectors_dp", lossy)
+        monkeypatch.setattr(script, "_walk", lossy)
         assert script.main(["--repeat", "1"]) == 0
         assert script.main(["--check", "--repeat", "1"]) == 1
         assert "families differ on: grid 2x3" in capsys.readouterr().out
+        monkeypatch.setattr(script, "_walk", real_walk)
 
-        # so does a default route that loses it, though every decomposition's DP keeps it
-        def lossy_default(g, delta, td=None, **kw):
-            return real(g, delta if td else delta - 1, td, **kw)
+        # so does a default route that loses it, though both walks keep it
+        real = script.enum_star_vectors_dp
+
+        def lossy_default(g, delta, **kw):
+            return real(g, delta - 1, **kw)
 
         monkeypatch.setattr(script, "enum_star_vectors_dp", lossy_default)
         assert script.main(["--check", "--repeat", "1"]) == 1
@@ -601,78 +635,65 @@ class TestDecompositionScript:
 
 
 class TestVerifyDecomposition:
+    # `reference.verify_path_decomposition`, the certificate check of the
+    # explicit pw4 decomposition and of `path_order`'s path
     def test_accepts_valid(self):
-        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),), root=1)
-        assert verify_decomposition(path_graph(3), td)
+        assert verify_path_decomposition(path_graph(3), [{0, 1}, {1, 2}])
 
     def test_rejects_missing_edge_bag(self):
-        td = TreeDecomposition((frozenset({0, 1}), frozenset({2})), ((0, 1),), root=1)
-        assert not verify_decomposition(path_graph(3), td)
+        assert not verify_path_decomposition(path_graph(3), [{0, 1}, {2}])
 
     def test_rejects_disconnected_trace(self):
-        td = TreeDecomposition(
-            (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})),
-            ((0, 1), (1, 2)),
-            root=2,
-        )
-        assert not verify_decomposition(path_graph(3), td)
-
-    def test_rejects_non_tree(self):
-        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), (), root=0)
-        assert not verify_decomposition(path_graph(3), td)
-
-    def test_rejects_root_outside_the_nodes(self):
-        bags, edges = (frozenset({0, 1}), frozenset({1, 2})), ((0, 1),)
-        for root in (5, 2, -1):
-            td = TreeDecomposition(bags, edges, root=root)
-            assert not verify_decomposition(path_graph(3), td)
-            assert not is_decomposition(path_graph(3), td)
+        assert not verify_path_decomposition(path_graph(3), [{0, 1}, {1, 2}, {0, 2}])
 
     def test_rejects_no_bags(self):
-        # the empty graph's decomposition is one empty bag, as both builders give
+        # unless the graph has no vertex: the empty graph's path has no bag
+        assert not verify_path_decomposition(path_graph(3), [])
         empty = Graph.from_edges(0, [])
-        assert not verify_decomposition(empty, TreeDecomposition((), ()))
-        assert verify_decomposition(empty, heuristic_decomposition(empty))
-        assert verify_decomposition(empty, path_decomposition(empty))
+        assert path_decomposition(empty) == [] and verify_path_decomposition(empty, [])
+
+    def test_rejects_a_missing_or_foreign_vertex(self):
+        assert not verify_path_decomposition(path_graph(3), [{0, 1}])
+        assert not verify_path_decomposition(path_graph(3), [{0, 1}, {1, 2, 3}])
 
     def test_matches_definition_on_mutations(self):
         rng = random.Random(88)
         verdicts = set()
         for _ in range(600):
             g = random_graph(rng, rng.randint(1, 10), rng.random() * 0.6)
-            td = heuristic_decomposition(g)
-            bags = [set(b) for b in td.bags]
-            edges = list(td.tree_edges)
+            bags = [set(b) for b in path_decomposition(g)]
             for _ in range(rng.randint(0, 2)):
                 t = rng.randrange(len(bags))
                 kind = rng.randrange(3)
                 if kind == 0 and bags[t]:
                     bags[t].discard(rng.choice(sorted(bags[t])))
                 elif kind == 1:
-                    bags[t].add(rng.randrange(g.n))
-                elif kind == 2 and edges:
-                    i = rng.randrange(len(edges))
-                    edges[i] = (edges[i][0], rng.randrange(len(bags)))
-            mutated = TreeDecomposition(tuple(map(frozenset, bags)), tuple(edges), td.root)
-            verdict = verify_decomposition(g, mutated)
-            assert verdict == is_decomposition(g, mutated)
+                    bags[t].add(rng.randrange(g.n + 1))
+                elif kind == 2:
+                    u = rng.randrange(len(bags))
+                    bags[t], bags[u] = bags[u], bags[t]
+            verdict = verify_path_decomposition(g, bags)
+            assert verdict == is_path_decomposition(g, bags)
             verdicts.add(verdict)
         assert verdicts == {True, False}
 
 
 class TestSlots:
     def test_bag_vertices_hold_distinct_slots_below_width_plus_one(self):
+        # the slots min-fill's tree walk gives, read off the shifts at field width 1
         rng = random.Random(94)
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 14), rng.random() * 0.6)
-            for td in (heuristic_decomposition(g), path_decomposition(g)):
-                order, parent, slot = treewidth._top_down(td)
-                assert order[0] == td.root and sorted(order) == list(range(len(td.bags)))
-                assert all(order.index(parent[t]) < order.index(t) for t in order[1:])
-                assert sorted(slot) == list(range(g.n))
-                for bag in td.bags:
-                    held = {slot[v] for v in bag}
-                    assert len(held) == len(bag) and all(s <= td.width for s in held)
+            td = heuristic_decomposition(g)
+            slot = [-1] * g.n
+            nodes = list(treewidth._tree_nodes(td, slot, 1))
+            assert [(t, p, forgets) for t, p, forgets, _ in nodes] == [
+                (t, p, bag[:1]) for t, (bag, p) in enumerate(zip(td.bags, td.parents))
+            ]
+            assert min(slot) >= 0
+            for bag in td.bags:
+                held = {slot[v] for v in bag}
+                assert len(held) == len(bag) and all(s <= td.width for s in held)
 
 
 class TestEnumDP:
@@ -688,21 +709,6 @@ class TestEnumDP:
         # packed at base 2, VectorFamily's least, as the oracle does; it was base 1
         g = Graph.from_edges(0, [])
         assert enum_star_vectors_dp(g, 1) == enum_star_vectors_brute(g, 1)
-
-    def test_invalid_decomposition_rejected(self):
-        td = TreeDecomposition((frozenset({0}),), ())
-        with pytest.raises(PreconditionError):
-            enum_star_vectors_dp(path_graph(3), 2, td)
-
-    @pytest.mark.parametrize("root", [5, -1])
-    def test_root_outside_the_nodes_rejected(self, root):
-        td = TreeDecomposition((frozenset({0, 1}), frozenset({1, 2})), ((0, 1),), root=root)
-        with pytest.raises(PreconditionError):
-            enum_star_vectors_dp(path_graph(3), 2, td)
-
-    def test_no_bags_rejected(self):
-        with pytest.raises(PreconditionError):
-            enum_star_vectors_dp(Graph.from_edges(0, []), 1, TreeDecomposition((), ()))
 
     def test_matches_brute_force(self, monkeypatch):
         rng = random.Random(84)
@@ -741,52 +747,36 @@ class TestEnumDP:
                 bounds = treewidth._layout(g, delta)[0]
                 assert all(c < b for vec in brute for c, b in zip(vec, bounds))
                 if g in centred:
-                    assert enum_star_vectors_dp(g, delta, heuristic_decomposition(g)).vectors == brute
+                    assert treewidth._walk(g, delta, heuristic_decomposition(g)).vectors == brute
         assert any(merged is not None for merged in merges)
 
     def test_independent_of_decomposition(self):
+        # the elimination trees of random vertex orders: their roots, joins,
+        # forgets and slots all differ from min-fill's, and so from each other
         rng = random.Random(85)
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(2, 9), 0.4)
-            delta = max(1, g.max_degree())
-            # one bag holding every vertex is valid for any graph and has no join
-            one_bag = TreeDecomposition((frozenset(range(g.n)),), ())
-            td = heuristic_decomposition(g)
-            # every node gets a leaf child with the same bag, so both sides of
-            # each join hold the whole bag and every edge inside it
-            bags, edges, m = td.bags, td.tree_edges, len(td.bags)
-            doubled = TreeDecomposition(
-                bags + bags, edges + tuple((t, t + m) for t in range(m)), td.root
-            )
-            a = enum_star_vectors_dp(g, delta, td)
-            b = enum_star_vectors_dp(g, delta, one_bag)
-            c = enum_star_vectors_dp(g, delta, doubled)
-            assert a.vectors == b.vectors == c.vectors
-
-    def test_every_root_gives_the_family(self):
-        # the root decides the walk and so every vertex's mask slot
-        rng = random.Random(95)
-        graphs = [random_graph(rng, rng.randint(2, 9), 0.4) for _ in range(20)]
+        graphs = [random_graph(rng, rng.randint(2, 9), 0.4) for _ in range(30)]
         graphs.append(grid_graph(3, 4))
         slot_maps = set()
         for g in graphs:
             delta = max(1, g.max_degree())
-            td = heuristic_decomposition(g)
             want = enum_star_vectors_brute(g, delta).vectors
-            for root in range(len(td.bags)):
-                rooted = TreeDecomposition(td.bags, td.tree_edges, root)
-                assert enum_star_vectors_dp(g, delta, rooted).vectors == want
-                slot_maps.add((g, tuple(sorted(treewidth._top_down(rooted)[2].items()))))
+            for _ in range(4):
+                order = rng.sample(range(g.n), g.n)
+                td = elimination_tree(g, order)
+                assert treewidth._walk(g, delta, td).vectors == want
+                slot = [-1] * g.n
+                list(treewidth._tree_nodes(td, slot, 1))
+                slot_maps.add((g, tuple(slot)))
         assert len(slot_maps) > len(graphs)
 
     @pytest.mark.parametrize("delta", [1, 2, 3, 4])
     def test_join_caps_merged_centre(self, monkeypatch, delta):
-        # both children hold the hub 0 as a centre with two forgotten leaves;
-        # merged it has five vertices, above delta + 1 unless delta is 4
-        g = star_graph(4)
-        td = TreeDecomposition(
-            (frozenset({0, 1, 2}), frozenset({0, 3, 4}), frozenset({0})), ((0, 2), (1, 2)), 2
-        )
+        # min-fill's tree of the star whose hub 4 comes last: its four leaf
+        # bags join at the hub's, and the merged centre can reach five
+        # vertices, above delta + 1 unless delta is 4
+        g = Graph.from_edges(5, [(leaf, 4) for leaf in range(4)])
+        td = heuristic_decomposition(g)
+        assert td == TreeDecomposition(((0, 4), (1, 4), (2, 4), (3, 4), (4,)), (4, 4, 4, 4, -1))
         refused = []
         real_merge = treewidth._merge_masks
 
@@ -796,7 +786,7 @@ class TestEnumDP:
             return merged
 
         monkeypatch.setattr(treewidth, "_merge_masks", counted)
-        fam = enum_star_vectors_dp(g, delta, td)
+        fam = treewidth._walk(g, delta, td)
         assert fam.vectors == enum_star_vectors_brute(g, delta).vectors
         # the join rejects leaf conflicts itself and merges only masks that
         # cover a vertex on both sides, so every refusal is the cap
@@ -804,10 +794,10 @@ class TestEnumDP:
         assert any(refused) == (delta < 4)
 
     def test_an_edge_in_no_bag_fails_the_walks_end_check(self):
-        # unvalidated, the edge {1, 2} is in no bag: 1 is forgotten before 2
-        # is held, so the edge is never decided
-        td = TreeDecomposition((frozenset({0, 1}), frozenset({2})), ((0, 1),), root=1)
-        assert not verify_decomposition(path_graph(3), td)
+        # the edge {1, 2} is in no bag: 1 is forgotten before 2 is held, so
+        # the edge is never decided
+        td = TreeDecomposition(((0, 1), (1,), (2,)), (1, -1, -1))
+        assert not is_elimination_tree(path_graph(3), td)
         with pytest.raises(AssertionError):
             treewidth._walk(path_graph(3), 2, td)
 
@@ -841,7 +831,7 @@ class TestBitsetTables:
 
     def test_sparse_tables_match_int_tables(self, monkeypatch):
         # every walk once with int tables and once with sparse ones, whose
-        # codes are packed at base n + 1; the supplied trees join and merge
+        # codes are packed at base n + 1; min-fill's trees join and merge
         rng = random.Random(104)
         graphs = [grid_graph(3, 4), hub_tree(rng, 24, 2), random_graph(rng, 10, 0.4)]
         graphs += [with_pendants(cycle_graph(6), range(6)), caterpillar(3, 3)]
@@ -853,7 +843,7 @@ class TestBitsetTables:
                     monkeypatch.setattr(treewidth, "WIDEST_INT_BOX", widest)
                     runs.append([
                         enum_star_vectors_dp(g, delta, remember=False),
-                        enum_star_vectors_dp(g, delta, td),
+                        treewidth._walk(g, delta, td),
                     ])
                 assert runs[0] == runs[1]
 
@@ -879,15 +869,6 @@ class TestMemo:
         enum_star_vectors_dp(cycle_graph(6), 1)
         assert len(calls) == 2
 
-    def test_supplied_decomposition_is_validated_when_remembered(self):
-        treewidth._remembered_family.cache_clear()
-        g = path_graph(3)
-        enum_star_vectors_dp(g, 2)
-        with pytest.raises(PreconditionError):
-            enum_star_vectors_dp(g, 2, TreeDecomposition((frozenset({0}),), ()))
-        # a valid one runs the DP on it and gives the same family
-        assert enum_star_vectors_dp(g, 2, heuristic_decomposition(g)) == enum_star_vectors_dp(g, 2)
-
     def test_sets_handed_on_inside_the_walk_never_reach_a_held_family(self):
         # a family handed out earlier keeps its members while later runs,
         # remembered or not and with joins, build and decode their own tables
@@ -900,9 +881,9 @@ class TestMemo:
             other = random_graph(rng, rng.randint(2, 12), 0.4)
             enum_star_vectors_dp(other, 3)
             enum_star_vectors_dp(other, 3, remember=False)
-            enum_star_vectors_dp(other, 3, heuristic_decomposition(other))
+            treewidth._walk(other, 3, heuristic_decomposition(other))
         solve_eptas(g, cycle_graph(12), EptasConfig(0.5))
-        again = enum_star_vectors_dp(g, 3, heuristic_decomposition(g))
+        again = treewidth._walk(g, 3, heuristic_decomposition(g))
         assert held.members == kept and again == held
         assert held.vectors == enum_star_vectors_brute(g, 3).vectors
         assert enum_star_vectors_dp(g, 3) == held
@@ -910,11 +891,10 @@ class TestMemo:
     def test_two_runs_on_one_decomposition_with_joins_agree(self):
         g = grid_graph(3, 4)
         td = heuristic_decomposition(g)
-        _, parent, _ = treewidth._top_down(td)
-        children = [parent[t] for t in parent if parent[t] >= 0]
+        children = [p for p in td.parents if p >= 0]
         assert any(children.count(p) > 1 for p in children)  # the walk joins
-        first = enum_star_vectors_dp(g, 3, td)
-        assert enum_star_vectors_dp(g, 3, td) == first
+        first = treewidth._walk(g, 3, td)
+        assert treewidth._walk(g, 3, td) == first
         assert first.vectors == enum_star_vectors_brute(g, 3).vectors
 
     def test_a_third_graph_evicts_the_oldest(self, monkeypatch):
