@@ -8,9 +8,10 @@ embedding keeps every answer and certificate:
 
 `count` seeded sparse pairs (n 8 to 16, about 0.7 n edges on each side)
 come first, then fixed pairs rich in 2-stars (disjoint triangles, paths,
-an isolated vertex).  Each pair is asked at h = opt and h = opt + 1, with
-opt from solve_tw.  A line holds the query's index, h, the answer, the
-forest's star sizes and both embeddings (null on a no).
+an isolated vertex) and fixed pairs rich in equal 3- and 4-stars (disjoint
+K4s, caterpillars, spiders).  Each pair is asked at h = opt and
+h = opt + 1, with opt from solve_tw.  A line holds the query's index, h,
+the answer, the forest's star sizes and both embeddings (null on a no).
 """
 
 import json
@@ -50,6 +51,47 @@ def two_star_pairs():
         yield disjoint_union(path_graph(2 * k + 1), isolated), path_graph(2 * k + 2)
 
 
+def spider(legs, length):
+    """A centre (vertex 0) joined to `legs` paths of `length` edges each."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(v, v + 1) for v in range(first, first + length - 1)]
+    return Graph.from_edges(1 + legs * length, edges)
+
+
+def caterpillar(spine, leaves):
+    """A path on vertices 0 .. spine - 1, each with `leaves` pendant vertices."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(v, spine + v * leaves + i) for v in range(spine) for i in range(leaves)]
+    return Graph.from_edges(spine * (1 + leaves), edges)
+
+
+def equal_star_pairs():
+    """Pairs whose embeddings place runs of equal 3- and 4-stars, n <= 14.
+
+    Disjoint K4s hold one 4-star each, and so does each spine vertex of a
+    caterpillar with 3 leaves per spine vertex, so the sweep reaches
+    (4,) * spine; with 2 leaves the spine holds (3,) * spine, as does a
+    spider with legs of three edges.  On a caterpillar each star of a run
+    centres on the vertex one past the last star's centre, the lowest one a
+    level may take.  An isolated vertex on each side again keeps
+    h = opt + 1 within both vertex counts.
+    """
+    isolated = Graph.from_edges(1, [])
+    for k in (2, 3):  # the no at k = 4 sweeps 66 partitions in about 0.4 s
+        yield (
+            disjoint_union(*[complete_graph(4)] * k, isolated),
+            disjoint_union(caterpillar(k, 3), isolated),
+        )
+    for k in (2, 3, 4):
+        yield (
+            disjoint_union(caterpillar(k, 2), isolated),
+            disjoint_union(spider(k, 3), isolated),
+        )
+
+
 def pairs(count):
     """The (g1, g2) sequence whose answers main prints."""
     rng = random.Random(33)
@@ -58,6 +100,7 @@ def pairs(count):
         p = 1.4 / (n - 1)  # about 0.7 n edges
         yield random_graph(rng, n, p), random_graph(rng, n, p)
     yield from two_star_pairs()
+    yield from equal_star_pairs()
 
 
 def main(count):

@@ -6,7 +6,11 @@ partitions of exactly h vertices (the partitions of h with every part at
 least 2, built lazily here) and look for one embedding in both graphs.
 Forest embedding runs either as exact backtracking or as randomized color
 coding with one-sided error.  Exact backtracking places centres in
-non-increasing star-size order; a 2-star level walks the centre's edges
+non-increasing star-size order.  One pass over the graph buckets the
+vertices by degree into host bitmasks, one per leaf count; a level takes its
+centres lowest index first from its star's host mask, less the used
+vertices and those below its first allowed centre, so it never scans a
+vertex that cannot be its centre.  A 2-star level walks the centre's edges
 with no free-leaf list and never retries a 2-star as the mirror image of
 one that already failed, so it returns the first embedding of the plain
 backtracker without walking the same subtree twice.  It nests one frame per
@@ -187,48 +191,69 @@ def _check_mode(mode: str) -> None:
 
 def _embed_exact(g: Graph, forest: StarForest) -> Embedding | None:
     sizes = forest.star_sizes  # already non-increasing
+    adj = g.adjacency
+    # hosts[k]: the vertices of degree >= k, as a bitmask, for k up to the
+    # largest star's leaf count: bucket each vertex by its capped degree,
+    # then OR the buckets as suffixes
+    top = sizes[0] - 1
+    hosts = [0] * (top + 1)
+    for v, nbrs in enumerate(adj):
+        k = len(nbrs)
+        hosts[k if k < top else top] |= 1 << v
+    for k in range(top - 1, -1, -1):
+        hosts[k] |= hosts[k + 1]
+    # per level: star size, its host mask, and whether the previous star has
+    # the same size (then centres rise, so no star set is tried twice)
+    levels = [(d, hosts[d - 1], i > 0 and sizes[i - 1] == d) for i, d in enumerate(sizes)]
+    last = len(sizes)
     stars: list[tuple[int, ...]] = []
+    append, pop = stars.append, stars.pop
 
     def place(idx: int, used: int, min_centre: int) -> bool:
-        if idx == len(sizes):
+        if idx == last:
             return True
-        d = sizes[idx]
-        start = min_centre if idx > 0 and sizes[idx - 1] == d else 0
-        for centre in range(start, g.n):
-            if used >> centre & 1 or g.degree(centre) < d - 1:
-                continue
+        d, host, same = levels[idx]
+        start = min_centre if same else 0
+        # the unused hosts from start on, lowest bit first: centres come in
+        # index order, as the plain backtracker tries them
+        todo = (host & ~used) >> start << start
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            centre = bit.bit_length() - 1
             if d == 2:
                 # Every star partition ends in 2-stars, so most nodes sit here:
                 # walk the edges with no free list.  Skip each leaf w with
                 # start <= w < centre: its mirror, centre w with leaf centre, was
-                # tried earlier in this loop with the same used set and a weaker
-                # bound on the next centre (w + 1 <= centre + 1), and it failed,
-                # or the search would have returned.  So this subtree fails too,
-                # and the first embedding is unchanged.
-                mask = used | 1 << centre
-                for w in g.adjacency[centre]:
+                # tried earlier in this loop (w has an edge, so it is a host)
+                # with the same used set and a weaker bound on the next centre
+                # (w + 1 <= centre + 1), and it failed, or the search would have
+                # returned.  So this subtree fails too, and the first embedding
+                # is unchanged.
+                mask = used | bit
+                for w in adj[centre]:
                     if used >> w & 1 or start <= w < centre:
                         continue
-                    stars.append((centre, w))
+                    append((centre, w))
                     if place(idx + 1, mask | 1 << w, centre + 1):
                         return True
-                    stars.pop()
+                    pop()
                 continue
             # A larger star has a mirror only when an earlier leaf is adjacent
             # to all the others; testing that at every size made decide_h slower
             # (4.5 ms per solve against 2.9 ms for 2-stars alone), so this
             # branch skips no leaf.
-            free = [w for w in g.adjacency[centre] if not used >> w & 1]
+            free = [w for w in adj[centre] if not used >> w & 1]
             if len(free) < d - 1:
                 continue
             for leaves in combinations(free, d - 1):
-                mask = used | 1 << centre
+                mask = used | bit
                 for w in leaves:
                     mask |= 1 << w
-                stars.append((centre,) + leaves)
+                append((centre,) + leaves)
                 if place(idx + 1, mask, centre + 1):
                     return True
-                stars.pop()
+                pop()
         return False
 
     if place(0, 0, 0):

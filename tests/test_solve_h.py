@@ -95,6 +95,20 @@ class TestEmbeds:
                 assert embeds_star_forest(g, StarForest((biggest + 1,))) is None
 
 
+def wide_graph(rng: random.Random) -> Graph:
+    """65-130 vertices, so a vertex bitmask is wider than a machine word: a
+    run of isolated vertices, one hub, sparse edges among the rest, labels
+    shuffled."""
+    n = rng.randint(65, 130)
+    order = list(range(n))
+    rng.shuffle(order)
+    isolated = rng.randint(5, 20)
+    hub, rest = order[isolated], order[isolated + 1 :]
+    edges = [(hub, w) for w in rng.sample(rest, rng.randint(6, 15))]
+    edges += [tuple(rng.sample(rest, 2)) for _ in range(rng.randint(n // 4, n // 2))]
+    return Graph.from_edges(n, edges)
+
+
 class TestExactPruning:
     def test_same_embeddings_as_plain_backtracker(self):
         # every partition of every h <= n, on graphs with isolated vertices too
@@ -107,6 +121,31 @@ class TestExactPruning:
                     got = embeds_star_forest(g, forest, "exact")
                     want = embed_exact_plain(g, forest)
                     assert (got and got.stars) == (want and want.stars), (g.edges(), forest)
+
+    def test_same_embeddings_as_plain_backtracker_past_a_machine_word(self):
+        # runs of equal 2-, 3- and 4-stars, whose centres rise from the last
+        # one's, and a star only the hub can hold
+        rng = random.Random(57)
+        found = missed = 0
+        for _ in range(30):
+            g = wide_graph(rng)
+            hub = g.max_degree() + 1
+            for sizes in [
+                (2, 2, 2, 2), (3, 3, 3), (3, 3, 3, 3), (4, 4), (4, 4, 4), (4, 4, 4, 4),
+                (4, 3, 3), (3, 3, 2, 2), (4, 4, 2, 2), (hub, 3, 3), (hub, 2, 2, 2),
+            ]:
+                forest = StarForest(sizes)
+                got = embeds_star_forest(g, forest)
+                want = embed_exact_plain(g, forest)
+                assert (got and got.stars) == (want and want.stars), (g.edges(), sizes)
+                found += got is not None
+                missed += got is None
+        assert found and missed
+
+    def test_star_above_every_degree_has_no_host(self):
+        g = wide_graph(random.Random(58))
+        for sizes in [(g.max_degree() + 2,), (g.max_degree() + 2, 2, 2)]:
+            assert embeds_star_forest(g, StarForest(sizes)) is None
 
     def test_disjoint_triangles_refuse_one_2star_too_many(self):
         # each triangle holds one 2-star; both orientations of every edge made
@@ -166,6 +205,21 @@ class TestSolveH:
     def test_p4_vs_star_h4_is_no(self):
         yes, _ = solve_h(Instance(path_graph(4), star_graph(3), 4))
         assert not yes
+
+    def test_sweep_embeds_through_the_module_attribute(self, monkeypatch):
+        # perfbench/tracing.py wraps solve_h.embeds_star_forest where solve_h
+        # looks it up, so a sweep that reached the embedding another way would
+        # leave every solve_h.embeds_star_forest metric at 0
+        calls = []
+
+        def counting(g, forest, *args):
+            calls.append(forest.star_sizes)
+            return embeds_star_forest(g, forest, *args)
+
+        module = importlib.import_module("starforest.solve_h")
+        monkeypatch.setattr(module, "embeds_star_forest", counting)
+        yes, _ = solve_h(Instance(path_graph(4), star_graph(3), 4))  # no matching shortcut
+        assert not yes and calls == [(4,), (2, 2), (2, 2)]
 
     def test_h0_always_yes(self):
         yes, cert = solve_h(Instance(Graph.from_edges(1, []), Graph.from_edges(1, []), 0))
