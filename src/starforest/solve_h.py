@@ -202,6 +202,11 @@ def _embed_exact(g: Graph, forest: StarForest) -> Embedding | None:
         hosts[k if k < top else top] |= 1 << v
     for k in range(top - 1, -1, -1):
         hosts[k] |= hosts[k + 1]
+    # sizes do not increase, so the stars at levels 0..i all centre on
+    # distinct hosts of level i's size: level i needs i + 1 of them
+    for i, d in enumerate(sizes):
+        if hosts[d - 1].bit_count() <= i:
+            return None
     # per level: star size, its host mask, and whether the previous star has
     # the same size (then centres rise, so no star set is tried twice)
     levels = [(d, hosts[d - 1], i > 0 and sizes[i - 1] == d) for i, d in enumerate(sizes)]

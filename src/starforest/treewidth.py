@@ -93,7 +93,16 @@ from itertools import combinations
 
 from .errors import PreconditionError
 from .graph import Graph, StarForest
-from .vectors import VectorFamily, _digit_sums, common_forest
+from .vectors import (
+    WIDEST_INT_BOX,
+    Bits,
+    SparseBits,
+    VectorFamily,
+    _bits,
+    _digit_sums,
+    _sum_shifts,
+    common_forest,
+)
 from .vectors import sumset  # unused; only perfbench/tracing.py looks it up
 
 # mask role codes: 0 = uncovered, 1 = leaf of a forgotten centre,
@@ -267,32 +276,6 @@ def dp_pick(g: Graph) -> list[tuple[int, list[int]]] | TreeDecomposition:
 # ---------------------------------------------------------------------------
 # the enumeration DP
 
-# widest box, in bits, whose tables hold ints; a wider one's hold `SparseBits`
-WIDEST_INT_BOX = 1 << 20
-
-
-class SparseBits(set):
-    """A bitset held as the set of its set bits' positions, for boxes too wide for one int.
-    It has the shifts and the OR that the DP applies to an int bitset, each making a new one,
-    and nothing mutates one once it is made."""
-
-    __slots__ = ()
-
-    def __lshift__(self, k: int) -> SparseBits:
-        return SparseBits([c + k for c in self])
-
-    def __or__(self, other: SparseBits | int) -> SparseBits:
-        if not other:  # 0, the empty bitset that `get(key, 0)` starts from
-            return self
-        big, small = (self, other) if len(self) >= len(other) else (other, self)
-        out = SparseBits(big)
-        out |= small
-        return out
-
-    __ror__ = __or__
-
-
-Bits = int | SparseBits
 Table = dict[int, Bits]  # mask (a role field per slot) -> bitset of count-vector codes
 
 
@@ -540,29 +523,6 @@ def _join(star: list[int], field: int, shifts: list[int], t1: Table, t2: Table) 
             # sparse table's place values are powers of n + 1 and grow every digit
             summed = summed << shift if shift >= 0 else summed >> -shift
             out[mask_out] = out.get(mask_out, 0) | summed
-    return out
-
-
-def _sum_shifts(vecs: Bits, offsets: list[int]) -> Bits:
-    """The OR of vecs shifted left by each of offsets."""
-    if vecs.__class__ is SparseBits:
-        return SparseBits([c + o for c in vecs for o in offsets])
-    summed = 0
-    for c in offsets:
-        summed |= vecs << c
-    return summed
-
-
-def _bits(x: Bits) -> list[int]:
-    """The positions of x's set bits, an int's read off its binary string."""
-    if x.__class__ is SparseBits:
-        return list(x)
-    digits = bin(x)[:1:-1]  # bit i is digits[i]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
     return out
 
 

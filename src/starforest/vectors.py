@@ -8,6 +8,14 @@ addition is int addition while no coordinate of a sum reaches the base, and
 a sumset is a double loop of int additions; the tests compare it against a
 sumset of tuples.  The common-subgraph answer is read off the intersection of
 two families.
+
+A family can also be one bitset (`Bits`) whose bit c is set when the vector
+with code c is in it: adding a vector to every member shifts the bitset left
+by its code, so a sumset is an OR of shifts (`_sum_shifts`) and an
+intersection an AND.  Bitsets of boxes wider than WIDEST_INT_BOX codes are
+`SparseBits`, the set of their set bits' positions, with the same operators.
+The treewidth DP's tables and the component route's families are such
+bitsets.
 """
 
 from __future__ import annotations
@@ -102,6 +110,64 @@ def _digit_sums(codes: list[int], radices: list[int], coefs: list[int]) -> list[
         place *= radix
         carried = radix * coef
     return sums
+
+
+# widest box, in codes, whose bitsets are ints; a wider one's are `SparseBits`
+WIDEST_INT_BOX = 1 << 20
+
+
+class SparseBits(set):
+    """A bitset held as the set of its set bits' positions, for boxes too wide for one int.
+    It has the shifts, the OR, the AND and the `bit_count` of an int bitset, each operator
+    making a new one, and nothing mutates one once it is made."""
+
+    __slots__ = ()
+
+    def __lshift__(self, k: int) -> SparseBits:
+        return SparseBits([c + k for c in self])
+
+    def __or__(self, other: SparseBits | int) -> SparseBits:
+        if not other:  # 0, the empty bitset that `get(key, 0)` starts from
+            return self
+        big, small = (self, other) if len(self) >= len(other) else (other, self)
+        out = SparseBits(big)
+        out |= small
+        return out
+
+    __ror__ = __or__
+
+    def __and__(self, other: SparseBits) -> SparseBits:
+        # set's own operator would hand back a plain set
+        return SparseBits(set.intersection(self, other))
+
+    def bit_count(self) -> int:
+        return len(self)
+
+
+Bits = int | SparseBits
+
+
+def _sum_shifts(vecs: Bits, offsets: list[int]) -> Bits:
+    """The OR of vecs shifted left by each of offsets."""
+    if vecs.__class__ is SparseBits:
+        return SparseBits([c + o for c in vecs for o in offsets])
+    summed = 0
+    for c in offsets:
+        summed |= vecs << c
+    return summed
+
+
+def _bits(x: Bits) -> list[int]:
+    """The positions of x's set bits, an int's read off its binary string."""
+    if x.__class__ is SparseBits:
+        return list(x)
+    digits = bin(x)[:1:-1]  # bit i is digits[i]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def sumset(a: VectorFamily, b: VectorFamily) -> VectorFamily:

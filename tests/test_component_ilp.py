@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,14 @@ from starforest.graph import Graph, StarForest, max_matching
 from starforest.oracle import enum_star_vectors_brute, opt_common_vector
 from starforest.solve_h import embeds_star_forest
 from starforest.treewidth import solve_tw
-from starforest.vectors import best_common, counts_to_sizes
+from starforest.vectors import (
+    WIDEST_INT_BOX,
+    SparseBits,
+    VectorFamily,
+    _bits,
+    best_common,
+    counts_to_sizes,
+)
 
 from conftest import (
     complete_graph,
@@ -60,11 +71,17 @@ def fold_base(*graphs: Graph) -> int:
     return max(2, max(g.n for g in graphs) // 2 + 1)
 
 
+def as_family(bits, delta: int, base: int) -> VectorFamily:
+    """The vectors whose codes are set in a route's bitset, as a VectorFamily."""
+    return VectorFamily(delta, base, frozenset(_bits(bits)))
+
+
 def folded_families(g1: Graph, g2: Graph, k: int):
     """Both graphs' families, folded from their components' families as solve_cc does."""
     base = fold_base(g1, g2)
     tables = realisation_table([(g, g.components()) for g in (g1, g2)], k, base)
-    return build_cc_model(tables, k, base, DEFAULT_PAIR_BUDGET)
+    fam1, fam2 = build_cc_model(tables, k, base, DEFAULT_PAIR_BUDGET)
+    return as_family(fam1, k - 1, base), as_family(fam2, k - 1, base)
 
 
 def signatures_by_edge_subsets(g: Graph, k: int) -> set[tuple[int, ...]]:
@@ -150,7 +167,7 @@ class TestRealisations:
     )
     def test_small_shapes(self, graph, k, expected):
         family = realisation_table([(graph, graph.components())], k, graph.n + 1)[0][0]
-        assert family.vectors == expected
+        assert as_family(family, k - 1, graph.n + 1).vectors == expected
 
     def test_matches_edge_subset_oracle(self):
         rng = random.Random(72)
@@ -161,11 +178,14 @@ class TestRealisations:
             sub, _ = g.induced(comp0)
             k = max(2, sub.n)
             family = realisation_table([(g, [comp0])], k, fold_base(g))[0][0]
-            assert family.vectors == signatures_by_edge_subsets(sub, k)
+            assert as_family(family, k - 1, fold_base(g)).vectors == signatures_by_edge_subsets(
+                sub, k
+            )
 
     def test_downward_closure(self):
         c5 = cycle_graph(5)
-        sigs = realisation_table([(c5, c5.components())], 5, fold_base(c5))[0][0].vectors
+        family = realisation_table([(c5, c5.components())], 5, fold_base(c5))[0][0]
+        sigs = as_family(family, 4, fold_base(c5)).vectors
         assert (0,) * 4 in sigs
         for sig in sigs:
             for j in range(4):
@@ -182,7 +202,7 @@ class TestRealisations:
 
 
 class TestComponentFamily:
-    """component_family against the oracle's family, re-packed at the same base."""
+    """component_family's set bits against the oracle's members, re-packed at the same base."""
 
     @pytest.mark.parametrize("p", [0.2, 0.4, 0.7])
     def test_matches_oracle(self, p):
@@ -193,7 +213,8 @@ class TestComponentFamily:
             for delta in range(1, 8):
                 brute = enum_star_vectors_brute(g, delta)
                 for base in (fold_base(g), g.n + 1):
-                    assert component_family(g, comp, delta, base) == brute.rebase(base)
+                    got = _bits(component_family(g, comp, delta, base))
+                    assert sorted(got) == sorted(brute.rebase(base).members)
 
     def test_scattered_labels_in_larger_host(self):
         # {2, 5, 9, 11} is a paw (a triangle with a pendant) among other
@@ -206,7 +227,8 @@ class TestComponentFamily:
         sub, _ = host.induced(comp)
         for delta in range(1, 4):
             want = enum_star_vectors_brute(sub, delta).rebase(fold_base(host))
-            assert component_family(host, comp, delta, fold_base(host)) == want
+            got = _bits(component_family(host, comp, delta, fold_base(host)))
+            assert sorted(got) == sorted(want.members)
 
     @pytest.mark.parametrize("name", ["K8", "K44", "Q3", "C8"])
     def test_dense_eight_vertex_components(self, name):
@@ -215,8 +237,8 @@ class TestComponentFamily:
         for delta in range(1, 8):
             want = enum_star_vectors_brute(g, delta).rebase(fold_base(g))
             with time_limit(0.3):
-                got = component_family(g, list(range(8)), delta, fold_base(g))
-            assert got == want, delta
+                got = _bits(component_family(g, list(range(8)), delta, fold_base(g)))
+            assert sorted(got) == sorted(want.members), delta
 
     def test_delta_one_is_every_matching_size(self):
         # stars of size 2 are matching edges: the family is {0, ..., nu}
@@ -226,7 +248,7 @@ class TestComponentFamily:
             comp = max(g.components(), key=len)
             nu = len(max_matching(g.induced(comp)[0]))
             family = component_family(g, comp, 1, fold_base(g))
-            assert family.members == set(range(nu + 1))
+            assert _bits(family) == list(range(nu + 1))
 
     def test_refusals(self):
         with pytest.raises(PreconditionError):
@@ -326,6 +348,40 @@ class TestSolve:
         with pytest.raises(ResourceLimitError, match="pair budget"):
             solve_cc(path_graph(3), path_graph(3), 3, pair_budget=5)
 
+    def test_pair_budget_counts_every_fold_step(self):
+        # each step pairs the union of the components before it with the next
+        # component, |A| * |B| pairs, with both counts from the oracle
+        bull = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)])
+        sides = [
+            [path_graph(3), cycle_graph(5), star_graph(3), bull],
+            [complete_graph(4), path_graph(5), path_graph(2), cycle_graph(4)],
+        ]
+        total = 0
+        for parts in sides:
+            for i, part in enumerate(parts):
+                before = len(enum_star_vectors_brute(disjoint_union(*parts[:i]), 4).members)
+                total += before * len(enum_star_vectors_brute(part, 4).members)
+        g1, g2 = (disjoint_union(*parts) for parts in sides)
+        assert solve_cc(g1, g2, 5, pair_budget=total) == solve_tw(g1, g2)[0]
+        with pytest.raises(ResourceLimitError, match="pair budget"):
+            solve_cc(g1, g2, 5, pair_budget=total - 1)
+
+    @pytest.mark.parametrize("parts1, parts2", [("K44 Q3", "C8 C8"), ("K8 C8", "Q3 K44")])
+    def test_sparse_families_past_the_widest_int_box(self, parts1, parts2):
+        # 16 vertices give base 9, and 9**7 codes are more than WIDEST_INT_BOX:
+        # every family and fold is a SparseBits
+        shapes = {"C8": cycle_graph(8), "Q3": Q3, "K44": K44, "K8": complete_graph(8)}
+        g1 = disjoint_union(*[shapes[name] for name in parts1.split()])
+        g2 = disjoint_union(*[shapes[name] for name in parts2.split()])
+        base = fold_base(g1, g2)
+        assert base**7 > WIDEST_INT_BOX
+        tables = realisation_table([(g, g.components()) for g in (g1, g2)], 8, base)
+        assert all(family.__class__ is SparseBits for table in tables for family in table)
+        folded = build_cc_model(tables, 8, base, DEFAULT_PAIR_BUDGET)
+        assert all(family.__class__ is SparseBits for family in folded)
+        with time_limit(2):
+            assert solve_cc(g1, g2, 8) == solve_tw(g1, g2)[0]
+
     def test_oracle_equivalence_small_components(self):
         rng = random.Random(73)
         for _ in range(30):
@@ -333,3 +389,16 @@ class TestSolve:
             if g1.n > 12 or g2.n > 12:
                 continue
             assert solve_cc(g1, g2, 5) == opt_common_vector(g1, g2)[0]
+
+
+class TestImport:
+    def test_cc_route_leaves_the_treewidth_dp_out(self):
+        # the fold's bitsets live in vectors, so `--algo cc` loads no DP
+        probe = "import sys, starforest.component_ilp; print('starforest.treewidth' in sys.modules)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

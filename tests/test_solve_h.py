@@ -147,6 +147,18 @@ class TestExactPruning:
         for sizes in [(g.max_degree() + 2,), (g.max_degree() + 2, 2, 2)]:
             assert embeds_star_forest(g, StarForest(sizes)) is None
 
+    def test_second_star_with_a_single_host(self):
+        # only the claw's centre has degree >= 2, so it is the one host of both
+        # the 4-star and the 3-star after it
+        g = disjoint_union(star_graph(3), path_graph(2), Graph.from_edges(2, []))
+        for sizes in [(4, 3), (3, 3), (3, 3, 2)]:
+            forest = StarForest(sizes)
+            assert forest.total_vertices <= g.n
+            assert embeds_star_forest(g, forest) is None
+            assert embed_exact_plain(g, forest) is None
+        fits = StarForest((4, 2))
+        assert embeds_star_forest(g, fits).stars == embed_exact_plain(g, fits).stars
+
     def test_disjoint_triangles_refuse_one_2star_too_many(self):
         # each triangle holds one 2-star; both orientations of every edge made
         # this take seconds

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from starforest.errors import PreconditionError
 from starforest.treewidth import enum_star_vectors_dp
-from starforest.vectors import VectorFamily, best_common, sumset
+from starforest.vectors import SparseBits, VectorFamily, _bits, _sum_shifts, best_common, sumset
 
 from conftest import random_graph
 from reference import sumset_naive, vector_total
@@ -138,3 +138,28 @@ class TestFamily:
             assert moved.rebase(4) == fam
         with pytest.raises(PreconditionError):
             fam.rebase(3)  # the coordinate 3 does not fit
+
+
+class TestSparseBits:
+    def test_and_keeps_the_class(self):
+        # set's own operators hand back a plain set, which `_bits` would read
+        # with bin()
+        a, b = SparseBits((1, 2, 3, 70)), SparseBits((2, 3, 4, 70))
+        common = a & b
+        assert common.__class__ is SparseBits
+        assert sorted(_bits(common)) == [2, 3, 70]
+        assert common.bit_count() == 3
+
+    def test_operators_match_int_bitsets(self):
+        rng = random.Random(107)
+        for _ in range(200):
+            a, b = ({rng.randrange(60) for _ in range(rng.randint(1, 12))} for _ in range(2))
+            ints = [sum(1 << c for c in s) for s in (a, b)]
+            sparse = [SparseBits(a), SparseBits(b)]
+            shift = rng.randrange(10)
+            assert sorted(_bits(sparse[0] & sparse[1])) == _bits(ints[0] & ints[1])
+            assert sorted(_bits(sparse[0] | sparse[1])) == _bits(ints[0] | ints[1])
+            assert sorted(_bits(sparse[0] << shift)) == _bits(ints[0] << shift)
+            summed = _sum_shifts(sparse[0], _bits(ints[1]))
+            assert sorted(_bits(summed)) == _bits(_sum_shifts(ints[0], _bits(ints[1])))
+            assert sparse[0].bit_count() == ints[0].bit_count()
