@@ -9,7 +9,9 @@ embedding keeps every answer and certificate:
 `count` seeded sparse pairs (n 8 to 16, about 0.7 n edges on each side)
 come first, then fixed pairs rich in 2-stars (disjoint triangles, paths,
 an isolated vertex) and fixed pairs rich in equal 3- and 4-stars (disjoint
-K4s, caterpillars, spiders).  Each pair is asked at h = opt and
+K4s, caterpillars, spiders), then the 2-star pairs again with their
+vertices renamed by a seeded permutation, so low-index vertices become
+leaves of later centres.  Each pair is asked at h = opt and
 h = opt + 1, with opt from solve_tw.  A line holds the query's index, h,
 the answer, the forest's star sizes and both embeddings (null on a no).
 """
@@ -34,6 +36,17 @@ from conftest import (  # noqa: E402
     path_graph,
     random_graph,
 )
+
+
+def relabelled(g, rng):
+    """g with its vertices renamed by a seeded permutation.
+
+    Defined here, not taken from conftest, because the parent-commit diff
+    runs this script against the parent's tests directory.
+    """
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def two_star_pairs():
@@ -101,6 +114,9 @@ def pairs(count):
         yield random_graph(rng, n, p), random_graph(rng, n, p)
     yield from two_star_pairs()
     yield from equal_star_pairs()
+    rng = random.Random(38)
+    for g1, g2 in two_star_pairs():
+        yield relabelled(g1, rng), relabelled(g2, rng)
 
 
 def main(count):

@@ -11,11 +11,13 @@ vertices by degree into host bitmasks, one per leaf count; a level takes its
 centres lowest index first from its star's host mask, less the used
 vertices and those below its first allowed centre, so it never scans a
 vertex that cannot be its centre.  A 2-star level walks the centre's edges
-with no free-leaf list and never retries a 2-star as the mirror image of
-one that already failed, so it returns the first embedding of the plain
-backtracker without walking the same subtree twice.  It nests one frame per
-star, so it refuses a forest of more than MAX_EXACT_STARS stars with
-ResourceLimitError.
+with no free-leaf list and only to leaves above the centre: the plain
+backtracker's first embedding never holds a 2-star whose leaf is below its
+centre, since centring that edge at its leaf gives an embedding the search
+visits earlier.  So it returns the first embedding of the plain backtracker
+and tries each edge as a 2-star in one orientation only.  It nests one
+frame per star, so it refuses a forest of more than MAX_EXACT_STARS stars
+with ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -228,16 +230,20 @@ def _embed_exact(g: Graph, forest: StarForest) -> Embedding | None:
             centre = bit.bit_length() - 1
             if d == 2:
                 # Every star partition ends in 2-stars, so most nodes sit here:
-                # walk the edges with no free list.  Skip each leaf w with
-                # start <= w < centre: its mirror, centre w with leaf centre, was
-                # tried earlier in this loop (w has an edge, so it is a host)
-                # with the same used set and a weaker bound on the next centre
-                # (w + 1 <= centre + 1), and it failed, or the search would have
-                # returned.  So this subtree fails too, and the first embedding
-                # is unchanged.
+                # walk the edges with no free list, and skip every leaf w below
+                # the centre (the lower-end rule).  The plain backtracker's
+                # first embedding holds no such 2-star: were (c, w) with w < c
+                # in it, centring that edge at w, at the first 2-star level
+                # whose centre is above w, would give a valid embedding that
+                # the search visits earlier (w is unused there and at least
+                # that level's start, and the 2-stars from there on shift one
+                # level later).  So the subtrees skipped here cannot hold the
+                # first embedding, and the search returns it unchanged.  With
+                # start <= w this is the mirror rule: centre w with leaf
+                # centre was tried earlier in this loop and failed.
                 mask = used | bit
                 for w in adj[centre]:
-                    if used >> w & 1 or start <= w < centre:
+                    if w < centre or used >> w & 1:
                         continue
                     append((centre, w))
                     if place(idx + 1, mask | 1 << w, centre + 1):

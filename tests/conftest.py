@@ -42,6 +42,13 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    """g with its vertices renamed by a seeded permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def random_tree(rng: random.Random, n: int) -> Graph:
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     return Graph.from_edges(n, edges)

@@ -30,6 +30,7 @@ from conftest import (
     disjoint_union,
     path_graph,
     random_graph,
+    relabelled,
     star_graph,
     time_limit,
 )
@@ -121,6 +122,32 @@ class TestExactPruning:
                     got = embeds_star_forest(g, forest, "exact")
                     want = embed_exact_plain(g, forest)
                     assert (got and got.stars) == (want and want.stars), (g.edges(), forest)
+
+    def test_plain_first_embedding_has_no_2star_leaf_below_its_centre(self):
+        # the lemma behind the lower-end rule, checked on the reference alone:
+        # centring such a 2-star at its leaf would give an embedding the plain
+        # backtracker visits earlier
+        rng = random.Random(56)
+        graphs = [
+            random_graph(rng, n, rng.choice([0.1, 0.2, 0.35, 0.5, 0.8]))
+            for n in (rng.randint(1, 10) for _ in range(1000))
+        ]
+        # relabelled, low-index vertices become leaves of later centres
+        isolated = Graph.from_edges(1, [])
+        shapes = [disjoint_union(*[complete_graph(3)] * k, isolated) for k in (4, 5)]
+        shapes += [f(n) for n in range(13, 17) for f in (path_graph, cycle_graph)]
+        graphs += [relabelled(g, rng) for g in shapes for _ in range(2)]
+        found = 0
+        for g in graphs:
+            for h in range(2, g.n + 1):
+                for forest in enum_star_partitions(h):
+                    emb = embed_exact_plain(g, forest)
+                    if emb is None:
+                        continue
+                    found += 1
+                    low = [s for s in emb.stars if len(s) == 2 and s[1] < s[0]]
+                    assert not low, (g.edges(), forest, emb.stars)
+        assert found > 5000
 
     def test_same_embeddings_as_plain_backtracker_past_a_machine_word(self):
         # runs of equal 2-, 3- and 4-stars, whose centres rise from the last

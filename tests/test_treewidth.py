@@ -36,6 +36,7 @@ from conftest import (
     path_graph,
     random_graph,
     random_tree,
+    relabelled,
     star_graph,
 )
 from reference import elimination_tree, verify_path_decomposition
@@ -220,12 +221,6 @@ def placed_order(g):
     """`path_order`'s placement order and width, without the closings."""
     steps, width = path_order(g)
     return [v for v, _ in steps], width
-
-
-def relabelled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def chorded_cycle(rng, n):
