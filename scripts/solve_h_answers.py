@@ -42,7 +42,8 @@ def relabelled(g, rng):
     """g with its vertices renamed by a seeded permutation.
 
     Defined here, not taken from conftest, because the parent-commit diff
-    runs this script against the parent's tests directory.
+    runs this script against the parent's tests directory, whose conftest
+    lacks it; once the parent's conftest has it, import it from there.
     """
     perm = list(range(g.n))
     rng.shuffle(perm)

@@ -184,8 +184,8 @@ def cmd_verify(args) -> int:
     try:
         cert = json.loads(cert_text)
         forest = StarForest(tuple(_int_list(cert["star_sizes"])))
-        emb1 = Embedding.from_lists(map(_int_list, cert["emb1"]))
-        emb2 = Embedding.from_lists(map(_int_list, cert["emb2"]))
+        emb1 = Embedding(map(_int_list, cert["emb1"]))
+        emb2 = Embedding(map(_int_list, cert["emb2"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate: {exc}") from exc
     for tag, g, emb in (("emb1", inst.g1, emb1), ("emb2", inst.g2, emb2)):

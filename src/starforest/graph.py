@@ -115,19 +115,42 @@ class StarForest:
         return sum(self.star_sizes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Embedding:
     """An injective placement of a star forest into a host graph.
 
     stars[i] = (centre, leaf, leaf, ...) lists the host vertices of star i;
-    position 0 is the centre.
+    position 0 is the centre.  While every vertex and star size is below
+    256, the stars are kept as one bytes object, each star as its size, its
+    centre and its leaves, and ``stars`` decodes them: a caller that keeps
+    many certificates keeps one small object per embedding, not a tuple per
+    star.  Otherwise the tuples are kept as given.
     """
 
-    stars: tuple[tuple[int, ...], ...]
+    _code: bytes | tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def from_lists(stars: Iterable[Iterable[int]]) -> "Embedding":
-        return Embedding(tuple(tuple(s) for s in stars))
+    def __init__(self, stars: Iterable[Iterable[int]]):
+        stars = tuple(map(tuple, stars))
+        try:
+            code = bytes([v for star in stars for v in (len(star), *star)])
+        except (TypeError, ValueError):  # a value that is not a byte
+            code = stars
+        object.__setattr__(self, "_code", code)
+
+    @property
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        code = self._code
+        if type(code) is tuple:
+            return code
+        stars, i = [], 0
+        while i < len(code):
+            end = i + 1 + code[i]
+            stars.append(tuple(code[i + 1:end]))
+            i = end
+        return tuple(stars)
+
+    def __repr__(self) -> str:
+        return f"Embedding(stars={self.stars!r})"
 
     def vertices(self) -> list[int]:
         return [v for star in self.stars for v in star]
@@ -376,13 +399,14 @@ def bfs_levels(g: Graph) -> list[int]:
 
 def embedding_violation(host: Graph, forest: StarForest, emb: Embedding) -> str | None:
     """None if emb embeds forest into host; otherwise what went wrong."""
-    if len(emb.stars) != len(forest.star_sizes):
-        return f"embedding has {len(emb.stars)} stars, forest has {len(forest.star_sizes)}"
-    emb_sizes = sorted((len(s) for s in emb.stars), reverse=True)
+    stars = emb.stars
+    if len(stars) != len(forest.star_sizes):
+        return f"embedding has {len(stars)} stars, forest has {len(forest.star_sizes)}"
+    emb_sizes = sorted((len(s) for s in stars), reverse=True)
     if tuple(emb_sizes) != forest.star_sizes:
         return f"star sizes {emb_sizes} do not match forest {list(forest.star_sizes)}"
     seen: set[int] = set()
-    for i, star in enumerate(emb.stars):
+    for i, star in enumerate(stars):
         if len(star) < 2:
             return f"star {i} has fewer than 2 vertices"
         for v in star:

@@ -265,3 +265,28 @@ class TestVerifyEmbedding:
     def test_rejects_shape_mismatch(self):
         emb = Embedding(((0, 1),))
         assert not verify_embedding(path_graph(4), StarForest((3,)), emb)
+
+
+class TestEmbeddingStorage:
+    def test_stars_round_trip(self):
+        stars = ((3, 1), (0, 2, 5), (7, 4, 6, 8, 9))
+        emb = Embedding(stars)
+        assert emb.stars == stars and emb.vertices() == [3, 1, 0, 2, 5, 7, 4, 6, 8, 9]
+        assert Embedding(()).stars == ()
+
+    def test_small_vertices_are_kept_as_bytes(self):
+        assert isinstance(Embedding(((255, 0),))._code, bytes)
+
+    def test_large_vertices_and_stars_keep_their_tuples(self):
+        for stars in (((256, 1),), ((0,) + tuple(range(1, 256)),)):
+            emb = Embedding(stars)
+            assert isinstance(emb._code, tuple) and emb.stars == stars
+
+    def test_equal_stars_give_equal_embeddings(self):
+        a, b = Embedding(((0, 1), (2, 3))), Embedding([[0, 1], [2, 3]])
+        assert a == b and hash(a) == hash(b) and a != Embedding(((1, 0), (2, 3)))
+        assert repr(a) == "Embedding(stars=((0, 1), (2, 3)))"
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            Embedding(((0, 1),))._code = b""
